@@ -12,12 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .clifford import (
-    build_clifford_module,
-    filtration_quotient_check,
-    peak_characteristic,
-    verify_clifford_relations,
-)
+from .clifford import build_clifford_module, peak_characteristic
 from .compositions import format_subset, parse_composition
 from .errors import DomainError
 from .families import (
@@ -26,8 +21,8 @@ from .families import (
     FamilyKind,
     build_family,
 )
-from .harness import default_worker_count, run_harness
-from .hecke import build_hecke_module, qsym_characteristic, verify_hecke_relations
+from .harness import check_family, run_harness
+from .hecke import build_hecke_module, qsym_characteristic
 from .series import (
     FormalSum,
     evaluate_truncated,
@@ -142,18 +137,9 @@ def _cmd_truncate(args, out) -> int:
 
 def _cmd_verify(args, out) -> int:
     family = _family_from_args(args)
-    kind = FamilyKind(args.family)
-    selected = [
-        name
-        for name, flag in (
-            ("compatibility", args.compatibility),
-            ("relations", args.relations),
-            ("clifford", args.clifford),
-        )
-        if flag
-    ] or ["compatibility", "relations", "clifford"]
+    every = not (args.compatibility or args.relations or args.clifford)
     failures = 0
-    if "compatibility" in selected:
+    if every or args.compatibility:
         for mode, check in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
             result = check(family)
             verdict = "pass" if result.ok else "FAIL"
@@ -166,27 +152,23 @@ def _cmd_verify(args, out) -> int:
                     file=out,
                 )
                 failures += 1
-    if "relations" in selected:
-        convention = args.convention or NATIVE_CONVENTION[kind]
-        rep = build_hecke_module(family, convention)
-        report = verify_hecke_relations(rep)
-        print(f"module relations ({convention}): {report}", file=out)
-        failures += 0 if report.ok else 1
-    if "clifford" in selected:
-        rep = build_clifford_module(family)
-        report = verify_clifford_relations(rep)
-        print(f"supermodule relations: {report}", file=out)
-        failures += 0 if report.ok else 1
-        quotients_ok = all(
-            filtration_quotient_check(rep, k) for k in range(1, len(family) + 1)
-        )
-        print(f"filtration quotients: {'pass' if quotients_ok else 'FAIL'}", file=out)
-        failures += 0 if quotients_ok else 1
+    module, supermodule = every or args.relations, every or args.clifford
+    if module or supermodule:
+        check = check_family(family, args.convention, module, supermodule)
+        if not check.size:
+            raise DomainError(f"family {family.family_tag} is empty")
+        if check.hecke is not None:
+            print(f"module relations ({check.convention}): {check.hecke}", file=out)
+        if check.clifford is not None:
+            print(f"supermodule relations: {check.clifford}", file=out)
+            quotients = "FAIL" if check.failing_quotients else "pass"
+            print(f"filtration quotients: {quotients}", file=out)
+        failures += not check.ok
     return 1 if failures else 0
 
 
 def _cmd_harness(args, out) -> int:
-    records = run_harness(args.check, max_n=args.max_n, workers=args.workers)
+    records = run_harness(args.check, max_n=args.max_n)
     failed = 0
     for record in records:
         if args.format == "structured":
@@ -248,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Enumerate tableau families, expand their characteristics in the "
             "fundamental and peak bases, and verify the module structure "
-            "exactly.  Thread count for the harness comes from DIAGMOD_THREADS."
+            "exactly."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -301,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
         choices=["all", "rect", "transition", "positivity", "schurq", "theta", "bruhat", "relations", "witness"],
     )
     p.add_argument("--max-n", type=int, default=5)
-    p.add_argument("--workers", type=int, default=None)
     _add_format_arg(p)
     p.set_defaults(fn=_cmd_harness)
 

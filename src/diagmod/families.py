@@ -43,6 +43,7 @@ Some (shape, sigma) pairs admit no fillings; the resulting family is empty.
 from __future__ import annotations
 
 import enum
+import itertools
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Optional
 
@@ -458,6 +459,23 @@ def shapes_for(kind: FamilyKind | str, n: int) -> list[Composition]:
     if kind is FamilyKind.SYT:
         return list(enumerate_partitions(n))
     return list(enumerate_compositions(n))
+
+
+def family_instances(
+    max_n: int, sigmas: bool = False
+) -> Iterator[tuple[FamilyKind, Composition, Optional[tuple[int, ...]]]]:
+    """Every (kind, shape, sigma) with shape size at most max_n, by kind, then
+    size, then shape.  sigma is None; with ``sigmas``, each shape of a
+    permuted-variant kind is followed by its non-identity row permutations."""
+    for kind in FamilyKind:
+        for n in range(1, max_n + 1):
+            for shape in shapes_for(kind, n):
+                yield kind, shape, None
+                if sigmas and kind in SIGMA_KINDS:
+                    identity = tuple(range(1, len(shape) + 1))
+                    for sigma in itertools.permutations(identity):
+                        if sigma != identity:
+                            yield kind, shape, sigma
 
 
 # ---------------------------------------------------------------------------

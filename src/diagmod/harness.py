@@ -10,16 +10,17 @@ the small witness separating diagram modules from interval modules.
 from __future__ import annotations
 
 import itertools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
 from .clifford import (
     build_clifford_module,
+    filtration_quotient_check,
     peak_characteristic,
+    verify_clifford_relations,
 )
 from .compositions import (
     Composition,
@@ -36,12 +37,14 @@ from .families import (
     NATIVE_CONVENTION,
     build_family,
     demo_compatible_family,
+    family_instances,
     rect,
-    shapes_for,
     single_row_diagram,
 )
 from .hecke import (
+    PI,
     HeckeModuleRep,
+    RelationReport,
     build_hecke_module,
     qsym_characteristic,
     verify_hecke_relations,
@@ -218,10 +221,7 @@ def _direct_interval_matrices(
         rows, cols, vals = [], [], []
         for col, g in enumerate(order):
             if i in perm_descents(g):
-                if flavour == "bar":
-                    rows.append(col), cols.append(col), vals.append(-1)
-                else:
-                    rows.append(col), cols.append(col), vals.append(1)
+                rows.append(col), cols.append(col), vals.append(-1 if flavour == "bar" else 1)
             else:
                 up = s_apply(i, g)
                 if up in member_set:
@@ -241,8 +241,7 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
     fam = words_family(interval.members, tag=f"interval{list(interval.sigma)}-{list(interval.rho)}")
     rep = build_hecke_module(fam, "pi")
     order = [t.reading_word for t in rep.basis]
-    direct = _direct_interval_matrices(interval, order, "bar")
-    if list(rep.pi) != direct:
+    if list(rep.pi) != _direct_interval_matrices(interval, order, "bar"):
         raise TheoremMismatch("signed interval action differs from the diagram module")
 
     rev_fam = words_family(
@@ -251,25 +250,8 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
     )
     hat_rep = build_hecke_module(rev_fam, "hat")
     hat_order = [reverse_word(t.reading_word) for t in hat_rep.basis]
-
-    member_set = set(interval.members)
-    idx = {g: k for k, g in enumerate(hat_order)}
-    n = len(interval.sigma)
-    dim = len(hat_order)
-    for i in range(1, n):
-        rows, cols, vals = [], [], []
-        for col, g in enumerate(hat_order):
-            if i in perm_descents(g):
-                rows.append(col), cols.append(col), vals.append(1)
-            else:
-                up = s_apply(i, g)
-                if up in member_set:
-                    rows.append(idx[up]), cols.append(col), vals.append(1)
-        direct_b = OperatorMatrix.from_triples(dim, rows, cols, vals)
-        if hat_rep.pi[i - 1] != direct_b:
-            raise TheoremMismatch(
-                "unsigned interval action differs from the reversed-word module"
-            )
+    if list(hat_rep.pi) != _direct_interval_matrices(interval, hat_order, "plain"):
+        raise TheoremMismatch("unsigned interval action differs from the reversed-word module")
     return rep, hat_rep
 
 
@@ -359,6 +341,73 @@ def check_schurQ_inclusion(lam: Composition) -> bool:
 def theta_matches_peak(family: TableauFamily) -> bool:
     """theta of the fundamental characteristic equals the peak characteristic."""
     return theta(qsym_characteristic(family)) == peak_characteristic(family)
+
+
+@dataclass(frozen=True)
+class FamilyCheck:
+    """Verdicts, sizes and stage seconds of one family run through
+    ``check_family``.  A report is None when its stage was skipped; ``dim``
+    is that of the supermodule when it was built, else that of the module."""
+
+    tag: str
+    size: int
+    convention: str
+    hecke: Optional[RelationReport]
+    clifford: Optional[RelationReport]
+    dim: int
+    failing_quotients: tuple[int, ...]
+    module_s: float
+    supermodule_s: float
+    quotients_s: float
+
+    @property
+    def ok(self) -> bool:
+        reports = (self.hecke, self.clifford)
+        return all(r is None or r.ok for r in reports) and not self.failing_quotients
+
+
+def check_family(
+    family: TableauFamily,
+    convention: Optional[str] = None,
+    module: bool = True,
+    supermodule: bool = True,
+) -> FamilyCheck:
+    """Build the family's module and supermodule, verify their relations, and
+    compare each filtration quotient with the reference module of its
+    descent composition.
+
+    ``convention`` defaults to the native one of the family's kind, else pi.
+    ``module`` and ``supermodule`` select the stages; the quotients belong to
+    the supermodule.  An empty family builds nothing; builder errors, such as
+    an incompatible family, propagate.
+    """
+    if convention is None:
+        convention = NATIVE_CONVENTION[FamilyKind(family.kind)] if family.kind else PI
+    hecke = clifford = None
+    dim, failing = 0, ()
+    module_s = supermodule_s = quotients_s = 0.0
+    if family.members and module:
+        start = time.perf_counter()
+        rep = build_hecke_module(family, convention)
+        hecke = verify_hecke_relations(rep)
+        dim = rep.dim
+        module_s = time.perf_counter() - start
+    if family.members and supermodule:
+        start = time.perf_counter()
+        crep = build_clifford_module(family)
+        clifford = verify_clifford_relations(crep)
+        dim = crep.dim
+        supermodule_s = time.perf_counter() - start
+        start = time.perf_counter()
+        failing = tuple(
+            k for k in range(1, len(family.members) + 1) if not filtration_quotient_check(crep, k)
+        )
+        quotients_s = time.perf_counter() - start
+    return FamilyCheck(
+        tag=family.family_tag, size=len(family.members), convention=convention,
+        hecke=hecke, clifford=clifford, dim=dim, failing_quotients=failing,
+        module_s=module_s, supermodule_s=supermodule_s, quotients_s=quotients_s,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -467,137 +516,89 @@ def _record(theorem: str, shape: str, fn: Callable[[], tuple[bool, str]]) -> Che
     start = time.perf_counter()
     try:
         ok, dims = fn()
+        verdict = "pass" if ok else "FAIL"
     except TheoremMismatch:
-        ok, dims = False, "-"
-    return CheckRecord(theorem, shape, "pass" if ok else "FAIL", dims, time.perf_counter() - start)
+        verdict, dims = "FAIL", "-"
+    except Exception as exc:  # one raising job must not lose the rest of the run
+        verdict, dims = "ERROR", f"{type(exc).__name__}: {exc}"
+    return CheckRecord(theorem, shape, verdict, dims, time.perf_counter() - start)
 
 
-def default_worker_count() -> int:
-    value = os.environ.get("DIAGMOD_THREADS", "1")
-    try:
-        return max(1, int(value))
-    except ValueError:
-        return 1
+def _rect_job(lam: Composition) -> tuple[bool, str]:
+    fam = build_family(FamilyKind.SSHT, lam)
+    ok = check_rect_isomorphism(lam)
+    return ok, f"dim={len(fam) * (1 << sum(lam))}"
 
 
-def run_harness(
-    checks: Iterable[str] = ("all",),
-    max_n: int = 5,
-    workers: Optional[int] = None,
-) -> list[CheckRecord]:
+def _transition_job(n: int) -> tuple[bool, str]:
+    peaks, _ = transition_to_peak_basis(n)
+    return True, f"{len(peaks)}x{len(peaks)}"
+
+
+def _verdict_job(check: Callable[[Composition], bool], arg: Composition) -> tuple[bool, str]:
+    return check(arg), "-"
+
+
+def _theta_job(kind: FamilyKind, shape: Composition) -> tuple[bool, str]:
+    fam = build_family(kind, shape)
+    return theta_matches_peak(fam), f"|family|={len(fam)}"
+
+
+def _intervals_job(n: int) -> tuple[bool, str]:
+    intervals = all_intervals(n)
+    for iv in intervals:
+        build_interval_modules(iv)
+    return True, f"{len(intervals)} intervals"
+
+
+def _relations_job(kind: FamilyKind, shape: Composition) -> tuple[bool, str]:
+    check = check_family(build_family(kind, shape), supermodule=False)
+    return check.ok, f"dim={check.dim}" if check.size else "empty"
+
+
+def _witness_job() -> tuple[bool, str]:
+    report = generalization_witness()
+    return report.verdict != "witness failed", f"{report.size_three_intervals} intervals"
+
+
+def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckRecord]:
     """Run the named theorem checks up to the given size and collect records.
 
-    Jobs are independent and pure; they run on a thread pool sized by
-    ``workers`` (default: the DIAGMOD_THREADS environment variable, else 1)
-    and the report order is deterministic regardless of scheduling.
+    Jobs run one after another in a fixed order, so the report is
+    deterministic.  A job that raises anything but ``TheoremMismatch`` gives
+    an ``ERROR`` record naming the exception, and the run goes on.
     """
     wanted = set(checks)
     everything = "all" in wanted
     jobs: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []
-
-    def job_rect(lam):
-        def run():
-            fam = build_family(FamilyKind.SSHT, lam)
-            ok = check_rect_isomorphism(lam)
-            return ok, f"dim={len(fam) * (1 << sum(lam))}"
-
-        return run
-
-    def job_transition(n):
-        def run():
-            peaks, _ = transition_to_peak_basis(n)
-            return True, f"{len(peaks)}x{len(peaks)}"
-
-        return run
-
-    def job_positivity(alpha):
-        def run():
-            return check_Q_minus_S_positivity(alpha), "-"
-
-        return run
-
-    def job_inclusion(lam):
-        def run():
-            return check_schurQ_inclusion(lam), "-"
-
-        return run
-
-    def job_theta(kind, shape):
-        def run():
-            fam = build_family(kind, shape)
-            return theta_matches_peak(fam), f"|family|={len(fam)}"
-
-        return run
-
-    def job_intervals(n):
-        def run():
-            count = 0
-            for iv in all_intervals(n):
-                build_interval_modules(iv)
-                count += 1
-            return True, f"{count} intervals"
-
-        return run
-
-    def job_relations(kind, shape):
-        def run():
-            fam = build_family(kind, shape)
-            if not fam.members:
-                return True, "empty"
-            rep = build_hecke_module(fam, NATIVE_CONVENTION[kind])
-            return verify_hecke_relations(rep).ok, f"dim={rep.dim}"
-
-        return run
-
-    def job_witness():
-        def run():
-            report = generalization_witness()
-            return report.verdict != "witness failed", f"{report.size_three_intervals} intervals"
-
-        return run
-
     if everything or "rect" in wanted:
         for n in range(1, max_n + 1):
             for lam in enumerate_strict_partitions(n):
-                jobs.append(("rect-intertwiner", format_composition(lam), job_rect(lam)))
+                jobs.append(("rect-intertwiner", format_composition(lam), partial(_rect_job, lam)))
     if everything or "transition" in wanted:
         for n in range(1, max_n + 1):
-            jobs.append(("peak-transition", str(n), job_transition(n)))
+            jobs.append(("peak-transition", str(n), partial(_transition_job, n)))
     if everything or "positivity" in wanted:
         for n in range(1, max_n + 1):
             for alpha in enumerate_peak_compositions(n):
-                jobs.append(("peak-positivity", format_composition(alpha), job_positivity(alpha)))
+                job = partial(_verdict_job, check_Q_minus_S_positivity, alpha)
+                jobs.append(("peak-positivity", format_composition(alpha), job))
     if everything or "schurq" in wanted:
         for n in range(1, max_n + 1):
             for lam in enumerate_strict_partitions(n):
-                jobs.append(("symmetric-inclusion", format_composition(lam), job_inclusion(lam)))
+                job = partial(_verdict_job, check_schurQ_inclusion, lam)
+                jobs.append(("symmetric-inclusion", format_composition(lam), job))
     if everything or "theta" in wanted:
-        for kind in FamilyKind:
-            for n in range(1, max_n + 1):
-                for shape in shapes_for(kind, n):
-                    jobs.append(
-                        (f"theta-{kind.value}", format_composition(shape), job_theta(kind, shape))
-                    )
+        for kind, shape, _ in family_instances(max_n):
+            job = partial(_theta_job, kind, shape)
+            jobs.append((f"theta-{kind.value}", format_composition(shape), job))
     if everything or "bruhat" in wanted:
         for n in range(1, min(max_n, 4) + 1):
-            jobs.append(("interval-modules", f"S{n}", job_intervals(n)))
+            jobs.append(("interval-modules", f"S{n}", partial(_intervals_job, n)))
     if everything or "relations" in wanted:
-        for kind in FamilyKind:
-            for n in range(1, max_n + 1):
-                for shape in shapes_for(kind, n):
-                    jobs.append(
-                        (
-                            f"relations-{kind.value}",
-                            format_composition(shape),
-                            job_relations(kind, shape),
-                        )
-                    )
+        for kind, shape, _ in family_instances(max_n):
+            job = partial(_relations_job, kind, shape)
+            jobs.append((f"relations-{kind.value}", format_composition(shape), job))
     if everything or "witness" in wanted:
-        jobs.append(("interval-witness", "-", job_witness()))
-
-    workers = workers if workers is not None else default_worker_count()
-    if workers <= 1:
-        return [_record(t, s, fn) for t, s, fn in jobs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(_record, t, s, fn) for t, s, fn in jobs]
-        return [f.result() for f in futures]
+        jobs.append(("interval-witness", "-", _witness_job))
+    return [_record(t, s, fn) for t, s, fn in jobs]

@@ -155,7 +155,7 @@ def zero_hecke_violations(
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     quad_sign = -1 if rep.convention == PI else 1
-    checked, violations = zero_hecke_violations(rep.pi, quad_sign)
+    checked, violations = zero_hecke_violations(rep.pi, quad_sign, rep.convention)
     return RelationReport(checked, tuple(violations))
 
 

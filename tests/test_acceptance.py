@@ -23,7 +23,6 @@ import _oracles as oracle
 from diagmod.clifford import (
     MarkedTableau,
     build_clifford_module,
-    filtration_quotient_check,
     is_tableau_cyclic,
     peak_characteristic,
     verify_clifford_relations,
@@ -35,18 +34,16 @@ from diagmod.compositions import (
 )
 from diagmod.errors import IncompatibleFamilyError
 from diagmod.families import (
-    FamilyKind,
-    NATIVE_CONVENTION,
-    SIGMA_KINDS,
     build_family,
     demo_incompatible_family,
-    shapes_for,
+    family_instances,
     source_tableau,
 )
 from diagmod.harness import (
     _upward_closure,
     all_intervals,
     build_interval_modules,
+    check_family,
     check_Q_minus_S_positivity,
     check_rect_isomorphism,
     generalization_witness,
@@ -70,57 +67,27 @@ def report(number, ok, detail):
     return ok
 
 
-def family_instances(max_n):
-    """Every (kind, shape, sigma) with shape size at most max_n; sigma ranges
-    over all permutations of the rows for the permuted-variant kinds."""
-    for kind in FamilyKind:
-        for n in range(1, max_n + 1):
-            for shape in shapes_for(kind, n):
-                yield kind, shape, None
-                if kind in SIGMA_KINDS:
-                    for sigma in itertools.permutations(range(1, len(shape) + 1)):
-                        if sigma != tuple(range(1, len(shape) + 1)):
-                            yield kind, shape, sigma
-
-
 @pytest.fixture(scope="session")
 def relation_sweep():
     """Build every family with n <= 6, verify both relation suites, and run
     every filtration quotient check; record outcomes and split timings."""
-    stats = {
-        "instances": 0,
-        "built": 0,
-        "empty": 0,
-        "hecke_failures": [],
-        "clifford_failures": [],
-        "quotient_failures": [],
-        "relations_seconds": 0.0,
-        "quotients_seconds": 0.0,
+    checks, seconds = [], 0.0
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        start = time.perf_counter()
+        checks.append(check_family(build_family(kind, shape, sigma)))
+        seconds += time.perf_counter() - start
+    built = [c for c in checks if c.size]
+    quotients_seconds = sum(c.quotients_s for c in checks)
+    return {
+        "instances": len(checks),
+        "built": len(built),
+        "empty": len(checks) - len(built),
+        "hecke_failures": [c.tag for c in built if not c.hecke.ok],
+        "clifford_failures": [c.tag for c in built if not c.clifford.ok],
+        "quotient_failures": [c.tag for c in built if c.failing_quotients],
+        "relations_seconds": seconds - quotients_seconds,
+        "quotients_seconds": quotients_seconds,
     }
-    for kind, shape, sigma in family_instances(6):
-        stats["instances"] += 1
-        start = time.perf_counter()
-        fam = build_family(kind, shape, sigma)
-        if not fam.members:
-            stats["empty"] += 1
-            stats["relations_seconds"] += time.perf_counter() - start
-            continue
-        stats["built"] += 1
-        rep = build_hecke_module(fam, NATIVE_CONVENTION[kind])
-        if not verify_hecke_relations(rep).ok:
-            stats["hecke_failures"].append(fam.family_tag)
-        crep = build_clifford_module(fam)
-        if not verify_clifford_relations(crep).ok:
-            stats["clifford_failures"].append(fam.family_tag)
-        stats["relations_seconds"] += time.perf_counter() - start
-        start = time.perf_counter()
-        if not all(
-            filtration_quotient_check(crep, k)
-            for k in range(1, len(crep.basis_tableaux) + 1)
-        ):
-            stats["quotient_failures"].append(fam.family_tag)
-        stats["quotients_seconds"] += time.perf_counter() - start
-    return stats
 
 
 def test_criterion_01_spct_enumeration():
@@ -296,7 +263,7 @@ def test_criterion_11_weak_order_interval_modules():
 def test_criterion_12_theta_compatibility():
     checked = 0
     ok = True
-    for kind, shape, sigma in family_instances(7):
+    for kind, shape, sigma in family_instances(7, sigmas=True):
         fam = build_family(kind, shape, sigma)
         if not fam.members:
             continue
@@ -387,8 +354,11 @@ def test_criterion_15_negative_control():
     }
 
     control_reports = forced_reports(control)
-    braid = "braid fails at pi[1], pi[2]"
-    braid_ok = all(braid in rep.violations for rep in control_reports.values())
+    labels = {"pi": "pi", "hat": "hat", "clifford": "pi"}
+    braid_ok = all(
+        f"braid fails at {labels[name]}[1], {labels[name]}[2]" in rep.violations
+        for name, rep in control_reports.items()
+    )
 
     rep = build_hecke_module(control, "pi", force=True)
     basis_words = [t.reading_word for t in rep.basis]

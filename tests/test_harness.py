@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import json
 
 import pytest
 
+import diagmod.harness
+from diagmod.cli import main
 from diagmod.compositions import (
     enumerate_peak_compositions,
     enumerate_strict_partitions,
+    format_composition,
 )
 from diagmod.errors import DomainError
 from diagmod.harness import (
@@ -141,12 +146,32 @@ def test_run_harness_records():
     assert all(set(d) == {"theorem", "shape", "verdict", "dims", "elapsed"} for d in as_dicts)
 
 
-def test_run_harness_parallel_is_deterministic():
-    a = run_harness(["positivity"], max_n=4, workers=1)
-    b = run_harness(["positivity"], max_n=4, workers=4)
-    assert [(r.theorem, r.shape, r.verdict) for r in a] == [
-        (r.theorem, r.shape, r.verdict) for r in b
-    ]
+def test_run_harness_isolates_a_raising_job(monkeypatch):
+    real = diagmod.harness.check_Q_minus_S_positivity
+
+    def raise_at_21(alpha):
+        if tuple(alpha) == (2, 1):
+            raise DomainError("injected")
+        return real(alpha)
+
+    monkeypatch.setattr(diagmod.harness, "check_Q_minus_S_positivity", raise_at_21)
+    records = run_harness(["positivity", "witness"], max_n=4)
+    shapes = [format_composition(a) for n in range(1, 5) for a in enumerate_peak_compositions(n)]
+    assert [r.shape for r in records] == shapes + ["-"]
+    bad = [(r.shape, r.verdict, r.dims) for r in records if r.verdict != "pass"]
+    assert bad == [("2,1", "ERROR", "DomainError: injected")]
+    argv = ["harness", "--check", "positivity", "--check", "witness", "--max-n", "4"]
+    assert main(argv) == 1
+
+
+def test_run_harness_output_is_pinned():
+    """The harness JSONL for max_n 6, without timings, is fixed."""
+    records = run_harness(max_n=6)
+    assert len(records) == 1229 and all(r.verdict == "pass" for r in records)
+    rows = [{k: v for k, v in r.as_dict().items() if k != "elapsed"} for r in records]
+    lines = [json.dumps(row, sort_keys=True) for row in rows]
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "99a3fb631c032cad1cef689fc700b0895a185d82f22495cd042fc887d5d74231"
 
 
 def test_rect_paired_quotients_share_reference_module():
