@@ -10,6 +10,12 @@ Each 0-Hecke generator acts blockwise per tableau: descent and attacking
 blocks stay on the tableau, nonattacking blocks add terms on the swapped
 tableau.
 
+A family supermodule is thus its Hecke graph (the case and swap target of
+each generator on each tableau) tensored with fixed 2^n blocks that depend
+only on n, i and the case.  It stores the graph; the relations and the
+filtration quotients are checked on the cached blocks, and the |F| 2^n
+matrices are built only when read.
+
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
 independent code path in :func:`build_M_alpha`.
@@ -17,8 +23,9 @@ independent code path in :func:`build_M_alpha`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -31,7 +38,7 @@ from .compositions import (
     peak_set,
 )
 from .errors import DomainError, IncompatibleFamilyError
-from .hecke import RelationReport, basis_sort_key, zero_hecke_violations
+from .hecke import RelationReport, basis_sort_key, zero_hecke_relations
 from .matrices import OperatorMatrix
 from .series import PEAK, FormalSum
 from .tableaux import (
@@ -40,7 +47,6 @@ from .tableaux import (
     descent_set_tab,
     is_ascent_compatible,
     render_tableau,
-    swap_entries,
 )
 
 
@@ -86,13 +92,17 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
+# The three blocks of a 0-Hecke generator on one tableau's marked copies.
+DESCENT, ATTACK, SWAP = 0, 1, 2
+
+
 @lru_cache(maxsize=None)
 def _hecke_mask_blocks(n: int, i: int):
     """Per-mask index/value arrays for the three generator cases at value i.
 
-    Returns a dict with keys 'descent', 'attack', 'swap'; the 'attack' arrays
-    are also the tableau-diagonal part of the nonattacking case, and 'swap'
-    is its part landing on the swapped tableau's block.
+    Returns a dict keyed by DESCENT, ATTACK and SWAP; the ATTACK arrays are
+    also the tableau-diagonal part of the nonattacking case, and SWAP is its
+    part landing on the swapped tableau's block.
     """
     masks = np.arange(1 << n, dtype=np.int64)
     bit_i = np.int64(1 << (i - 1))
@@ -120,7 +130,7 @@ def _hecke_mask_blocks(n: int, i: int):
     rows_s = np.where(~has_i & has_j, masks - bit_j + bit_i, rows_s)
     vals_s = np.where(has_i & has_j, np.int64(-1), np.int64(1))
     swap = (rows_s, masks, vals_s)
-    return {"descent": descent, "attack": attack, "swap": swap}
+    return {DESCENT: descent, ATTACK: attack, SWAP: swap}
 
 
 @lru_cache(maxsize=None)
@@ -134,15 +144,31 @@ def _mark_blocks(n: int, j: int):
     return masks ^ bit, masks, signs
 
 
+@lru_cache(maxsize=None)
+def _hecke_block(n: int, i: int, case: int) -> OperatorMatrix:
+    return OperatorMatrix.from_triples(1 << n, *_hecke_mask_blocks(n, i)[case])
+
+
+@lru_cache(maxsize=None)
+def _mark_block(n: int, j: int) -> OperatorMatrix:
+    return OperatorMatrix.from_triples(1 << n, *_mark_blocks(n, j))
+
+
 @dataclass(frozen=True)
 class CliffordModuleRep:
-    """Ordered marked basis plus all generator matrices."""
+    """Ordered marked basis plus the family's Hecke graph.
+
+    ``hecke_graph[i - 1][t]`` is ``(case, target)`` for generator i on basis
+    tableau t: ``case`` is DESCENT or ATTACK, naming the 2^n block of pi_i on
+    the tableau's own marked copies, and ``target`` is the index of the
+    tableau with i and i+1 swapped, which receives the SWAP block, or -1 when
+    i is a descent or the swap leaves the family.  The generator matrices
+    ``pi`` and ``c`` are built from the graph only when read.
+    """
 
     family: TableauFamily
     basis_tableaux: tuple[StandardTableau, ...]
-    pi: tuple[OperatorMatrix, ...]
-    c: tuple[OperatorMatrix, ...]
-    parity: np.ndarray
+    hecke_graph: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
     def tableau_index(self) -> dict[StandardTableau, int]:
@@ -155,6 +181,43 @@ class CliffordModuleRep:
     @property
     def dim(self) -> int:
         return len(self.basis_tableaux) << self.n
+
+    @cached_property
+    def pi(self) -> tuple[OperatorMatrix, ...]:
+        block = 1 << self.n
+        mats = []
+        for i, edges in enumerate(self.hecke_graph, start=1):
+            blocks = _hecke_mask_blocks(self.n, i)
+            rows, cols, vals = [], [], []
+            for t, (case, target) in enumerate(edges):
+                for part, u in ((case, t), (SWAP, target)):
+                    if u >= 0:
+                        r, c, v = blocks[part]
+                        rows.append(r + u * block)
+                        cols.append(c + t * block)
+                        vals.append(v)
+            mats.append(
+                OperatorMatrix.from_triples(
+                    self.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
+                )
+            )
+        return tuple(mats)
+
+    @cached_property
+    def c(self) -> tuple[OperatorMatrix, ...]:
+        m, block = len(self.basis_tableaux), 1 << self.n
+        offs = np.arange(m, dtype=np.int64) * block
+        mats = []
+        for j in range(1, self.n + 1):
+            r, c, v = _mark_blocks(self.n, j)
+            rows = (r[None, :] + offs[:, None]).ravel()
+            cols = (c[None, :] + offs[:, None]).ravel()
+            mats.append(OperatorMatrix.from_triples(self.dim, rows, cols, np.tile(v, m)))
+        return tuple(mats)
+
+    @cached_property
+    def parity(self) -> np.ndarray:
+        return np.tile(_popcounts(self.n) & 1, len(self.basis_tableaux))
 
     def index_of(self, element: MarkedTableau) -> int:
         t = self.tableau_index.get(element.tableau)
@@ -176,53 +239,22 @@ def build_clifford_module(family: TableauFamily, force: bool = False) -> Cliffor
         if not compat.ok:
             raise IncompatibleFamilyError("ascent", compat.witness)
     basis = tuple(sorted(family.members, key=basis_sort_key))
-    index = {t: k for k, t in enumerate(basis)}
-    n = family.n
-    block = 1 << n
-    dim = len(basis) * block
-
-    pi_mats = []
-    for i in range(1, n):
-        blocks = _hecke_mask_blocks(n, i)
-        rows_parts, cols_parts, vals_parts = [], [], []
-        for t, tab in enumerate(basis):
-            off = t * block
-            if i in descent_set_tab(tab):
-                r, c, v = blocks["descent"]
-                rows_parts.append(r + off)
-                cols_parts.append(c + off)
-                vals_parts.append(v)
+    # Members share one diagram, so a reading word names its tableau.
+    words = [tab.reading_word for tab in basis]
+    index = {w: t for t, w in enumerate(words)}
+    positions = [{v: p for p, v in enumerate(w)} for w in words]
+    graph = []
+    for i in range(1, family.n):
+        edges = []
+        for w, pos in zip(words, positions):
+            if pos[i] > pos[i + 1]:
+                edges.append((DESCENT, -1))
             else:
-                swapped = swap_entries(tab, i)
-                r, c, v = blocks["attack"]
-                rows_parts.append(r + off)
-                cols_parts.append(c + off)
-                vals_parts.append(v)
-                if swapped in family:
-                    r, c, v = blocks["swap"]
-                    rows_parts.append(r + index[swapped] * block)
-                    cols_parts.append(c + off)
-                    vals_parts.append(v)
-        pi_mats.append(
-            OperatorMatrix.from_triples(
-                dim,
-                np.concatenate(rows_parts) if rows_parts else [],
-                np.concatenate(cols_parts) if cols_parts else [],
-                np.concatenate(vals_parts) if vals_parts else [],
-            )
-        )
-
-    c_mats = []
-    for j in range(1, n + 1):
-        r, c, v = _mark_blocks(n, j)
-        offs = np.arange(len(basis), dtype=np.int64) * block
-        rows = (r[None, :] + offs[:, None]).ravel()
-        cols = (c[None, :] + offs[:, None]).ravel()
-        vals = np.tile(v, len(basis))
-        c_mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
-
-    parity = np.tile(_popcounts(n) & 1, len(basis))
-    return CliffordModuleRep(family, basis, tuple(pi_mats), tuple(c_mats), parity)
+                swapped = list(w)
+                swapped[pos[i]], swapped[pos[i + 1]] = i + 1, i
+                edges.append((ATTACK, index.get(tuple(swapped), -1)))
+        graph.append(tuple(edges))
+    return CliffordModuleRep(family, basis, tuple(graph))
 
 
 @dataclass(frozen=True)
@@ -243,7 +275,6 @@ class MAlphaRep:
         return 1 << self.n
 
 
-@lru_cache(maxsize=None)
 def build_M_alpha(alpha: Composition) -> MAlphaRep:
     """Build the reference supermodule directly from its case formulas.
 
@@ -294,54 +325,154 @@ def build_M_alpha(alpha: Composition) -> MAlphaRep:
     return MAlphaRep(alpha, tuple(pi_mats), tuple(c_mats), parity)
 
 
-def _parity_violations(rep) -> list[str]:
-    out = []
-    par = rep.parity
-    for i, mat in enumerate(rep.pi, start=1):
-        rows, cols, _ = mat.coo_arrays()
-        if rows.size and not np.all(par[rows] == par[cols]):
-            out.append(f"pi[{i}] does not preserve parity")
-    for j, mat in enumerate(rep.c, start=1):
-        rows, cols, _ = mat.coo_arrays()
-        if rows.size and not np.all(par[rows] != par[cols]):
-            out.append(f"c[{j}] does not flip parity")
-    return out
+def _keeps_parity(mat: OperatorMatrix, n: int, flips: bool) -> bool:
+    """Whether every nonzero entry of a 2^n block maps masks of one parity
+    to the same parity (``flips`` False) or to the other (``flips`` True)."""
+    par = _popcounts(n) & 1
+    rows, cols, _ = mat.coo_arrays()
+    return bool(np.all((par[rows] != par[cols]) == flips))
 
 
-def verify_clifford_relations(rep) -> RelationReport:
-    """Exact matrix verification of the full generator relation suite.
+@lru_cache(maxsize=None)
+def _mark_violations(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """Violations of the relations among the c_j, then of c parity.
 
-    Works on any object with ``pi``, ``c``, ``parity``, and ``dim``
-    attributes (family supermodules and the single-composition reference
-    modules alike).
+    Every c_j is the identity on tableaux tensored with its 2^n block, so on
+    a nonempty family these hold iff they hold for the blocks.
     """
-    checked, violations = zero_hecke_violations(rep.pi, -1)
-    eye = OperatorMatrix.identity(rep.dim)
-    cs, pis = rep.c, rep.pi
-    for j, cj in enumerate(cs, start=1):
-        checked += 1
-        if cj @ cj != eye.scaled(-1):
-            violations.append(f"c[{j}]^2 != -1")
-    for a in range(len(cs)):
-        for b in range(a + 1, len(cs)):
-            checked += 1
+    eye = OperatorMatrix.identity(1 << n)
+    cs = [_mark_block(n, j) for j in range(1, n + 1)]
+    relations = [f"c[{j}]^2 != -1" for j, cj in enumerate(cs, start=1) if cj @ cj != eye.scaled(-1)]
+    for a in range(n):
+        for b in range(a + 1, n):
             if cs[a] @ cs[b] != (cs[b] @ cs[a]).scaled(-1):
-                violations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
-    for i, p in enumerate(pis, start=1):
-        for j, cj in enumerate(cs, start=1):
+                relations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
+    parity = [
+        f"c[{j}] does not flip parity"
+        for j, cj in enumerate(cs, start=1)
+        if not _keeps_parity(cj, n, flips=True)
+    ]
+    return tuple(relations), tuple(parity)
+
+
+@lru_cache(maxsize=None)
+def _pi_mark_relation_holds(n: int, i: int, j: int, case: int) -> bool:
+    """The pi_i-c_j relation on the case's block of pi_i.
+
+    The descent, attack and swap blocks of pi_i sit at disjoint block
+    positions, while each c_j is block diagonal, so a relation holds for the
+    whole matrix iff it holds for each block present; the identity added in
+    the (pi_i + 1) relation lands on the diagonal blocks only.
+    """
+    p = _hecke_block(n, i, case)
+    if j == i:
+        return p @ _mark_block(n, i) == _mark_block(n, i + 1) @ p
+    if j == i + 1:
+        if case != SWAP:
+            p = p + OperatorMatrix.identity(1 << n)
+        return p @ _mark_block(n, i + 1) == _mark_block(n, i) @ p
+    return p @ _mark_block(n, j) == _mark_block(n, j) @ p
+
+
+@lru_cache(maxsize=None)
+def _hecke_parity_holds(n: int, i: int, case: int) -> bool:
+    return _keeps_parity(_hecke_block(n, i, case), n, flips=False)
+
+
+def _path_sum(n: int, paths) -> OperatorMatrix:
+    """Sum over the paths of their block products, leftmost factor first."""
+    total = OperatorMatrix.zero(1 << n)
+    for steps in paths:
+        blocks = (_hecke_block(n, step // 3 + 1, step % 3) for step in steps)
+        total = total + reduce(operator.matmul, blocks)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _paths_agree(n: int, signature: tuple, sign: int) -> bool:
+    """Whether, at every end tableau of the signature, the left paths' block
+    products sum to ``sign`` times the right paths' ones."""
+    return all(_path_sum(n, lhs) == _path_sum(n, rhs).scaled(sign) for lhs, rhs in signature)
+
+
+def _paths(graph, word, t: int) -> list[tuple[int, tuple]]:
+    """(end tableau, steps) of every path of the generator word from tableau
+    t; a step is 3 * generator + case, leftmost factor first."""
+    paths = [(t, ())]
+    for g in reversed(word):
+        edges = graph[g]
+        grown = []
+        for u, steps in paths:
+            case, target = edges[u]
+            grown.append((u, (3 * g + case,) + steps))
+            if target >= 0:
+                grown.append((target, (3 * g + SWAP,) + steps))
+        paths = grown
+    return paths
+
+
+def _relation_holds(rep: CliffordModuleRep, lhs, rhs, sign: int) -> bool:
+    """Whether left word = sign * right word as operators, checked column
+    block by column block.
+
+    Applied to tableau t's marked copies, a word of pi's is the sum over its
+    at most 2^len paths of the path's block product, landing on the path's
+    end tableau.  The verdict depends only on the case sequences grouped by
+    end tableau, which is memoised.
+    """
+    graph = rep.hecke_graph
+    for t in range(len(rep.basis_tableaux)):
+        ends: dict[int, tuple[list, list]] = {}
+        for side, word in enumerate((lhs, rhs)):
+            for u, steps in _paths(graph, word, t):
+                ends.setdefault(u, ([], []))[side].append(steps)
+        signature = tuple((tuple(left), tuple(right)) for left, right in ends.values())
+        if not _paths_agree(rep.n, signature, sign):
+            return False
+    return True
+
+
+def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
+    """Exact verification of the full generator relation suite of a family
+    supermodule, on its 2^n blocks rather than its |F| 2^n matrices.
+
+    The relations among the c_j are checked once per n, each pi-c relation
+    and pi parity once per block case present, and the 0-Hecke relations by
+    expanding both sides over paths in the Hecke graph (see
+    :func:`_relation_holds`).  The checks, their count and the violation
+    messages are those of the matrix products on ``rep.pi`` and ``rep.c``.
+    """
+    n = rep.n
+    relations = zero_hecke_relations(n - 1, -1)
+    checked = len(relations)
+    violations = [
+        message for message, lhs, rhs, sign in relations if not _relation_holds(rep, lhs, rhs, sign)
+    ]
+    mark_relations, mark_parity = _mark_violations(n)
+    checked += n + n * (n - 1) // 2
+    violations.extend(mark_relations)
+    cases = [
+        {case for case, _ in edges} | ({SWAP} if any(u >= 0 for _, u in edges) else set())
+        for edges in rep.hecke_graph
+    ]
+    for i, present in enumerate(cases, start=1):
+        for j in range(1, n + 1):
             checked += 1
+            if all(_pi_mark_relation_holds(n, i, j, case) for case in present):
+                continue
             if j == i:
-                if p @ cj != cs[i] @ p:
-                    violations.append(f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]")
+                violations.append(f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]")
             elif j == i + 1:
-                if (p + eye) @ cs[i] != cs[i - 1] @ (p + eye):
-                    violations.append(f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)")
+                violations.append(f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)")
             else:
-                if p @ cj != cj @ p:
-                    violations.append(f"pi[{i}] and c[{j}] do not commute")
-    par = _parity_violations(rep)
-    checked += len(rep.pi) + len(rep.c)
-    violations.extend(par)
+                violations.append(f"pi[{i}] and c[{j}] do not commute")
+    checked += (n - 1) + n
+    violations.extend(
+        f"pi[{i}] does not preserve parity"
+        for i, present in enumerate(cases, start=1)
+        if not all(_hecke_parity_holds(n, i, case) for case in present)
+    )
+    violations.extend(mark_parity)
     return RelationReport(checked, tuple(violations))
 
 
@@ -361,25 +492,26 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
 
     The quotient acts on the marked copies of the k-th basis tableau with all
     swapped-tableau terms deleted, which is exactly the tableau's diagonal
-    block; the mark coordinate map is then an intertwiner iff the block
-    equals the reference module built from the tableau's descent composition.
+    block: the descent or attack block of each pi_i, and the mark blocks.
+    The mark coordinate map is then an intertwiner iff these blocks equal the
+    reference module built from the tableau's descent composition.
     """
     m = len(rep.basis_tableaux)
     if not 1 <= k <= m:
         raise DomainError(f"filtration index {k} out of range 1..{m}")
-    tab = rep.basis_tableaux[k - 1]
-    alpha = comp_n(descent_set_tab(tab), rep.n)
+    descents = [i for i, edges in enumerate(rep.hecke_graph, start=1) if edges[k - 1][0] == DESCENT]
+    return _quotient_holds(comp_n(descents, rep.n))
+
+
+@lru_cache(maxsize=None)
+def _quotient_holds(alpha: Composition) -> bool:
+    n = composition_size(alpha)
+    des = descent_set(alpha)
     ref = build_M_alpha(alpha)
-    block = 1 << rep.n
-    lo = (k - 1) * block
-    hi = lo + block
-    for mine, target in zip(rep.pi, ref.pi):
-        if mine.block(lo, hi) != target:
-            return False
-    for mine, target in zip(rep.c, ref.c):
-        if mine.block(lo, hi) != target:
-            return False
-    return True
+    return all(
+        _hecke_block(n, i, DESCENT if i in des else ATTACK) == target
+        for i, target in enumerate(ref.pi, start=1)
+    ) and all(_mark_block(n, j) == target for j, target in enumerate(ref.c, start=1))
 
 
 def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:

@@ -78,12 +78,6 @@ def peak_set(xs: Iterable[int]) -> frozenset[int]:
     return frozenset(i for i in s if i > 1 and i - 1 not in s)
 
 
-def peak_composition(alpha: Composition) -> Composition:
-    """comp_n of the peak set of the descent set of ``alpha``."""
-    alpha = check_composition(alpha)
-    return comp_n(peak_set(descent_set(alpha)), composition_size(alpha))
-
-
 def is_peak_composition(alpha: Composition) -> bool:
     """True iff every part except possibly the last is greater than 1.
 

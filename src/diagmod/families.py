@@ -50,7 +50,6 @@ from typing import Callable, Iterable, Iterator, Optional
 from .compositions import (
     Composition,
     check_composition,
-    composition_size,
     enumerate_compositions,
     enumerate_partitions,
     enumerate_peak_compositions,

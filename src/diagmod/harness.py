@@ -50,8 +50,8 @@ from .hecke import (
     verify_hecke_relations,
 )
 from .matrices import OperatorMatrix
-from .series import FormalSum, theta
-from .tableaux import StandardTableau, TableauFamily, descent_set_tab
+from .series import theta
+from .tableaux import StandardTableau, TableauFamily
 
 
 class TheoremMismatch(AssertionError):

@@ -15,8 +15,9 @@ and each generator matrix is triangular with diagonal entries in {-1, 0}
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .errors import DomainError, IncompatibleFamilyError
 from .matrices import OperatorMatrix
@@ -127,30 +128,38 @@ class RelationReport:
         return f"{len(self.violations)} of {self.checked} relations fail: {body}"
 
 
+def zero_hecke_relations(k: int, quad_sign: int, label: str = "pi") -> list[tuple]:
+    """The quadratic, commutation, and braid relations on k generators, in
+    report order, as (message, left word, right word, right sign) with the
+    relation reading left word = right sign * right word.  A word lists
+    0-based generator indices, leftmost factor first."""
+    out = [
+        (f"{label}[{i + 1}]^2 != {quad_sign:+d}*{label}[{i + 1}]", (i, i), (i,), quad_sign)
+        for i in range(k)
+    ]
+    for i in range(k):
+        for j in range(i + 2, k):
+            out.append((f"{label}[{i + 1}] and {label}[{j + 1}] do not commute", (i, j), (j, i), 1))
+    for i in range(k - 1):
+        out.append(
+            (f"braid fails at {label}[{i + 1}], {label}[{i + 2}]", (i, i + 1, i), (i + 1, i, i + 1), 1)
+        )
+    return out
+
+
 def zero_hecke_violations(
     mats: tuple[OperatorMatrix, ...], quad_sign: int, label: str = "pi"
 ) -> tuple[int, list[str]]:
     """Check the quadratic, commutation, and braid relations by exact matrix
     products.  ``quad_sign`` is -1 for the pi convention, +1 for hat."""
-    checked = 0
+    relations = zero_hecke_relations(len(mats), quad_sign, label)
     violations = []
-    k = len(mats)
-    for i in range(k):
-        checked += 1
-        if mats[i] @ mats[i] != mats[i].scaled(quad_sign):
-            violations.append(f"{label}[{i + 1}]^2 != {quad_sign:+d}*{label}[{i + 1}]")
-    for i in range(k):
-        for j in range(i + 2, k):
-            checked += 1
-            if mats[i] @ mats[j] != mats[j] @ mats[i]:
-                violations.append(f"{label}[{i + 1}] and {label}[{j + 1}] do not commute")
-    for i in range(k - 1):
-        checked += 1
-        lhs = mats[i] @ mats[i + 1] @ mats[i]
-        rhs = mats[i + 1] @ mats[i] @ mats[i + 1]
-        if lhs != rhs:
-            violations.append(f"braid fails at {label}[{i + 1}], {label}[{i + 2}]")
-    return checked, violations
+    for message, lhs, rhs, sign in relations:
+        left = reduce(operator.matmul, (mats[g] for g in lhs))
+        right = reduce(operator.matmul, (mats[g] for g in rhs))
+        if left != (right if sign == 1 else right.scaled(sign)):
+            violations.append(message)
+    return len(relations), violations
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:

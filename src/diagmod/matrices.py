@@ -7,7 +7,7 @@ coefficients), so int64 storage is exact; a magnitude guard enforces this.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse

@@ -10,7 +10,7 @@ family membership deciding whether a swap of consecutive entries stays legal.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
 

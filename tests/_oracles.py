@@ -5,9 +5,22 @@ positional descent rules, and attacking classifications are restated as
 one-shot predicates over complete fillings and filtered over all n!
 assignments.  Nothing is shared with the library's backtracking enumerator
 or its reading-word machinery.
+
+The supermodule relation suite and the filtration quotient comparison are
+restated here as exact products and block slices of the materialised
+generator matrices, the reference for the library's block-factored checks.
 """
 
+import functools
 import itertools
+
+import numpy as np
+
+from diagmod.clifford import build_M_alpha
+from diagmod.compositions import comp_n
+from diagmod.hecke import RelationReport
+from diagmod.matrices import OperatorMatrix
+from diagmod.tableaux import descent_set_tab
 
 
 def oracle_boxes(kind, shape):
@@ -189,3 +202,74 @@ def closed_form_attacking(kind, tab_map, i):
             or (cj == ci + 1 and rj > ri)
         )
     raise ValueError(kind)
+
+
+def materialised_clifford_relations(rep):
+    """The supermodule relation suite by exact products of the generator
+    matrices, for any object with ``pi``, ``c``, ``parity`` and ``dim``
+    (family supermodules and reference modules alike)."""
+    checked, violations = 0, []
+    cs, pis = rep.c, rep.pi
+    k = len(pis)
+    for i in range(k):
+        checked += 1
+        if pis[i] @ pis[i] != pis[i].scaled(-1):
+            violations.append(f"pi[{i + 1}]^2 != -1*pi[{i + 1}]")
+    for i in range(k):
+        for j in range(i + 2, k):
+            checked += 1
+            if pis[i] @ pis[j] != pis[j] @ pis[i]:
+                violations.append(f"pi[{i + 1}] and pi[{j + 1}] do not commute")
+    for i in range(k - 1):
+        checked += 1
+        if pis[i] @ pis[i + 1] @ pis[i] != pis[i + 1] @ pis[i] @ pis[i + 1]:
+            violations.append(f"braid fails at pi[{i + 1}], pi[{i + 2}]")
+    eye = OperatorMatrix.identity(rep.dim)
+    for j, cj in enumerate(cs, start=1):
+        checked += 1
+        if cj @ cj != eye.scaled(-1):
+            violations.append(f"c[{j}]^2 != -1")
+    for a in range(len(cs)):
+        for b in range(a + 1, len(cs)):
+            checked += 1
+            if cs[a] @ cs[b] != (cs[b] @ cs[a]).scaled(-1):
+                violations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
+    for i, p in enumerate(pis, start=1):
+        for j, cj in enumerate(cs, start=1):
+            checked += 1
+            if j == i:
+                if p @ cj != cs[i] @ p:
+                    violations.append(f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]")
+            elif j == i + 1:
+                if (p + eye) @ cs[i] != cs[i - 1] @ (p + eye):
+                    violations.append(f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)")
+            else:
+                if p @ cj != cj @ p:
+                    violations.append(f"pi[{i}] and c[{j}] do not commute")
+    par = rep.parity
+    for i, mat in enumerate(pis, start=1):
+        rows, cols, _ = mat.coo_arrays()
+        if rows.size and not np.all(par[rows] == par[cols]):
+            violations.append(f"pi[{i}] does not preserve parity")
+    for j, mat in enumerate(cs, start=1):
+        rows, cols, _ = mat.coo_arrays()
+        if rows.size and not np.all(par[rows] != par[cols]):
+            violations.append(f"c[{j}] does not flip parity")
+    checked += len(pis) + len(cs)
+    return RelationReport(checked, tuple(violations))
+
+
+_reference_module = functools.lru_cache(maxsize=None)(build_M_alpha)
+
+
+def materialised_quotient_check(rep, k):
+    """The k-th tableau's diagonal block of every materialised generator
+    equals the reference module of its descent composition."""
+    tab = rep.basis_tableaux[k - 1]
+    ref = _reference_module(comp_n(descent_set_tab(tab), rep.n))
+    lo = (k - 1) << rep.n
+    hi = lo + (1 << rep.n)
+    return all(
+        mine.block(lo, hi) == target
+        for mine, target in zip(rep.pi + rep.c, ref.pi + ref.c)
+    )

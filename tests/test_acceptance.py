@@ -19,7 +19,6 @@ import time
 
 import pytest
 
-import _oracles as oracle
 from diagmod.clifford import (
     MarkedTableau,
     build_clifford_module,
@@ -30,7 +29,6 @@ from diagmod.clifford import (
 from diagmod.compositions import (
     enumerate_peak_compositions,
     enumerate_strict_partitions,
-    format_composition,
 )
 from diagmod.errors import IncompatibleFamilyError
 from diagmod.families import (

@@ -1,11 +1,10 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
 
-import pytest
-
 from diagmod.cli import main
-from diagmod.series import FormalSum, from_term_records
+from diagmod.series import from_term_records
 from diagmod.tableaux import tableau_from_record
 
 
@@ -114,6 +113,22 @@ def test_dump_matrices_clifford():
     )
     assert code == 0
     assert any(line.startswith("c 1") for line in out.splitlines())
+
+
+def test_dump_matrices_clifford_is_pinned():
+    """The supermodule matrices, built on demand from the Hecke graph, are
+    byte-identical to those of the former eager build."""
+    pinned = {
+        "text": "86f1782ed4dfb1f0446ddd352d9faf4cb5402370d1ac11456bba6584c890b699",
+        "structured": "d39629ea62430beac38eacb571c421cdd6372f80aed01786af6013304eda529f",
+    }
+    for fmt, digest in pinned.items():
+        code, out = run_cli(
+            "dump-matrices", "--family", "syt", "--shape", "3,2", "--clifford", "--format", fmt
+        )
+        assert code == 0
+        assert len(out.splitlines()) == 1605
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
 def test_harness_subcommand():

@@ -3,7 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+import _oracles as oracle
 from conftest import member_by_word
+from diagmod import clifford
 from diagmod.clifford import (
     MarkedTableau,
     build_clifford_module,
@@ -19,10 +21,16 @@ from diagmod.compositions import (
     enumerate_peak_compositions,
 )
 from diagmod.errors import DomainError, IncompatibleFamilyError
-from diagmod.families import build_family, source_tableau
+from diagmod.families import (
+    build_family,
+    demo_compatible_family,
+    demo_incompatible_family,
+    family_instances,
+    source_tableau,
+)
 from diagmod.series import FormalSum, theta
 from diagmod.hecke import qsym_characteristic
-from diagmod.tableaux import TableauFamily
+from diagmod.tableaux import StandardTableau, TableauFamily
 
 
 def image(rep, mat, elt):
@@ -82,7 +90,7 @@ def test_incompatible_family_rejected(incompatible_family):
 @pytest.mark.parametrize("n", range(1, 7))
 def test_reference_module_relations(n):
     for alpha in enumerate_compositions(n):
-        report = verify_clifford_relations(build_M_alpha(alpha))
+        report = oracle.materialised_clifford_relations(build_M_alpha(alpha))
         assert report.ok, (alpha, str(report))
 
 
@@ -193,3 +201,126 @@ def test_marked_rendering(compatible_family):
     assert marked.parity == 0
     with pytest.raises(DomainError):
         MarkedTableau(R, frozenset({4}))
+
+
+def forced_word_set_families():
+    """Every nonempty set of words in S_3 as a family on the demo diagram."""
+    diagram = demo_incompatible_family().diagram
+    tableaux = [
+        StandardTableau.from_box_map(diagram, dict(zip(diagram.reading_order, w)))
+        for w in itertools.permutations((1, 2, 3))
+    ]
+    return [
+        TableauFamily(diagram, members, f"words{[t.reading_word for t in members]}")
+        for size in range(1, len(tableaux) + 1)
+        for members in itertools.combinations(tableaux, size)
+    ]
+
+
+def assert_matches_materialised(rep):
+    """The block-factored relation report and quotient verdicts equal those
+    of the materialised matrices."""
+    report = verify_clifford_relations(rep)
+    expected = oracle.materialised_clifford_relations(rep)
+    assert (report.checked, report.violations) == (expected.checked, expected.violations)
+    for k in range(1, len(rep.basis_tableaux) + 1):
+        assert filtration_quotient_check(rep, k) == oracle.materialised_quotient_check(rep, k), k
+    return report
+
+
+def test_factored_checks_match_materialised_on_built_in_families():
+    built = 0
+    for kind, shape, sigma in family_instances(5, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.members:
+            assert_matches_materialised(build_clifford_module(fam))
+            built += 1
+    assert built == 968
+
+
+def test_factored_checks_match_materialised_on_forced_word_sets():
+    families = forced_word_set_families()
+    assert len(families) == 63
+    failing = {}
+    for fam in families:
+        report = assert_matches_materialised(build_clifford_module(fam, force=True))
+        if report.violations:
+            failing[tuple(t.reading_word for t in fam)] = report.violations
+    control = ((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))
+    assert "braid fails at pi[1], pi[2]" in failing[control]
+
+
+def _corrupted(arrays, col, row=None):
+    """Copies of a block's (rows, cols, vals) with the entry in column col
+    moved to row ``row`` if given, else negated."""
+    rows, cols, vals = (a.copy() for a in arrays)
+    at = np.flatnonzero(cols == col)[0]
+    if row is None:
+        vals[at] = -vals[at]
+    else:
+        rows[at] = row
+    return rows, cols, vals
+
+
+@pytest.fixture
+def fresh_block_caches():
+    """Empty every cache in the clifford module before and after the test,
+    so blocks built from patched mask arrays do not leak."""
+    def clear():
+        for value in vars(clifford).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+    clear()
+    yield
+    clear()
+
+
+# (generator set, key, column, new row or None for a sign flip, a violation
+# the fault must cause in the demo family, whether the quotient of its
+# tableau 213 still holds)
+FAULTS = {
+    "descent sign": ("pi", (3, 1, clifford.DESCENT), 0, None, "pi[1]c[1] != c[2]pi[1]", False),
+    "swap sign": ("pi", (3, 1, clifford.SWAP), 0, None, "pi[1]c[1] != c[2]pi[1]", True),
+    "mark sign": ("c", (3, 2), 0, None, "c[2]^2 != -1", False),
+    "attack parity": ("pi", (3, 2, clifford.ATTACK), 4, 5, "pi[2] does not preserve parity", False),
+    "mark parity": ("c", (3, 1), 0, 0, "c[1] does not flip parity", False),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_caches):
+    gens, key, col, row, expected, quotient_holds = FAULTS[fault]
+    if gens == "pi":
+        original = clifford._hecke_mask_blocks
+        n, i, case = key
+
+        def patched(m, g):
+            blocks = original(m, g)
+            if (m, g) != (n, i):
+                return blocks
+            return {**blocks, case: _corrupted(blocks[case], col, row)}
+
+        monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    else:
+        original = clifford._mark_blocks
+
+        def patched(m, j):
+            arrays = original(m, j)
+            return _corrupted(arrays, col, row) if (m, j) == key else arrays
+
+        monkeypatch.setattr(clifford, "_mark_blocks", patched)
+
+    for inst in family_instances(3, sigmas=True):
+        fam = build_family(*inst)
+        if fam.n == 3 and fam.members:
+            assert_matches_materialised(build_clifford_module(fam))
+    # The demo family uses every block: 123 swaps to 213 at 1, and 213 has a
+    # descent at 1 and an ascent at 2, so its quotient reads both corrupted
+    # diagonal blocks.  Every quotient reads the mark blocks, none the swap
+    # blocks.
+    rep = build_clifford_module(demo_compatible_family())
+    report = assert_matches_materialised(rep)
+    assert expected in report.violations, report.violations
+    k = [t.reading_word for t in rep.basis_tableaux].index((2, 1, 3)) + 1
+    assert filtration_quotient_check(rep, k) is quotient_holds

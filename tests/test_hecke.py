@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 
 from conftest import member_by_word
