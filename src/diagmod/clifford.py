@@ -38,7 +38,7 @@ from .compositions import (
     peak_set,
 )
 from .errors import DomainError, IncompatibleFamilyError
-from .hecke import RelationReport, basis_sort_key, zero_hecke_relations
+from .hecke import RelationReport, zero_hecke_relations
 from .matrices import OperatorMatrix
 from .series import PEAK, FormalSum
 from .tableaux import (
@@ -238,23 +238,11 @@ def build_clifford_module(family: TableauFamily, force: bool = False) -> Cliffor
         compat = is_ascent_compatible(family)
         if not compat.ok:
             raise IncompatibleFamilyError("ascent", compat.witness)
-    basis = tuple(sorted(family.members, key=basis_sort_key))
-    # Members share one diagram, so a reading word names its tableau.
-    words = [tab.reading_word for tab in basis]
-    index = {w: t for t, w in enumerate(words)}
-    positions = [{v: p for p, v in enumerate(w)} for w in words]
-    graph = []
-    for i in range(1, family.n):
-        edges = []
-        for w, pos in zip(words, positions):
-            if pos[i] > pos[i + 1]:
-                edges.append((DESCENT, -1))
-            else:
-                swapped = list(w)
-                swapped[pos[i]], swapped[pos[i + 1]] = i + 1, i
-                edges.append((ATTACK, index.get(tuple(swapped), -1)))
-        graph.append(tuple(edges))
-    return CliffordModuleRep(family, basis, tuple(graph))
+    graph = family.word_graph
+    cases = np.where(graph.descent, DESCENT, ATTACK).tolist()
+    targets = np.where(graph.descent, -1, graph.target).tolist()
+    hecke_graph = tuple(tuple(zip(case, target)) for case, target in zip(cases, targets))
+    return CliffordModuleRep(family, graph.basis, hecke_graph)
 
 
 @dataclass(frozen=True)
@@ -311,6 +299,16 @@ def build_M_alpha(alpha: Composition) -> MAlphaRep:
                     rows.append(mask - bit_j + bit_i), cols.append(mask), vals.append(1)
         pi_mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
 
+    c_mats, parity = _reference_marks(n)
+    return MAlphaRep(alpha, tuple(pi_mats), c_mats, parity)
+
+
+@lru_cache(maxsize=None)
+def _reference_marks(n: int) -> tuple[tuple[OperatorMatrix, ...], np.ndarray]:
+    """The mark matrices and the parity vector of every reference module of
+    size n, which do not depend on the composition; the parity vector is
+    read-only because it is shared."""
+    dim = 1 << n
     c_mats = []
     for j in range(1, n + 1):
         bit = 1 << (j - 1)
@@ -320,9 +318,9 @@ def build_M_alpha(alpha: Composition) -> MAlphaRep:
             sign = -1 if (below + (1 if mask & bit else 0)) % 2 else 1
             rows.append(mask ^ bit), cols.append(mask), vals.append(sign)
         c_mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
-
     parity = np.array([bin(m).count("1") & 1 for m in range(dim)], dtype=np.int64)
-    return MAlphaRep(alpha, tuple(pi_mats), tuple(c_mats), parity)
+    parity.flags.writeable = False
+    return tuple(c_mats), parity
 
 
 def _keeps_parity(mat: OperatorMatrix, n: int, flips: bool) -> bool:
@@ -507,11 +505,16 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
 def _quotient_holds(alpha: Composition) -> bool:
     n = composition_size(alpha)
     des = descent_set(alpha)
-    ref = build_M_alpha(alpha)
     return all(
         _hecke_block(n, i, DESCENT if i in des else ATTACK) == target
-        for i, target in enumerate(ref.pi, start=1)
-    ) and all(_mark_block(n, j) == target for j, target in enumerate(ref.c, start=1))
+        for i, target in enumerate(build_M_alpha(alpha).pi, start=1)
+    ) and _marks_match_reference(n)
+
+
+@lru_cache(maxsize=None)
+def _marks_match_reference(n: int) -> bool:
+    c_mats, _ = _reference_marks(n)
+    return all(_mark_block(n, j) == target for j, target in enumerate(c_mats, start=1))
 
 
 def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:

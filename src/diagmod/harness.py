@@ -463,11 +463,7 @@ def generalization_witness() -> WitnessReport:
     rep = build_hecke_module(fam, "pi")
     demo_max = 0
     for col in range(rep.dim):
-        count = sum(
-            1
-            for mat in rep.pi
-            if any(r != col for r in mat.column_support(col))
-        )
+        count = sum(1 for target, _ in rep.maps if target[col] not in (-1, col))
         demo_max = max(demo_max, count)
     verdict = (
         "not isomorphic to any weak Bruhat interval module"

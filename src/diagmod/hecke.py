@@ -1,4 +1,4 @@
-"""Matrix representations of the 0-Hecke action on a tableau family.
+"""The 0-Hecke action on a tableau family, as signed partial maps.
 
 Two generator conventions are supported.  In the pi convention, a generator
 sends a tableau to minus itself on a descent, to zero on an attacking ascent,
@@ -10,14 +10,17 @@ hat^2 = hat.  The commutation and braid relations are shared.
 The basis is ordered by descending inversion count of the reading word (ties
 by the word itself), so every swap image lands on an earlier basis element
 and each generator matrix is triangular with diagonal entries in {-1, 0}
-(pi) or {0, 1} (hat).
+(pi) or {0, 1} (hat).  Each generator sends a basis element to plus or
+minus one basis element or to zero, so it is stored as a signed partial map
+read off the family's word graph; the matrices are built only when read.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
+
+import numpy as np
 
 from .errors import DomainError, IncompatibleFamilyError
 from .matrices import OperatorMatrix
@@ -27,36 +30,41 @@ from .tableaux import (
     StandardTableau,
     TableauFamily,
     descent_set_tab,
-    inversions,
     is_ascent_compatible,
     is_descent_compatible,
-    swap_entries,
 )
 
 PI = "pi"
 HAT = "hat"
 
 
-def basis_sort_key(tab: StandardTableau):
-    return (-inversions(tab.reading_word), tab.reading_word)
-
-
 @dataclass(frozen=True)
 class HeckeModuleRep:
-    """An ordered tableau basis with one matrix per generator."""
+    """An ordered tableau basis with one signed partial map per generator.
+
+    ``maps[i - 1]`` is the pair ``(target, sign)`` of arrays for generator i:
+    basis element c goes to ``sign[c]`` times basis element ``target[c]``,
+    or to zero when ``target[c]`` is -1 (and ``sign[c]`` is 0).
+    """
 
     family: TableauFamily
     convention: str
     basis: tuple[StandardTableau, ...]
-    pi: tuple[OperatorMatrix, ...]
+    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @cached_property
     def index(self) -> dict[StandardTableau, int]:
         return {t: i for i, t in enumerate(self.basis)}
 
-    @property
-    def n(self) -> int:
-        return self.family.n
+    @cached_property
+    def pi(self) -> tuple[OperatorMatrix, ...]:
+        """The generator matrices, built from the maps when read."""
+        cols = np.arange(self.dim)
+        mats = []
+        for target, sign in self.maps:
+            live = target >= 0
+            mats.append(OperatorMatrix.from_triples(self.dim, target[live], cols[live], sign[live]))
+        return tuple(mats)
 
     @property
     def dim(self) -> int:
@@ -66,7 +74,7 @@ class HeckeModuleRep:
 def build_hecke_module(
     family: TableauFamily, convention: str = PI, force: bool = False
 ) -> HeckeModuleRep:
-    """Build the generator matrices for a family in the given convention.
+    """Build the generator maps for a family in the given convention.
 
     The compatibility gate rejects families on which the action is not
     guaranteed to satisfy the relations; ``force`` bypasses the gate (it
@@ -77,39 +85,18 @@ def build_hecke_module(
     if not family.members:
         raise DomainError(f"family {family.family_tag} is empty")
     if not force:
-        compat = (
-            is_ascent_compatible(family)
-            if convention == PI
-            else is_descent_compatible(family)
-        )
+        mode = "ascent" if convention == PI else "descent"
+        compat = is_ascent_compatible(family) if convention == PI else is_descent_compatible(family)
         if not compat.ok:
-            mode = "ascent" if convention == PI else "descent"
             raise IncompatibleFamilyError(mode, compat.witness)
 
-    basis = tuple(sorted(family.members, key=basis_sort_key))
-    index = {t: i for i, t in enumerate(basis)}
-    n = family.n
-    mats = []
-    for i in range(1, n):
-        rows, cols, vals = [], [], []
-        for c, tab in enumerate(basis):
-            is_descent = i in descent_set_tab(tab)
-            if convention == PI:
-                if is_descent:
-                    rows.append(c), cols.append(c), vals.append(-1)
-                else:
-                    swapped = swap_entries(tab, i)
-                    if swapped in family:
-                        rows.append(index[swapped]), cols.append(c), vals.append(1)
-            else:
-                if not is_descent:
-                    rows.append(c), cols.append(c), vals.append(1)
-                else:
-                    swapped = swap_entries(tab, i)
-                    if swapped in family:
-                        rows.append(index[swapped]), cols.append(c), vals.append(1)
-        mats.append(OperatorMatrix.from_triples(len(basis), rows, cols, vals))
-    return HeckeModuleRep(family, convention, basis, tuple(mats))
+    graph = family.word_graph
+    # pi scales descents by -1, hat fixes ascents; the other case swaps
+    # inside the family or dies.
+    diagonal = graph.descent if convention == PI else ~graph.descent
+    targets = np.where(diagonal, np.arange(len(graph.basis), dtype=np.int32), graph.target)
+    signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
+    return HeckeModuleRep(family, convention, graph.basis, tuple(zip(targets, signs)))
 
 
 @dataclass(frozen=True)
@@ -147,25 +134,35 @@ def zero_hecke_relations(k: int, quad_sign: int, label: str = "pi") -> list[tupl
     return out
 
 
-def zero_hecke_violations(
-    mats: tuple[OperatorMatrix, ...], quad_sign: int, label: str = "pi"
-) -> tuple[int, list[str]]:
-    """Check the quadratic, commutation, and braid relations by exact matrix
-    products.  ``quad_sign`` is -1 for the pi convention, +1 for hat."""
-    relations = zero_hecke_relations(len(mats), quad_sign, label)
-    violations = []
-    for message, lhs, rhs, sign in relations:
-        left = reduce(operator.matmul, (mats[g] for g in lhs))
-        right = reduce(operator.matmul, (mats[g] for g in rhs))
-        if left != (right if sign == 1 else right.scaled(sign)):
-            violations.append(message)
-    return len(relations), violations
+def _word_map(maps, word) -> tuple[np.ndarray, np.ndarray]:
+    """The signed partial map of a nonempty generator word, leftmost factor
+    first, from maps that send every zero to a sink fixed with sign 0."""
+    target, sign = maps[word[-1]]
+    for g in reversed(word[:-1]):
+        g_target, g_sign = maps[g]
+        target, sign = g_target[target], g_sign[target] * sign
+    return target, sign
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
+    """Check the quadratic, commutation, and braid relations exactly.
+
+    A product of signed partial maps is one again, so each side of a
+    relation is composed by gathers and the two are compared as arrays.
+    """
+    dim = rep.dim
+    maps = [
+        (np.append(np.where(target < 0, dim, target), dim), np.append(sign, 0))
+        for target, sign in rep.maps
+    ]
     quad_sign = -1 if rep.convention == PI else 1
-    checked, violations = zero_hecke_violations(rep.pi, quad_sign, rep.convention)
-    return RelationReport(checked, tuple(violations))
+    relations = zero_hecke_relations(len(maps), quad_sign, rep.convention)
+    violations = []
+    for message, lhs, rhs, sign in relations:
+        (left, left_sign), (right, right_sign) = _word_map(maps, lhs), _word_map(maps, rhs)
+        if not (np.array_equal(left, right) and np.array_equal(left_sign, sign * right_sign)):
+            violations.append(message)
+    return RelationReport(len(relations), tuple(violations))
 
 
 def qsym_characteristic(obj) -> FormalSum:
@@ -182,21 +179,7 @@ def qsym_characteristic(obj) -> FormalSum:
 def reachability_closure(rep: HeckeModuleRep, seed: StandardTableau) -> frozenset[StandardTableau]:
     """All basis tableaux in the support of any generator word applied to the
     seed."""
-    if seed not in rep.index:
-        raise DomainError("seed is not a basis tableau")
-    start = rep.index[seed]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for mat in rep.pi:
-                for r in mat.column_support(c):
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
-        frontier = nxt
-    return frozenset(rep.basis[i] for i in seen)
+    return frozenset(generating_words(rep, seed))
 
 
 def generating_words(
@@ -214,13 +197,14 @@ def generating_words(
     start = rep.index[seed]
     words: dict[int, tuple[int, ...]] = {start: ()}
     frontier = [start]
+    targets = [target.tolist() for target, _ in rep.maps]
     while frontier:
         nxt = []
         for c in frontier:
-            for gen, mat in enumerate(rep.pi, start=1):
-                for r in mat.column_support(c):
-                    if r not in words:
-                        words[r] = (gen,) + words[c]
-                        nxt.append(r)
+            for gen, images in enumerate(targets, start=1):
+                r = images[c]
+                if r >= 0 and r not in words:
+                    words[r] = (gen,) + words[c]
+                    nxt.append(r)
         frontier = nxt
     return {rep.basis[i]: w for i, w in words.items()}

@@ -44,13 +44,6 @@ class OperatorMatrix:
         return cls(dim, mat.tocsc())
 
     @classmethod
-    def from_entries(cls, dim: int, entries: dict[tuple[int, int], int]) -> "OperatorMatrix":
-        rows = [r for (r, _c) in entries]
-        cols = [c for (_r, c) in entries]
-        vals = list(entries.values())
-        return cls.from_triples(dim, rows, cols, vals)
-
-    @classmethod
     def identity(cls, dim: int) -> "OperatorMatrix":
         return cls(dim, sparse.identity(dim, dtype=np.int64, format="csc"))
 
@@ -70,14 +63,6 @@ class OperatorMatrix:
             raise DomainError("dimension mismatch")
         return OperatorMatrix(self.dim, (self._m + other._m).tocsc())
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        if self.dim != other.dim:
-            raise DomainError("dimension mismatch")
-        return OperatorMatrix(self.dim, (self._m - other._m).tocsc())
-
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.dim, (-self._m).tocsc())
-
     def scaled(self, c: int) -> "OperatorMatrix":
         return OperatorMatrix(self.dim, (self._m * int(c)).tocsc())
 
@@ -91,22 +76,9 @@ class OperatorMatrix:
 
     # -- queries ------------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return self._m.count_nonzero() == 0
-
     @property
     def nnz(self) -> int:
         return int(self._m.nnz)
-
-    def entry(self, r: int, c: int) -> int:
-        return int(self._m[r, c])
-
-    def entries(self) -> dict[tuple[int, int], int]:
-        coo = self._m.tocoo()
-        return {
-            (int(r), int(c)): int(v)
-            for r, c, v in zip(coo.row, coo.col, coo.data)
-        }
 
     def triples(self) -> list[tuple[int, int, int]]:
         """Sorted (row, col, value) triples."""

@@ -5,6 +5,8 @@ bottom row.  A diagram fixes a finite box set together with a reading order,
 and a standard tableau fills the boxes bijectively with 1..n.  Descents,
 ascents, and attacking status are all computed from the reading word, with
 family membership deciding whether a swap of consecutive entries stays legal.
+A family's word graph records both for every member and generator, once; the
+compatibility gate and the module builders read it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import enum
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -80,10 +84,6 @@ class StandardTableau:
     @cached_property
     def reading_word(self) -> tuple[int, ...]:
         return tuple(self.entries[i] for i in self.diagram.reading_positions)
-
-    @cached_property
-    def box_of(self) -> dict[int, Box]:
-        return {e: b for b, e in zip(self.diagram.boxes, self.entries)}
 
     def entry_at(self, box: Box) -> int:
         return self.entries[self.diagram.box_index[box]]
@@ -158,6 +158,10 @@ class TableauFamily:
     def member_set(self) -> frozenset[StandardTableau]:
         return frozenset(self.members)
 
+    @cached_property
+    def word_graph(self) -> "WordGraph":
+        return _word_graph(self)
+
     @property
     def n(self) -> int:
         return self.diagram.n
@@ -170,6 +174,49 @@ class TableauFamily:
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+class WordGraph(NamedTuple):
+    """A family's members in basis order and the swaps between them.
+
+    ``positions[t, v - 1]`` is the reading position, from 0, of the entry v
+    of ``basis[t]``.  For generator i, row i-1 of ``descent`` flags the
+    members with a descent at i, and row i-1 of ``target`` holds the basis
+    index of the member with i and i+1 exchanged, or -1 when that word is
+    not in the family.
+    """
+
+    basis: tuple[StandardTableau, ...]
+    positions: np.ndarray  # (members, n) int16
+    descent: np.ndarray  # (n - 1, members) bool
+    target: np.ndarray  # (n - 1, members) int32
+
+
+def _word_graph(family: TableauFamily) -> WordGraph:
+    m, n = len(family.members), family.n
+    words = np.array([t.reading_word for t in family.members], dtype=np.int16).reshape(m, n)
+    # Module-basis order: inversion count of the reading word descending,
+    # ties by the word itself, which is the order of the members.
+    inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
+    order = np.argsort(-inversion_counts, kind="stable")
+    basis = tuple(family.members[k] for k in order)
+    positions = np.empty_like(words)
+    positions[np.arange(m)[:, None], words[order] - 1] = np.arange(n, dtype=np.int16)
+    # Members share one diagram, so their entry positions name them, and
+    # exchanging the entries i and i+1 exchanges two columns of positions.
+    # A swapped row is looked up, as raw bytes, among the sorted rows.
+    row = np.dtype((np.void, positions.itemsize * n))
+    row_order = positions.view(row).ravel().argsort()
+    rows = positions.view(row).ravel()[row_order]
+    descent = (positions[:, :-1] > positions[:, 1:]).T.copy()
+    target = np.zeros((n - 1, m), dtype=np.int32)
+    for i in range(1, n):
+        swapped = positions.copy()
+        swapped[:, [i - 1, i]] = positions[:, [i, i - 1]]
+        probe = swapped.view(row).ravel()
+        at = np.searchsorted(rows, probe).clip(max=m - 1)
+        target[i - 1] = np.where(rows[at] == probe, row_order[at], -1)
+    return WordGraph(basis, positions, descent, target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:
@@ -209,32 +256,29 @@ class CompatibilityResult(NamedTuple):
 def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     """Shared scan for ascent- and descent-compatibility.
 
-    Tableaux are visited in module-basis order (inversion count of the
-    reading word descending, ties by reading word); the witness reports the
-    first recorded tableau and the first conflicting one.
+    Tableaux are visited in module-basis order, generators in increasing
+    order within each; the witness reports the tableau that first recorded
+    the reading positions of the conflicting pair and the first tableau that
+    disagrees with it on the attacking status.
     """
-    statuses: dict[tuple[int, int], tuple[bool, StandardTableau]] = {}
+    graph = family.word_graph
     n = family.n
-    scan = sorted(family.members, key=lambda t: (-inversions(t.reading_word), t.reading_word))
-    for tab in scan:
-        word = tab.reading_word
-        pos = {v: p + 1 for p, v in enumerate(word)}
-        des = descent_set_tab(tab)
-        for i in range(1, n):
-            is_descent = i in des
-            if mode == "ascent" and is_descent:
-                continue
-            if mode == "descent" and not is_descent:
-                continue
-            pair = tuple(sorted((pos[i], pos[i + 1])))
-            attacking = swap_entries(tab, i) not in family
-            if pair in statuses:
-                prev_attacking, prev_tab = statuses[pair]
-                if prev_attacking != attacking:
-                    return CompatibilityResult(False, (prev_tab, tab, pair[0], pair[1]))
-            else:
-                statuses[pair] = (attacking, tab)
-    return CompatibilityResult(True, None)
+    pos = graph.positions.astype(np.int32)
+    low, high = np.minimum(pos[:, :-1], pos[:, 1:]), np.maximum(pos[:, :-1], pos[:, 1:])
+    # the scanned (tableau, generator) cells in scan order, each keyed by the
+    # reading positions of i and i+1
+    cells = np.flatnonzero((graph.descent if mode == "descent" else ~graph.descent).T)
+    keys = (low * n + high).ravel()[cells]
+    attacking = (graph.target < 0).T.ravel()[cells]
+    first = np.full(n * n, cells.size)
+    np.minimum.at(first, keys, np.arange(cells.size))
+    conflicts = np.flatnonzero(attacking != attacking[first[keys]])
+    if not conflicts.size:
+        return CompatibilityResult(True, None)
+    k = conflicts[0]
+    r, s = divmod(int(keys[k]), n)
+    earlier, later = cells[first[keys[k]]] // (n - 1), cells[k] // (n - 1)
+    return CompatibilityResult(False, (graph.basis[earlier], graph.basis[later], r + 1, s + 1))
 
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:

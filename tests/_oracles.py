@@ -9,18 +9,23 @@ or its reading-word machinery.
 The supermodule relation suite and the filtration quotient comparison are
 restated here as exact products and block slices of the materialised
 generator matrices, the reference for the library's block-factored checks.
+Likewise the 0-Hecke generator matrices, the compatibility gate and the
+0-Hecke relation check are restated tableau by tableau, with a validated
+swapped tableau per (tableau, generator) and exact matrix products, the
+reference for the library's word graph and signed partial maps.
 """
 
 import functools
 import itertools
+import operator
 
 import numpy as np
 
 from diagmod.clifford import build_M_alpha
 from diagmod.compositions import comp_n
-from diagmod.hecke import RelationReport
+from diagmod.hecke import RelationReport, zero_hecke_relations
 from diagmod.matrices import OperatorMatrix
-from diagmod.tableaux import descent_set_tab
+from diagmod.tableaux import descent_set_tab, inversions, swap_entries
 
 
 def oracle_boxes(kind, shape):
@@ -273,3 +278,61 @@ def materialised_quotient_check(rep, k):
         mine.block(lo, hi) == target
         for mine, target in zip(rep.pi + rep.c, ref.pi + ref.c)
     )
+
+
+def _basis(family):
+    return sorted(family.members, key=lambda t: (-inversions(t.reading_word), t.reading_word))
+
+
+def oracle_compatibility(family, mode):
+    """(ok, witness) of the ascent- or descent-compatibility scan over the
+    module basis, with the attacking status of each swap decided by building
+    the swapped tableau and testing family membership."""
+    statuses = {}
+    for tab in _basis(family):
+        pos = {v: p + 1 for p, v in enumerate(tab.reading_word)}
+        des = descent_set_tab(tab)
+        for i in range(1, family.n):
+            if (i in des) != (mode == "descent"):
+                continue
+            pair = tuple(sorted((pos[i], pos[i + 1])))
+            attacking = swap_entries(tab, i) not in family
+            if pair in statuses:
+                prev_attacking, prev_tab = statuses[pair]
+                if prev_attacking != attacking:
+                    return False, (prev_tab, tab, pair[0], pair[1])
+            else:
+                statuses[pair] = (attacking, tab)
+    return True, None
+
+
+def oracle_hecke_matrices(family, convention):
+    """(basis, generator matrices) of the 0-Hecke action in the pi or hat
+    convention, with no compatibility gate."""
+    basis = _basis(family)
+    index = {t: c for c, t in enumerate(basis)}
+    mats = []
+    for i in range(1, family.n):
+        rows, cols, vals = [], [], []
+        for c, tab in enumerate(basis):
+            is_descent = i in descent_set_tab(tab)
+            if is_descent == (convention == "pi"):
+                rows.append(c), cols.append(c), vals.append(-1 if convention == "pi" else 1)
+            else:
+                swapped = swap_entries(tab, i)
+                if swapped in family:
+                    rows.append(index[swapped]), cols.append(c), vals.append(1)
+        mats.append(OperatorMatrix.from_triples(len(basis), rows, cols, vals))
+    return tuple(basis), mats
+
+
+def product_hecke_relations(mats, convention):
+    """The 0-Hecke relation report by exact products of the matrices."""
+    relations = zero_hecke_relations(len(mats), -1 if convention == "pi" else 1, convention)
+    violations = []
+    for message, lhs, rhs, sign in relations:
+        left = functools.reduce(operator.matmul, (mats[g] for g in lhs))
+        right = functools.reduce(operator.matmul, (mats[g] for g in rhs))
+        if left != right.scaled(sign):
+            violations.append(message)
+    return RelationReport(len(relations), tuple(violations))

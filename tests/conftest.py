@@ -1,6 +1,9 @@
+import itertools
+
 import pytest
 
 from diagmod.families import demo_compatible_family, demo_incompatible_family
+from diagmod.tableaux import StandardTableau, TableauFamily
 
 
 @pytest.fixture(scope="session")
@@ -23,3 +26,17 @@ def member_by_word(family, word):
         if tab.reading_word == tuple(word):
             return tab
     raise LookupError(word)
+
+
+def forced_word_set_families():
+    """Every nonempty set of words in S_3 as a family on the demo diagram."""
+    diagram = demo_incompatible_family().diagram
+    tableaux = [
+        StandardTableau.from_box_map(diagram, dict(zip(diagram.reading_order, w)))
+        for w in itertools.permutations((1, 2, 3))
+    ]
+    return [
+        TableauFamily(diagram, members, f"words{[t.reading_word for t in members]}")
+        for size in range(1, len(tableaux) + 1)
+        for members in itertools.combinations(tableaux, size)
+    ]

@@ -1,10 +1,8 @@
-import itertools
-
 import numpy as np
 import pytest
 
 import _oracles as oracle
-from conftest import member_by_word
+from conftest import forced_word_set_families, member_by_word
 from diagmod import clifford
 from diagmod.clifford import (
     MarkedTableau,
@@ -24,13 +22,12 @@ from diagmod.errors import DomainError, IncompatibleFamilyError
 from diagmod.families import (
     build_family,
     demo_compatible_family,
-    demo_incompatible_family,
     family_instances,
     source_tableau,
 )
 from diagmod.series import FormalSum, theta
 from diagmod.hecke import qsym_characteristic
-from diagmod.tableaux import StandardTableau, TableauFamily
+from diagmod.tableaux import TableauFamily
 
 
 def image(rep, mat, elt):
@@ -201,20 +198,6 @@ def test_marked_rendering(compatible_family):
     assert marked.parity == 0
     with pytest.raises(DomainError):
         MarkedTableau(R, frozenset({4}))
-
-
-def forced_word_set_families():
-    """Every nonempty set of words in S_3 as a family on the demo diagram."""
-    diagram = demo_incompatible_family().diagram
-    tableaux = [
-        StandardTableau.from_box_map(diagram, dict(zip(diagram.reading_order, w)))
-        for w in itertools.permutations((1, 2, 3))
-    ]
-    return [
-        TableauFamily(diagram, members, f"words{[t.reading_word for t in members]}")
-        for size in range(1, len(tableaux) + 1)
-        for members in itertools.combinations(tableaux, size)
-    ]
 
 
 def assert_matches_materialised(rep):

@@ -1,9 +1,19 @@
+import dataclasses
+
 import pytest
 
-from conftest import member_by_word
+import _oracles as oracle
+from conftest import forced_word_set_families, member_by_word
+from diagmod.clifford import ATTACK, DESCENT, build_clifford_module
 from diagmod.compositions import comp_n, enumerate_compositions, enumerate_strict_partitions
 from diagmod.errors import DomainError, IncompatibleFamilyError
-from diagmod.families import FamilyKind, NATIVE_CONVENTION, build_family, shapes_for
+from diagmod.families import (
+    FamilyKind,
+    NATIVE_CONVENTION,
+    build_family,
+    family_instances,
+    shapes_for,
+)
 from diagmod.harness import check_family
 from diagmod.hecke import (
     build_hecke_module,
@@ -12,9 +22,13 @@ from diagmod.hecke import (
     reachability_closure,
     verify_hecke_relations,
 )
-from diagmod.matrices import OperatorMatrix
 from diagmod.series import FormalSum
-from diagmod.tableaux import descent_set_tab, inversions
+from diagmod.tableaux import (
+    descent_set_tab,
+    inversions,
+    is_ascent_compatible,
+    is_descent_compatible,
+)
 
 
 def column_action(rep, i, tab):
@@ -48,8 +62,8 @@ def test_singleton_family_is_simple_action(compatible_family):
     rep = build_hecke_module(fam, "pi")
     des = descent_set_tab(T)
     for i in (1, 2):
-        expected = {(0, 0): -1} if i in des else {}
-        assert rep.pi[i - 1].entries() == expected
+        expected = [(0, 0, -1)] if i in des else []
+        assert rep.pi[i - 1].triples() == expected
     assert verify_hecke_relations(rep).ok
 
 
@@ -129,26 +143,25 @@ def test_basis_order_and_triangularity():
                     assert v == 1
 
 
-def direct_ribbon_matrices(fam, basis, index):
-    """Ribbon generator action implemented straight from row comparisons:
-    scale by -1 when i sits strictly above i+1, kill when they share a row,
-    swap when i sits strictly below i+1."""
-    n = fam.n
-    mats = []
-    for i in range(1, n):
-        entries = {}
+def direct_ribbon_maps(fam, basis, index):
+    """Ribbon generator action implemented straight from row comparisons, as
+    (targets, signs) per generator: scale by -1 when i sits strictly above
+    i+1, kill when they share a row, swap when i sits strictly below i+1."""
+    from diagmod.tableaux import swap_entries
+
+    maps = []
+    for i in range(1, fam.n):
+        targets, signs = [], []
         for c, tab in enumerate(basis):
             rows = {e: r for (_col, r), e in tab.box_map().items()}
             if rows[i] > rows[i + 1]:
-                entries[(c, c)] = -1
+                targets.append(c), signs.append(-1)
             elif rows[i] == rows[i + 1]:
-                pass
+                targets.append(-1), signs.append(0)
             else:
-                from diagmod.tableaux import swap_entries
-
-                entries[(index[swap_entries(tab, i)], c)] = 1
-        mats.append(OperatorMatrix.from_entries(len(basis), entries))
-    return mats
+                targets.append(index[swap_entries(tab, i)]), signs.append(1)
+        maps.append((targets, signs))
+    return maps
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -156,8 +169,8 @@ def test_ribbon_action_matches_direct_rule(n):
     for alpha in enumerate_compositions(n):
         fam = build_family("rib", alpha)
         rep = build_hecke_module(fam, "pi")
-        direct = direct_ribbon_matrices(fam, rep.basis, rep.index)
-        assert list(rep.pi) == direct, alpha
+        direct = direct_ribbon_maps(fam, rep.basis, rep.index)
+        assert [(t.tolist(), s.tolist()) for t, s in rep.maps] == direct, alpha
 
 
 def test_qsym_characteristic_examples():
@@ -232,3 +245,95 @@ def test_generating_words():
         for gen in reversed(word):
             vec = rep.pi[gen - 1].apply(vec)
         assert rep.index[target] in vec
+
+
+def assert_matches_oracle(fam):
+    """In both conventions, the gate verdict and witness, the basis, the
+    generator triples and the relation report equal the oracle's, building
+    by force where the gate rejects; so does the supermodule's Hecke graph.
+    Returns the relation reports by convention."""
+    reports = {}
+    for convention, gate, mode in (
+        ("pi", is_ascent_compatible, "ascent"),
+        ("hat", is_descent_compatible, "descent"),
+    ):
+        verdict = gate(fam)
+        assert (verdict.ok, verdict.witness) == oracle.oracle_compatibility(fam, mode)
+        rep = build_hecke_module(fam, convention, force=not verdict.ok)
+        basis, mats = oracle.oracle_hecke_matrices(fam, convention)
+        assert rep.basis == basis
+        assert [m.triples() for m in rep.pi] == [m.triples() for m in mats]
+        reports[convention] = verify_hecke_relations(rep)
+        assert reports[convention] == oracle.product_hecke_relations(mats, convention)
+        if convention == "pi":
+            # pi_i scales a descent by -1 and sends an ascent to its swap or 0
+            columns = [[mat.column(c) for c in range(len(basis))] for mat in mats]
+            expected = tuple(
+                tuple(
+                    (DESCENT, -1) if col == [(c, -1)] else (ATTACK, col[0][0] if col else -1)
+                    for c, col in enumerate(cols)
+                )
+                for cols in columns
+            )
+            assert build_clifford_module(fam, force=True).hecke_graph == expected
+    return reports
+
+
+def test_word_graph_matches_oracle_on_built_in_families():
+    built = 0
+    for kind, shape, sigma in family_instances(5, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.members:
+            assert_matches_oracle(fam)
+            built += 1
+    assert built == 968
+
+
+def test_word_graph_matches_oracle_on_forced_word_sets():
+    families = forced_word_set_families()
+    assert len(families) == 63
+    reports = {tuple(t.reading_word for t in fam): assert_matches_oracle(fam) for fam in families}
+    control = reports[((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))]
+    assert "braid fails at pi[1], pi[2]" in control["pi"].violations
+    assert "braid fails at hat[1], hat[2]" in control["hat"].violations
+
+
+# (family kind, shape, convention, generator, basis column holding a swap
+# entry, the violations each fault of that entry must cause)
+MAP_FAULTS = {
+    "pi": ("syt", (3, 2), "pi", 2, 2, {
+        "sign flip": ("pi[2] and pi[4] do not commute",),
+        "dropped target": ("pi[2] and pi[4] do not commute",),
+        "moved target": ("pi[2]^2 != -1*pi[2]", "pi[2] and pi[4] do not commute"),
+    }),
+    "hat": ("sit", (2, 2, 1), "hat", 4, 2, {
+        "sign flip": ("hat[2] and hat[4] do not commute", "braid fails at hat[3], hat[4]"),
+        "dropped target": ("hat[2] and hat[4] do not commute", "braid fails at hat[3], hat[4]"),
+        "moved target": (
+            "hat[4]^2 != +1*hat[4]",
+            "hat[1] and hat[4] do not commute",
+            "hat[2] and hat[4] do not commute",
+            "braid fails at hat[3], hat[4]",
+        ),
+    }),
+}
+
+
+@pytest.mark.parametrize("fault", ["sign flip", "dropped target", "moved target"])
+@pytest.mark.parametrize("case", sorted(MAP_FAULTS))
+def test_signed_map_check_reports_injected_faults(case, fault):
+    kind, shape, convention, gen, col, expected = MAP_FAULTS[case]
+    rep = build_hecke_module(build_family(kind, shape), convention)
+    target, sign = (a.copy() for a in rep.maps[gen - 1])
+    assert target[col] not in (-1, 0, col)
+    if fault == "sign flip":
+        sign[col] = -sign[col]
+    elif fault == "dropped target":
+        target[col], sign[col] = -1, 0
+    else:
+        target[col] = 0
+    maps = rep.maps[: gen - 1] + ((target, sign),) + rep.maps[gen:]
+    faulty = dataclasses.replace(rep, maps=maps)
+    report = verify_hecke_relations(faulty)
+    assert report == oracle.product_hecke_relations(list(faulty.pi), convention)
+    assert report.violations == expected[fault]

@@ -1,19 +1,20 @@
-"""Imported names that a module never uses.
+"""Imported names that a module never uses, and library code nothing uses.
 
-No linter ships with the toolchain, so this stdlib scan keeps dead imports
-out of the library and the tests.  ``src/diagmod/__init__.py`` is skipped:
-its imports are the package's public re-exports.
+No linter ships with the toolchain, so these stdlib scans keep dead imports
+out of the library and the tests, and dead functions and methods out of the
+library.  ``src/diagmod/__init__.py`` is skipped by the import scan: its
+imports are the package's public re-exports.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = sorted((ROOT / "src" / "diagmod").glob("*.py"))
 SCANNED = [
-    path
-    for path in sorted((ROOT / "src" / "diagmod").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
-    if path.name != "__init__.py"
+    path for path in LIBRARY + sorted((ROOT / "tests").glob("*.py")) if path.name != "__init__.py"
 ]
+READERS = LIBRARY + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -35,3 +36,38 @@ def unused_imports(path: Path) -> list[str]:
 def test_no_unused_imports():
     unused = [entry for path in SCANNED for entry in unused_imports(path)]
     assert not unused, "imported but unused:\n" + "\n".join(unused)
+
+
+def unreferenced_definitions() -> list[str]:
+    """``file:line: name`` for every top-level function of the library that
+    no file names or imports, and every method, dunders aside, that no file
+    reads as an attribute."""
+    names, attributes = set(), set()
+    for path in READERS:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attributes.add(node.attr)
+    dead = []
+    for path in LIBRARY:
+        rel = path.relative_to(ROOT)
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            if isinstance(node, ast.FunctionDef) and node.name not in names:
+                dead.append(f"{rel}:{node.lineno}: {node.name}")
+            elif isinstance(node, ast.ClassDef):
+                dead.extend(
+                    f"{rel}:{item.lineno}: {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not (item.name.startswith("__") and item.name.endswith("__"))
+                    and item.name not in attributes
+                )
+    return dead
+
+
+def test_no_unreferenced_functions_or_methods():
+    dead = unreferenced_definitions()
+    assert not dead, "defined but never referenced:\n" + "\n".join(dead)
