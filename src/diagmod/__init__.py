@@ -1,9 +1,10 @@
 """Exact-arithmetic engine for diagram modules.
 
 Enumerates tableau families over compositions, strict partitions, and
-ribbons; builds the matrix representations their swap actions generate in
-both generator conventions, together with the induced supermodules on marked
-tableaux; expands characteristics in the fundamental and peak bases; and
+ribbons; builds the 0-Hecke actions their swap rule generates, in both
+generator conventions, as signed partial maps, together with the induced
+supermodules on marked tableaux (the Hecke graph tensored with fixed 2^n
+blocks); expands characteristics in the fundamental and peak bases; and
 machine-verifies the structural identities relating all of these.
 """
 

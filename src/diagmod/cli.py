@@ -184,43 +184,25 @@ def _cmd_harness(args, out) -> int:
 def _cmd_dump_matrices(args, out) -> int:
     family = _family_from_args(args)
     kind = FamilyKind(args.family)
-
-    def emit(gen, index, mat):
-        for r, c, v in mat.triples():
-            if args.format == "structured":
-                print(
-                    json.dumps(
-                        {"gen": gen, "index": index, "row": r, "col": c, "value": v},
-                        sort_keys=True,
-                    ),
-                    file=out,
-                )
-            else:
-                print(f"{gen} {index} {r} {c} {v}", file=out)
-
     if args.clifford:
         rep = build_clifford_module(family)
-        for t, tab in enumerate(rep.basis_tableaux):
-            word = "".join(map(str, tab.reading_word))
-            if args.format == "structured":
-                print(json.dumps({"basis_tableau": t, "reading_word": word}), file=out)
-            else:
-                print(f"basis_tableau {t} {word}", file=out)
-        for i, mat in enumerate(rep.pi, start=1):
-            emit("pi", i, mat)
-        for j, mat in enumerate(rep.c, start=1):
-            emit("c", j, mat)
+        basis, key = rep.basis_tableaux, "basis_tableau"
     else:
-        convention = args.convention or NATIVE_CONVENTION[kind]
-        rep = build_hecke_module(family, convention)
-        for t, tab in enumerate(rep.basis):
-            word = "".join(map(str, tab.reading_word))
+        rep = build_hecke_module(family, args.convention or NATIVE_CONVENTION[kind])
+        basis, key = rep.basis, "basis"
+    for t, tab in enumerate(basis):
+        word = "".join(map(str, tab.reading_word))
+        if args.format == "structured":
+            print(json.dumps({key: t, "reading_word": word}), file=out)
+        else:
+            print(f"{key} {t} {word}", file=out)
+    for gen, index, rows, cols, values in rep.generator_triples():
+        for r, c, v in zip(rows.tolist(), cols.tolist(), values.tolist()):
             if args.format == "structured":
-                print(json.dumps({"basis": t, "reading_word": word}), file=out)
+                record = {"gen": gen, "index": index, "row": r, "col": c, "value": v}
+                print(json.dumps(record, sort_keys=True), file=out)
             else:
-                print(f"basis {t} {word}", file=out)
-        for i, mat in enumerate(rep.pi, start=1):
-            emit(convention, i, mat)
+                print(f"{gen} {index} {r} {c} {v}", file=out)
     return 0
 
 

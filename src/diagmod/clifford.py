@@ -13,8 +13,10 @@ tableau.
 A family supermodule is thus its Hecke graph (the case and swap target of
 each generator on each tableau) tensored with fixed 2^n blocks that depend
 only on n, i and the case.  It stores the graph; the relations and the
-filtration quotients are checked on the cached blocks, and the |F| 2^n
-matrices are built only when read.
+filtration quotients are checked on the cached blocks.  Every block has at
+most two signed entries per column, so it is a stack of signed partial maps
+(see :func:`~diagmod.hecke.compose_maps`): a product is a gather, a sum is a
+stack, and equality is decided on the canonical integer entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -23,7 +25,6 @@ independent code path in :func:`build_M_alpha`.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
@@ -38,8 +39,7 @@ from .compositions import (
     peak_set,
 )
 from .errors import DomainError, IncompatibleFamilyError
-from .hecke import RelationReport, zero_hecke_relations
-from .matrices import OperatorMatrix
+from .hecke import RelationReport, compose_maps, zero_hecke_relations
 from .series import PEAK, FormalSum
 from .tableaux import (
     StandardTableau,
@@ -92,66 +92,104 @@ def _popcounts(n: int) -> np.ndarray:
     return pc
 
 
+# ---------------------------------------------------------------------------
+# the block algebra: stacks of signed partial maps on the 2^n masks
+
+
+def _stack(*ops):
+    """The sum of stacks: all their layers."""
+    return np.concatenate([t for t, _ in ops]), np.concatenate([s for _, s in ops])
+
+
+def _scaled(op, c: int):
+    targets, signs = op
+    return targets, signs * c
+
+
+def _canonical(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a stack as int64 arrays ``(rows, cols,
+    values)``, duplicates summed, sorted by column, then row; two stacks are
+    the same operator iff their canonical entries are equal."""
+    targets, signs = op
+    width = targets.shape[1]
+    keys = (np.arange(width, dtype=np.int64) * width + targets).ravel()
+    values = signs.astype(np.int64).ravel()
+    live = values != 0
+    keys, values = keys[live], values[live]
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    if keys.size:
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, values = keys[starts], np.add.reduceat(values, starts)
+        keys, values = keys[values != 0], values[values != 0]
+    return keys % width, keys // width, values
+
+
+def _is_zero(op) -> bool:
+    return _canonical(op)[2].size == 0
+
+
+def _equal(a, b, sign: int = 1) -> bool:
+    """Whether a = sign * b as operators."""
+    return _is_zero(_stack(a, _scaled(b, -sign)))
+
+
+def _map(targets, signs):
+    """A one-layer stack from per-mask arrays, zeros sent to the sink."""
+    size = len(targets)
+    targets = np.where(signs == 0, size, targets)
+    return np.append(targets, size)[None], np.append(signs, 0)[None]
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int):
+    size = 1 << n
+    return _map(np.arange(size, dtype=np.int64), np.ones(size, dtype=np.int64))
+
+
 # The three blocks of a 0-Hecke generator on one tableau's marked copies.
 DESCENT, ATTACK, SWAP = 0, 1, 2
 
 
 @lru_cache(maxsize=None)
 def _hecke_mask_blocks(n: int, i: int):
-    """Per-mask index/value arrays for the three generator cases at value i.
-
-    Returns a dict keyed by DESCENT, ATTACK and SWAP; the ATTACK arrays are
-    also the tableau-diagonal part of the nonattacking case, and SWAP is its
-    part landing on the swapped tableau's block.
-    """
+    """The blocks of the three generator cases at value i, keyed by DESCENT,
+    ATTACK and SWAP.  ATTACK is also the tableau-diagonal part of the
+    nonattacking case, and SWAP its part landing on the swapped tableau's
+    block; ATTACK has two layers, the others one."""
     masks = np.arange(1 << n, dtype=np.int64)
-    bit_i = np.int64(1 << (i - 1))
-    bit_j = np.int64(1 << i)
-    has_i = (masks & bit_i) != 0
-    has_j = (masks & bit_j) != 0
+    both = (1 << (i - 1)) | (1 << i)
+    has_i = (masks & (1 << (i - 1))) != 0
+    has_j = (masks & (1 << i)) != 0
+    toggled = masks ^ both  # moves a lone mark across, or clears both marks
+    one, minus = np.ones_like(masks), -np.ones_like(masks)
 
-    rows_d = np.where(has_i & ~has_j, masks - bit_i + bit_j, masks)
-    vals_d = np.where(has_i & has_j, np.int64(1), np.int64(-1))
-    rows_d = np.where(has_i & has_j, masks - bit_i - bit_j, rows_d)
-    descent = (rows_d, masks, vals_d)
-
-    sel = has_j  # the two cases with the higher mark present
-    att_cols = np.concatenate([masks[sel], masks[sel]])
-    att_rows = np.concatenate(
-        [masks[sel], np.where(has_i[sel], masks[sel] - bit_i - bit_j, masks[sel] - bit_j + bit_i)]
+    descent = _map(np.where(has_i, toggled, masks), np.where(has_i & has_j, one, minus))
+    zero = np.zeros_like(masks)
+    attack = _stack(
+        _map(masks, np.where(has_j, minus, zero)), _map(toggled, np.where(has_j, one, zero))
     )
-    att_vals = np.concatenate(
-        [np.full(sel.sum(), -1, dtype=np.int64), np.full(sel.sum(), 1, dtype=np.int64)]
-    )
-    attack = (att_rows, att_cols, att_vals)
-
-    rows_s = masks.copy()
-    rows_s = np.where(has_i & ~has_j, masks - bit_i + bit_j, rows_s)
-    rows_s = np.where(~has_i & has_j, masks - bit_j + bit_i, rows_s)
-    vals_s = np.where(has_i & has_j, np.int64(-1), np.int64(1))
-    swap = (rows_s, masks, vals_s)
+    swap = _map(np.where(has_i != has_j, toggled, masks), np.where(has_i & has_j, minus, one))
     return {DESCENT: descent, ATTACK: attack, SWAP: swap}
 
 
 @lru_cache(maxsize=None)
 def _mark_blocks(n: int, j: int):
-    """Index/value arrays for toggling mark j on all masks."""
+    """The block toggling mark j on all masks."""
     masks = np.arange(1 << n, dtype=np.int64)
     bit = np.int64(1 << (j - 1))
     below = _popcounts(n)[masks & (bit - 1)]
     present = (masks & bit) != 0
     signs = np.where((below + present.astype(np.int64)) % 2 == 0, np.int64(1), np.int64(-1))
-    return masks ^ bit, masks, signs
+    return _map(masks ^ bit, signs)
 
 
-@lru_cache(maxsize=None)
-def _hecke_block(n: int, i: int, case: int) -> OperatorMatrix:
-    return OperatorMatrix.from_triples(1 << n, *_hecke_mask_blocks(n, i)[case])
-
-
-@lru_cache(maxsize=None)
-def _mark_block(n: int, j: int) -> OperatorMatrix:
-    return OperatorMatrix.from_triples(1 << n, *_mark_blocks(n, j))
+def _row_major(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated ``(rows, cols, values)`` parts sorted by row, then
+    column."""
+    rows, cols, values = (np.concatenate(field) for field in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order]
 
 
 @dataclass(frozen=True)
@@ -162,8 +200,7 @@ class CliffordModuleRep:
     tableau t: ``case`` is DESCENT or ATTACK, naming the 2^n block of pi_i on
     the tableau's own marked copies, and ``target`` is the index of the
     tableau with i and i+1 swapped, which receives the SWAP block, or -1 when
-    i is a descent or the swap leaves the family.  The generator matrices
-    ``pi`` and ``c`` are built from the graph only when read.
+    i is a descent or the swap leaves the family.
     """
 
     family: TableauFamily
@@ -183,41 +220,29 @@ class CliffordModuleRep:
         return len(self.basis_tableaux) << self.n
 
     @cached_property
-    def pi(self) -> tuple[OperatorMatrix, ...]:
-        block = 1 << self.n
-        mats = []
+    def parity(self) -> np.ndarray:
+        return np.tile(_popcounts(self.n) & 1, len(self.basis_tableaux))
+
+    def generator_triples(self) -> list[tuple]:
+        """``("pi", i, rows, cols, values)`` of each pi_i, then ``("c", j,
+        ...)`` of each c_j, on the |F| 2^n marked basis, sorted by row, then
+        column: each block's entries placed at its tableaux."""
+        n, size = self.n, 1 << self.n
+        out = []
         for i, edges in enumerate(self.hecke_graph, start=1):
-            blocks = _hecke_mask_blocks(self.n, i)
-            rows, cols, vals = [], [], []
+            blocks = {case: _canonical(block) for case, block in _hecke_mask_blocks(n, i).items()}
+            parts = []
             for t, (case, target) in enumerate(edges):
                 for part, u in ((case, t), (SWAP, target)):
                     if u >= 0:
-                        r, c, v = blocks[part]
-                        rows.append(r + u * block)
-                        cols.append(c + t * block)
-                        vals.append(v)
-            mats.append(
-                OperatorMatrix.from_triples(
-                    self.dim, np.concatenate(rows), np.concatenate(cols), np.concatenate(vals)
-                )
-            )
-        return tuple(mats)
-
-    @cached_property
-    def c(self) -> tuple[OperatorMatrix, ...]:
-        m, block = len(self.basis_tableaux), 1 << self.n
-        offs = np.arange(m, dtype=np.int64) * block
-        mats = []
-        for j in range(1, self.n + 1):
-            r, c, v = _mark_blocks(self.n, j)
-            rows = (r[None, :] + offs[:, None]).ravel()
-            cols = (c[None, :] + offs[:, None]).ravel()
-            mats.append(OperatorMatrix.from_triples(self.dim, rows, cols, np.tile(v, m)))
-        return tuple(mats)
-
-    @cached_property
-    def parity(self) -> np.ndarray:
-        return np.tile(_popcounts(self.n) & 1, len(self.basis_tableaux))
+                        rows, cols, values = blocks[part]
+                        parts.append((rows + u * size, cols + t * size, values))
+            out.append(("pi", i, *_row_major(parts)))
+        offsets = range(0, self.dim, size)
+        for j in range(1, n + 1):
+            rows, cols, values = _canonical(_mark_blocks(n, j))
+            out.append(("c", j, *_row_major((rows + o, cols + o, values) for o in offsets)))
+        return out
 
     def index_of(self, element: MarkedTableau) -> int:
         t = self.tableau_index.get(element.tableau)
@@ -247,11 +272,12 @@ def build_clifford_module(family: TableauFamily, force: bool = False) -> Cliffor
 
 @dataclass(frozen=True)
 class MAlphaRep:
-    """The 2^n-dimensional supermodule attached to one composition."""
+    """The 2^n-dimensional supermodule attached to one composition, its
+    generators as stacks of signed partial maps."""
 
     alpha: Composition
-    pi: tuple[OperatorMatrix, ...]
-    c: tuple[OperatorMatrix, ...]
+    pi: tuple
+    c: tuple
     parity: np.ndarray
 
     @property
@@ -262,72 +288,81 @@ class MAlphaRep:
     def dim(self) -> int:
         return 1 << self.n
 
+    def generator_triples(self) -> list[tuple]:
+        """``("pi", i, rows, cols, values)`` of each pi_i, then ``("c", j,
+        ...)`` of each c_j, sorted by row, then column."""
+        return [
+            (label, k, *_row_major([_canonical(op)]))
+            for label, ops in (("pi", self.pi), ("c", self.c))
+            for k, op in enumerate(ops, start=1)
+        ]
+
 
 def build_M_alpha(alpha: Composition) -> MAlphaRep:
     """Build the reference supermodule directly from its case formulas.
 
     Kept as straight per-mask case analysis, deliberately independent of the
-    vectorized block assembly used for family supermodules.
+    vectorized blocks used for family supermodules.  Each pi_i depends only
+    on n, i and whether i is a descent of alpha, and is built once for them.
     """
     alpha = check_composition(alpha)
     n = composition_size(alpha)
     if n < 1:
         raise DomainError("the composition must have size at least 1")
     des = descent_set(alpha)
-    dim = 1 << n
-
-    pi_mats = []
-    for i in range(1, n):
-        bit_i, bit_j = 1 << (i - 1), 1 << i
-        rows, cols, vals = [], [], []
-        for mask in range(dim):
-            has_i, has_j = bool(mask & bit_i), bool(mask & bit_j)
-            if i in des:
-                if has_i and not has_j:
-                    rows.append(mask - bit_i + bit_j), cols.append(mask), vals.append(-1)
-                elif has_i and has_j:
-                    rows.append(mask - bit_i - bit_j), cols.append(mask), vals.append(1)
-                else:
-                    rows.append(mask), cols.append(mask), vals.append(-1)
-            else:
-                if not has_j:
-                    continue
-                rows.append(mask), cols.append(mask), vals.append(-1)
-                if has_i:
-                    rows.append(mask - bit_i - bit_j), cols.append(mask), vals.append(1)
-                else:
-                    rows.append(mask - bit_j + bit_i), cols.append(mask), vals.append(1)
-        pi_mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
-
-    c_mats, parity = _reference_marks(n)
-    return MAlphaRep(alpha, tuple(pi_mats), c_mats, parity)
+    pis = tuple(_reference_pi(n, i, i in des) for i in range(1, n))
+    return MAlphaRep(alpha, pis, *_reference_marks(n))
 
 
 @lru_cache(maxsize=None)
-def _reference_marks(n: int) -> tuple[tuple[OperatorMatrix, ...], np.ndarray]:
-    """The mark matrices and the parity vector of every reference module of
-    size n, which do not depend on the composition; the parity vector is
+def _reference_pi(n: int, i: int, descent: bool):
+    """pi_i of the reference modules of size n in which i is, or is not, a
+    descent, as a two-layer stack."""
+    dim = 1 << n
+    bit_i, bit_j = 1 << (i - 1), 1 << i
+    rows = [[dim] * (dim + 1) for _ in range(2)]
+    signs = [[0] * (dim + 1) for _ in range(2)]
+    for mask in range(dim):
+        has_i, has_j = bool(mask & bit_i), bool(mask & bit_j)
+        if descent:
+            if has_i and not has_j:
+                rows[0][mask], signs[0][mask] = mask - bit_i + bit_j, -1
+            elif has_i and has_j:
+                rows[0][mask], signs[0][mask] = mask - bit_i - bit_j, 1
+            else:
+                rows[0][mask], signs[0][mask] = mask, -1
+        elif has_j:
+            rows[0][mask], signs[0][mask] = mask, -1
+            rows[1][mask] = mask - bit_i - bit_j if has_i else mask - bit_j + bit_i
+            signs[1][mask] = 1
+    return np.array(rows), np.array(signs)
+
+
+@lru_cache(maxsize=None)
+def _reference_marks(n: int) -> tuple[tuple, np.ndarray]:
+    """The mark generators and the parity vector of every reference module
+    of size n, which do not depend on the composition; the parity vector is
     read-only because it is shared."""
     dim = 1 << n
-    c_mats = []
+    c_ops = []
     for j in range(1, n + 1):
         bit = 1 << (j - 1)
-        rows, cols, vals = [], [], []
+        rows, signs = [], []
         for mask in range(dim):
             below = bin(mask & (bit - 1)).count("1")
-            sign = -1 if (below + (1 if mask & bit else 0)) % 2 else 1
-            rows.append(mask ^ bit), cols.append(mask), vals.append(sign)
-        c_mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
+            rows.append(mask ^ bit)
+            signs.append(-1 if (below + (1 if mask & bit else 0)) % 2 else 1)
+        c_ops.append((np.array([rows + [dim]]), np.array([signs + [0]])))
     parity = np.array([bin(m).count("1") & 1 for m in range(dim)], dtype=np.int64)
     parity.flags.writeable = False
-    return tuple(c_mats), parity
+    return tuple(c_ops), parity
 
 
-def _keeps_parity(mat: OperatorMatrix, n: int, flips: bool) -> bool:
+def _keeps_parity(block, n: int, flips: bool) -> bool:
     """Whether every nonzero entry of a 2^n block maps masks of one parity
     to the same parity (``flips`` False) or to the other (``flips`` True)."""
     par = _popcounts(n) & 1
-    rows, cols, _ = mat.coo_arrays()
+    rows, cols, _ = _canonical(block)
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
@@ -338,12 +373,15 @@ def _mark_violations(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     Every c_j is the identity on tableaux tensored with its 2^n block, so on
     a nonempty family these hold iff they hold for the blocks.
     """
-    eye = OperatorMatrix.identity(1 << n)
-    cs = [_mark_block(n, j) for j in range(1, n + 1)]
-    relations = [f"c[{j}]^2 != -1" for j, cj in enumerate(cs, start=1) if cj @ cj != eye.scaled(-1)]
+    cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
+    relations = [
+        f"c[{j}]^2 != -1"
+        for j, cj in enumerate(cs, start=1)
+        if not _equal(compose_maps(cj, cj), _identity(n), -1)
+    ]
     for a in range(n):
         for b in range(a + 1, n):
-            if cs[a] @ cs[b] != (cs[b] @ cs[a]).scaled(-1):
+            if not _equal(compose_maps(cs[a], cs[b]), compose_maps(cs[b], cs[a]), -1):
                 relations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
     parity = [
         f"c[{j}] does not flip parity"
@@ -359,38 +397,42 @@ def _pi_mark_relation_holds(n: int, i: int, j: int, case: int) -> bool:
 
     The descent, attack and swap blocks of pi_i sit at disjoint block
     positions, while each c_j is block diagonal, so a relation holds for the
-    whole matrix iff it holds for each block present; the identity added in
-    the (pi_i + 1) relation lands on the diagonal blocks only.
+    whole operator iff it holds for each block present; the identity added
+    in the (pi_i + 1) relation lands on the diagonal blocks only.
     """
-    p = _hecke_block(n, i, case)
+    p = _hecke_mask_blocks(n, i)[case]
     if j == i:
-        return p @ _mark_block(n, i) == _mark_block(n, i + 1) @ p
+        return _equal(compose_maps(p, _mark_blocks(n, i)), compose_maps(_mark_blocks(n, i + 1), p))
     if j == i + 1:
         if case != SWAP:
-            p = p + OperatorMatrix.identity(1 << n)
-        return p @ _mark_block(n, i + 1) == _mark_block(n, i) @ p
-    return p @ _mark_block(n, j) == _mark_block(n, j) @ p
+            p = _stack(p, _identity(n))
+        return _equal(compose_maps(p, _mark_blocks(n, i + 1)), compose_maps(_mark_blocks(n, i), p))
+    return _equal(compose_maps(p, _mark_blocks(n, j)), compose_maps(_mark_blocks(n, j), p))
 
 
 @lru_cache(maxsize=None)
 def _hecke_parity_holds(n: int, i: int, case: int) -> bool:
-    return _keeps_parity(_hecke_block(n, i, case), n, flips=False)
+    return _keeps_parity(_hecke_mask_blocks(n, i)[case], n, flips=False)
 
 
-def _path_sum(n: int, paths) -> OperatorMatrix:
-    """Sum over the paths of their block products, leftmost factor first."""
-    total = OperatorMatrix.zero(1 << n)
-    for steps in paths:
-        blocks = (_hecke_block(n, step // 3 + 1, step % 3) for step in steps)
-        total = total + reduce(operator.matmul, blocks)
-    return total
+def _path_product(n: int, steps):
+    """The block product of one path, leftmost factor first."""
+    return reduce(compose_maps, (_hecke_mask_blocks(n, step // 3 + 1)[step % 3] for step in steps))
 
 
 @lru_cache(maxsize=None)
 def _paths_agree(n: int, signature: tuple, sign: int) -> bool:
     """Whether, at every end tableau of the signature, the left paths' block
     products sum to ``sign`` times the right paths' ones."""
-    return all(_path_sum(n, lhs) == _path_sum(n, rhs).scaled(sign) for lhs, rhs in signature)
+    return all(
+        _is_zero(
+            _stack(
+                *(_path_product(n, steps) for steps in lhs),
+                *(_scaled(_path_product(n, steps), -sign) for steps in rhs),
+            )
+        )
+        for lhs, rhs in signature
+    )
 
 
 def _paths(graph, word, t: int) -> list[tuple[int, tuple]]:
@@ -432,13 +474,13 @@ def _relation_holds(rep: CliffordModuleRep, lhs, rhs, sign: int) -> bool:
 
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     """Exact verification of the full generator relation suite of a family
-    supermodule, on its 2^n blocks rather than its |F| 2^n matrices.
+    supermodule, on its 2^n blocks rather than its |F| 2^n operators.
 
     The relations among the c_j are checked once per n, each pi-c relation
     and pi parity once per block case present, and the 0-Hecke relations by
     expanding both sides over paths in the Hecke graph (see
     :func:`_relation_holds`).  The checks, their count and the violation
-    messages are those of the matrix products on ``rep.pi`` and ``rep.c``.
+    messages are those of the products of the full generator matrices.
     """
     n = rep.n
     relations = zero_hecke_relations(n - 1, -1)
@@ -492,47 +534,69 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     swapped-tableau terms deleted, which is exactly the tableau's diagonal
     block: the descent or attack block of each pi_i, and the mark blocks.
     The mark coordinate map is then an intertwiner iff these blocks equal the
-    reference module built from the tableau's descent composition.
+    reference module built from the tableau's descent composition, whose
+    pi_i depends only on whether i is a descent.
     """
     m = len(rep.basis_tableaux)
     if not 1 <= k <= m:
         raise DomainError(f"filtration index {k} out of range 1..{m}")
-    descents = [i for i, edges in enumerate(rep.hecke_graph, start=1) if edges[k - 1][0] == DESCENT]
-    return _quotient_holds(comp_n(descents, rep.n))
+    return all(
+        _quotient_holds(rep.n, i, edges[k - 1][0] == DESCENT)
+        for i, edges in enumerate(rep.hecke_graph, start=1)
+    ) and _marks_match_reference(rep.n)
 
 
 @lru_cache(maxsize=None)
-def _quotient_holds(alpha: Composition) -> bool:
-    n = composition_size(alpha)
-    des = descent_set(alpha)
-    return all(
-        _hecke_block(n, i, DESCENT if i in des else ATTACK) == target
-        for i, target in enumerate(build_M_alpha(alpha).pi, start=1)
-    ) and _marks_match_reference(n)
+def _quotient_holds(n: int, i: int, descent: bool) -> bool:
+    block = _hecke_mask_blocks(n, i)[DESCENT if descent else ATTACK]
+    return _equal(block, _reference_pi(n, i, descent))
 
 
 @lru_cache(maxsize=None)
 def _marks_match_reference(n: int) -> bool:
-    c_mats, _ = _reference_marks(n)
-    return all(_mark_block(n, j) == target for j, target in enumerate(c_mats, start=1))
+    c_ops, _ = _reference_marks(n)
+    return all(_equal(_mark_blocks(n, j), target) for j, target in enumerate(c_ops, start=1))
+
+
+def _supports(block) -> list[list[int]]:
+    """The rows of the nonzero entries in each column of a 2^n block."""
+    rows, cols, _ = _canonical(block)
+    out: list[list[int]] = [[] for _ in range(block[0].shape[1] - 1)]
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        out[c].append(r)
+    return out
 
 
 def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:
-    """Closure of the seed under the supports of all generator images."""
+    """Closure of the seed under the supports of all generator images: a
+    walk over the Hecke graph and the mark blocks."""
     if isinstance(seed, StandardTableau):
         seed = MarkedTableau(seed, frozenset())
+    n, size = rep.n, 1 << rep.n
     start = rep.index_of(seed)
+    hecke = [
+        {case: _supports(block) for case, block in _hecke_mask_blocks(n, i).items()}
+        for i in range(1, n)
+    ]
+    marks = [_supports(_mark_blocks(n, j)) for j in range(1, n + 1)]
     seen = {start}
     frontier = [start]
-    mats = rep.pi + rep.c
     while frontier:
         nxt = []
         for idx in frontier:
-            for mat in mats:
-                for r in mat.column_support(idx):
-                    if r not in seen:
-                        seen.add(r)
-                        nxt.append(r)
+            t, mask = divmod(idx, size)
+            images = [(t, rows[mask]) for rows in marks]
+            for blocks, edges in zip(hecke, rep.hecke_graph):
+                case, target = edges[t]
+                images.append((t, blocks[case][mask]))
+                if target >= 0:
+                    images.append((target, blocks[SWAP][mask]))
+            for u, rows in images:
+                for r in rows:
+                    k = u * size + r
+                    if k not in seen:
+                        seen.add(k)
+                        nxt.append(k)
         frontier = nxt
     return frozenset(rep.basis_element(i) for i in seen)
 

@@ -49,7 +49,6 @@ from .hecke import (
     qsym_characteristic,
     verify_hecke_relations,
 )
-from .matrices import OperatorMatrix
 from .series import theta
 from .tableaux import StandardTableau, TableauFamily
 
@@ -203,10 +202,11 @@ def words_family(words: Sequence[Perm], tag: str = "words") -> TableauFamily:
     return TableauFamily(diagram, members, tag)
 
 
-def _direct_interval_matrices(
+def _direct_interval_maps(
     interval: BruhatInterval, order: Sequence[Perm], flavour: str
-) -> list[OperatorMatrix]:
-    """Generator matrices built straight from the interval action rules.
+) -> list[tuple[list[int], list[int]]]:
+    """Generator maps ``(targets, signs)`` built straight from the interval
+    action rules, target -1 and sign 0 for a zero image.
 
     ``flavour`` 'bar' is the signed action (descents scale by -1, ascents
     swap inside the interval or die); 'plain' is the unsigned action
@@ -214,26 +214,28 @@ def _direct_interval_matrices(
     """
     member_set = set(interval.members)
     index = {g: k for k, g in enumerate(order)}
-    n = len(interval.sigma)
-    dim = len(order)
-    mats = []
-    for i in range(1, n):
-        rows, cols, vals = [], [], []
+    maps = []
+    for i in range(1, len(interval.sigma)):
+        targets, signs = [], []
         for col, g in enumerate(order):
             if i in perm_descents(g):
-                rows.append(col), cols.append(col), vals.append(-1 if flavour == "bar" else 1)
+                targets.append(col), signs.append(-1 if flavour == "bar" else 1)
             else:
                 up = s_apply(i, g)
-                if up in member_set:
-                    rows.append(index[up]), cols.append(col), vals.append(1)
-        mats.append(OperatorMatrix.from_triples(dim, rows, cols, vals))
-    return mats
+                targets.append(index[up] if up in member_set else -1)
+                signs.append(1 if up in member_set else 0)
+        maps.append((targets, signs))
+    return maps
+
+
+def _maps_as_lists(rep: HeckeModuleRep) -> list[tuple[list[int], list[int]]]:
+    return [(target.tolist(), sign.tolist()) for target, sign in rep.maps]
 
 
 def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, HeckeModuleRep]:
     """Realize both interval modules as diagram modules on single-row fillings.
 
-    The signed interval action must equal, matrix for matrix, the module on
+    The signed interval action must equal, map for map, the module on
     fillings reading to the interval itself; the unsigned action must equal
     the sign-flipped-convention module on the reversed words.  Any mismatch
     raises; none is expected.
@@ -241,7 +243,7 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
     fam = words_family(interval.members, tag=f"interval{list(interval.sigma)}-{list(interval.rho)}")
     rep = build_hecke_module(fam, "pi")
     order = [t.reading_word for t in rep.basis]
-    if list(rep.pi) != _direct_interval_matrices(interval, order, "bar"):
+    if _maps_as_lists(rep) != _direct_interval_maps(interval, order, "bar"):
         raise TheoremMismatch("signed interval action differs from the diagram module")
 
     rev_fam = words_family(
@@ -250,7 +252,7 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
     )
     hat_rep = build_hecke_module(rev_fam, "hat")
     hat_order = [reverse_word(t.reading_word) for t in hat_rep.basis]
-    if list(hat_rep.pi) != _direct_interval_matrices(interval, hat_order, "plain"):
+    if _maps_as_lists(hat_rep) != _direct_interval_maps(interval, hat_order, "plain"):
         raise TheoremMismatch("unsigned interval action differs from the reversed-word module")
     return rep, hat_rep
 
@@ -259,17 +261,23 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
 # intertwiners and basis theorems
 
 
-def _check_intertwiner(rep_a, rep_b, pairing: Callable[[int], int]) -> bool:
-    """Exact matrix identity P A = B P for every generator, with P the
-    permutation matrix sending basis index k of A to pairing(k) in B."""
-    dim = rep_a.dim
-    if dim != rep_b.dim:
+def _graphs_isomorphic(rep_a, rep_b, pairing: Sequence[int]) -> bool:
+    """Whether the tableau bijection t -> pairing[t] is an isomorphism of the
+    two supermodules' Hecke graphs: the same case at paired tableaux, and
+    paired swap targets.
+
+    With P the permutation of marked bases that pairs the tableaux and keeps
+    the masks, this is exactly the identity P A = B P for every generator:
+    the c_j are the same blocks on every tableau, and the descent, attack and
+    swap blocks of each pi_i are distinct and nonzero.
+    """
+    if rep_a.dim != rep_b.dim or sorted(pairing) != list(range(len(rep_b.basis_tableaux))):
         return False
-    rows = [pairing(k) for k in range(dim)]
-    P = OperatorMatrix.from_triples(dim, rows, list(range(dim)), [1] * dim)
-    gens_a = list(rep_a.pi) + list(getattr(rep_a, "c", ()))
-    gens_b = list(rep_b.pi) + list(getattr(rep_b, "c", ()))
-    return all(P @ A == B @ P for A, B in zip(gens_a, gens_b))
+    return all(
+        edges_b[pairing[t]] == (case, pairing[target] if target >= 0 else -1)
+        for edges_a, edges_b in zip(rep_a.hecke_graph, rep_b.hecke_graph)
+        for t, (case, target) in enumerate(edges_a)
+    )
 
 
 def check_rect_isomorphism(lam: Composition) -> bool:
@@ -279,17 +287,8 @@ def check_rect_isomorphism(lam: Composition) -> bool:
         raise DomainError(f"{lam} is not a strict partition")
     shifted = build_clifford_module(build_family(FamilyKind.SSHT, lam))
     columnar = build_clifford_module(build_family(FamilyKind.SPYCT, lam))
-    n = shifted.n
-    block = 1 << n
-    tab_pairing = [
-        columnar.tableau_index[rect(t)] for t in shifted.basis_tableaux
-    ]
-
-    def pairing(k: int) -> int:
-        t, mask = divmod(k, block)
-        return tab_pairing[t] * block + mask
-
-    return _check_intertwiner(shifted, columnar, pairing)
+    pairing = [columnar.tableau_index[rect(t)] for t in shifted.basis_tableaux]
+    return _graphs_isomorphic(shifted, columnar, pairing)
 
 
 def transition_to_peak_basis(n: int) -> tuple[tuple[Composition, ...], list[list[Fraction]]]:

@@ -12,7 +12,8 @@ by the word itself), so every swap image lands on an earlier basis element
 and each generator matrix is triangular with diagonal entries in {-1, 0}
 (pi) or {0, 1} (hat).  Each generator sends a basis element to plus or
 minus one basis element or to zero, so it is stored as a signed partial map
-read off the family's word graph; the matrices are built only when read.
+read off the family's word graph.  A product of such maps is a gather, which
+:func:`compose_maps` also does for the stacked maps of the supermodule blocks.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, IncompatibleFamilyError
-from .matrices import OperatorMatrix
 from .series import FUNDAMENTAL, FormalSum
 from .compositions import comp_n
 from .tableaux import (
@@ -56,15 +56,17 @@ class HeckeModuleRep:
     def index(self) -> dict[StandardTableau, int]:
         return {t: i for i, t in enumerate(self.basis)}
 
-    @cached_property
-    def pi(self) -> tuple[OperatorMatrix, ...]:
-        """The generator matrices, built from the maps when read."""
-        cols = np.arange(self.dim)
-        mats = []
-        for target, sign in self.maps:
-            live = target >= 0
-            mats.append(OperatorMatrix.from_triples(self.dim, target[live], cols[live], sign[live]))
-        return tuple(mats)
+    def generator_triples(self) -> list[tuple]:
+        """``(convention, i, rows, cols, values)`` of each generator matrix,
+        entry (r, c) being the coefficient of basis element r in the image of
+        c, sorted by row, then column."""
+        out = []
+        for i, (target, sign) in enumerate(self.maps, start=1):
+            cols = np.flatnonzero((target >= 0) & (sign != 0))
+            order = np.lexsort((cols, target[cols]))
+            cols = cols[order]
+            out.append((self.convention, i, target[cols], cols, sign[cols]))
+        return out
 
     @property
     def dim(self) -> int:
@@ -94,7 +96,7 @@ def build_hecke_module(
     # pi scales descents by -1, hat fixes ascents; the other case swaps
     # inside the family or dies.
     diagonal = graph.descent if convention == PI else ~graph.descent
-    targets = np.where(diagonal, np.arange(len(graph.basis), dtype=np.int32), graph.target)
+    targets = np.where(diagonal, np.arange(len(graph.basis), dtype=np.intp), graph.target)
     signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
     return HeckeModuleRep(family, convention, graph.basis, tuple(zip(targets, signs)))
 
@@ -134,14 +136,28 @@ def zero_hecke_relations(k: int, quad_sign: int, label: str = "pi") -> list[tupl
     return out
 
 
+def compose_maps(outer, inner) -> tuple[np.ndarray, np.ndarray]:
+    """The product outer * inner of two stacks of signed partial maps.
+
+    A stack is a pair ``(targets, signs)`` of int arrays of shape (k, d + 1)
+    and stands for the sum of its k layers: layer l sends column c to
+    ``signs[l, c]`` times row ``targets[l, c]``.  Column d is a sink that
+    every zero image points to, fixed with sign 0.  The product has one
+    layer per pair of layers, each a gather.
+    """
+    (outer_t, outer_s), (inner_t, inner_s) = outer, inner
+    width = inner_t.shape[1]
+    targets = outer_t.take(inner_t, axis=1).reshape(-1, width)
+    return targets, (outer_s.take(inner_t, axis=1) * inner_s).reshape(-1, width)
+
+
 def _word_map(maps, word) -> tuple[np.ndarray, np.ndarray]:
-    """The signed partial map of a nonempty generator word, leftmost factor
-    first, from maps that send every zero to a sink fixed with sign 0."""
-    target, sign = maps[word[-1]]
-    for g in reversed(word[:-1]):
-        g_target, g_sign = maps[g]
-        target, sign = g_target[target], g_sign[target] * sign
-    return target, sign
+    """The one-layer stack of a nonempty generator word, leftmost factor
+    first."""
+    product = maps[word[0]]
+    for g in word[1:]:
+        product = compose_maps(product, maps[g])
+    return product
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
@@ -152,7 +168,7 @@ def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     """
     dim = rep.dim
     maps = [
-        (np.append(np.where(target < 0, dim, target), dim), np.append(sign, 0))
+        (np.append(np.where(target < 0, dim, target), dim)[None], np.append(sign, 0)[None])
         for target, sign in rep.maps
     ]
     quad_sign = -1 if rep.convention == PI else 1

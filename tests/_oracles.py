@@ -6,13 +6,17 @@ one-shot predicates over complete fillings and filtered over all n!
 assignments.  Nothing is shared with the library's backtracking enumerator
 or its reading-word machinery.
 
-The supermodule relation suite and the filtration quotient comparison are
-restated here as exact products and block slices of the materialised
-generator matrices, the reference for the library's block-factored checks.
-Likewise the 0-Hecke generator matrices, the compatibility gate and the
-0-Hecke relation check are restated tableau by tableau, with a validated
-swapped tableau per (tableau, generator) and exact matrix products, the
-reference for the library's word graph and signed partial maps.
+The library keeps no matrices, only signed partial maps and 2^n blocks.
+Here its generators are materialised as ``scipy.sparse`` integer matrices
+from each rep's ``generator_triples``, and the supermodule relation suite,
+the filtration quotient comparison, the unshift intertwiner and
+reachability are restated as exact products, block slices and column
+supports of those matrices, the reference for the library's block-factored
+and graph checks.  Likewise the 0-Hecke generator matrices, the
+compatibility gate and the 0-Hecke relation check are restated tableau by
+tableau, with a validated swapped tableau per (tableau, generator) and exact
+matrix products, the reference for the library's word graph and signed
+partial maps.
 """
 
 import functools
@@ -20,12 +24,51 @@ import itertools
 import operator
 
 import numpy as np
+from scipy import sparse
 
 from diagmod.clifford import build_M_alpha
 from diagmod.compositions import comp_n
 from diagmod.hecke import RelationReport, zero_hecke_relations
-from diagmod.matrices import OperatorMatrix
 from diagmod.tableaux import descent_set_tab, inversions, swap_entries
+
+
+def matrix(dim, rows, cols, values):
+    """A square integer CSC matrix from triples, duplicates summed."""
+    values = np.asarray(values, dtype=np.int64)
+    return sparse.csc_matrix((values, (np.asarray(rows), np.asarray(cols))), shape=(dim, dim))
+
+
+def same(a, b):
+    return (a - b).count_nonzero() == 0
+
+
+def triples(mat):
+    """Sorted (row, col, value) triples of the nonzero entries."""
+    coo = mat.tocoo()
+    return sorted((int(r), int(c), int(v)) for r, c, v in zip(coo.row, coo.col, coo.data) if v)
+
+
+def _support(mat):
+    """Rows and columns of the nonzero entries."""
+    coo = mat.tocoo()
+    coo.eliminate_zeros()
+    return coo.row, coo.col
+
+
+def column(mat, c):
+    """Nonzero (row, value) pairs of one column of a CSC matrix."""
+    lo, hi = mat.indptr[c], mat.indptr[c + 1]
+    return [(int(r), int(v)) for r, v in zip(mat.indices[lo:hi], mat.data[lo:hi]) if v]
+
+
+def materialised(rep, label):
+    """The generator matrices a rep emits under one label (``pi``, ``hat``
+    or ``c``), in order."""
+    return [
+        matrix(rep.dim, rows, cols, values)
+        for name, _, rows, cols, values in rep.generator_triples()
+        if name == label
+    ]
 
 
 def oracle_boxes(kind, shape):
@@ -210,74 +253,111 @@ def closed_form_attacking(kind, tab_map, i):
 
 
 def materialised_clifford_relations(rep):
-    """The supermodule relation suite by exact products of the generator
-    matrices, for any object with ``pi``, ``c``, ``parity`` and ``dim``
-    (family supermodules and reference modules alike)."""
+    """The supermodule relation suite by exact products of the materialised
+    generator matrices, for family supermodules and reference modules
+    alike."""
     checked, violations = 0, []
-    cs, pis = rep.c, rep.pi
+    pis, cs = materialised(rep, "pi"), materialised(rep, "c")
     k = len(pis)
     for i in range(k):
         checked += 1
-        if pis[i] @ pis[i] != pis[i].scaled(-1):
+        if not same(pis[i] @ pis[i], -pis[i]):
             violations.append(f"pi[{i + 1}]^2 != -1*pi[{i + 1}]")
     for i in range(k):
         for j in range(i + 2, k):
             checked += 1
-            if pis[i] @ pis[j] != pis[j] @ pis[i]:
+            if not same(pis[i] @ pis[j], pis[j] @ pis[i]):
                 violations.append(f"pi[{i + 1}] and pi[{j + 1}] do not commute")
     for i in range(k - 1):
         checked += 1
-        if pis[i] @ pis[i + 1] @ pis[i] != pis[i + 1] @ pis[i] @ pis[i + 1]:
+        if not same(pis[i] @ pis[i + 1] @ pis[i], pis[i + 1] @ pis[i] @ pis[i + 1]):
             violations.append(f"braid fails at pi[{i + 1}], pi[{i + 2}]")
-    eye = OperatorMatrix.identity(rep.dim)
+    eye = sparse.identity(rep.dim, dtype=np.int64, format="csc")
     for j, cj in enumerate(cs, start=1):
         checked += 1
-        if cj @ cj != eye.scaled(-1):
+        if not same(cj @ cj, -eye):
             violations.append(f"c[{j}]^2 != -1")
     for a in range(len(cs)):
         for b in range(a + 1, len(cs)):
             checked += 1
-            if cs[a] @ cs[b] != (cs[b] @ cs[a]).scaled(-1):
+            if not same(cs[a] @ cs[b], -(cs[b] @ cs[a])):
                 violations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
     for i, p in enumerate(pis, start=1):
         for j, cj in enumerate(cs, start=1):
             checked += 1
             if j == i:
-                if p @ cj != cs[i] @ p:
+                if not same(p @ cj, cs[i] @ p):
                     violations.append(f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]")
             elif j == i + 1:
-                if (p + eye) @ cs[i] != cs[i - 1] @ (p + eye):
+                if not same((p + eye) @ cs[i], cs[i - 1] @ (p + eye)):
                     violations.append(f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)")
             else:
-                if p @ cj != cj @ p:
+                if not same(p @ cj, cj @ p):
                     violations.append(f"pi[{i}] and c[{j}] do not commute")
     par = rep.parity
     for i, mat in enumerate(pis, start=1):
-        rows, cols, _ = mat.coo_arrays()
+        rows, cols = _support(mat)
         if rows.size and not np.all(par[rows] == par[cols]):
             violations.append(f"pi[{i}] does not preserve parity")
     for j, mat in enumerate(cs, start=1):
-        rows, cols, _ = mat.coo_arrays()
+        rows, cols = _support(mat)
         if rows.size and not np.all(par[rows] != par[cols]):
             violations.append(f"c[{j}] does not flip parity")
     checked += len(pis) + len(cs)
     return RelationReport(checked, tuple(violations))
 
 
-_reference_module = functools.lru_cache(maxsize=None)(build_M_alpha)
+@functools.lru_cache(maxsize=None)
+def _reference_matrices(alpha):
+    ref = build_M_alpha(alpha)
+    return materialised(ref, "pi") + materialised(ref, "c")
 
 
-def materialised_quotient_check(rep, k):
-    """The k-th tableau's diagonal block of every materialised generator
-    equals the reference module of its descent composition."""
-    tab = rep.basis_tableaux[k - 1]
-    ref = _reference_module(comp_n(descent_set_tab(tab), rep.n))
-    lo = (k - 1) << rep.n
-    hi = lo + (1 << rep.n)
+def materialised_quotient_checks(rep):
+    """For each basis tableau, whether its diagonal block of every
+    materialised generator equals the reference module of its descent
+    composition."""
+    mats = materialised(rep, "pi") + materialised(rep, "c")
+    verdicts = []
+    for k, tab in enumerate(rep.basis_tableaux):
+        lo, hi = k << rep.n, (k + 1) << rep.n
+        ref = _reference_matrices(comp_n(descent_set_tab(tab), rep.n))
+        verdicts.append(all(same(mine[lo:hi, lo:hi], target) for mine, target in zip(mats, ref)))
+    return tuple(verdicts)
+
+
+def materialised_intertwiner(rep_a, rep_b, pairing):
+    """Exact matrix identity P A = B P for every generator, with P the
+    permutation matrix sending marked basis index t * 2^n + mask of A to
+    pairing[t] * 2^n + mask of B."""
+    if rep_a.dim != rep_b.dim:
+        return False
+    size = 1 << rep_a.n
+    cols = np.arange(rep_a.dim)
+    rows = np.asarray(pairing)[cols // size] * size + cols % size
+    P = matrix(rep_a.dim, rows, cols, np.ones(rep_a.dim))
     return all(
-        mine.block(lo, hi) == target
-        for mine, target in zip(rep.pi + rep.c, ref.pi + ref.c)
+        same(P @ A, B @ P)
+        for label in ("pi", "c")
+        for A, B in zip(materialised(rep_a, label), materialised(rep_b, label))
     )
+
+
+def materialised_reachability(rep, start):
+    """Basis indices in the closure of one index under the column supports
+    of every materialised generator."""
+    mats = materialised(rep, "pi") + materialised(rep, "c")
+    seen, frontier = {start}, [start]
+    while frontier:
+        nxt = []
+        for idx in frontier:
+            for mat in mats:
+                for r, _ in column(mat, idx):
+                    if r not in seen:
+                        seen.add(r)
+                        nxt.append(r)
+        frontier = nxt
+    return seen
 
 
 def _basis(family):
@@ -322,7 +402,7 @@ def oracle_hecke_matrices(family, convention):
                 swapped = swap_entries(tab, i)
                 if swapped in family:
                     rows.append(index[swapped]), cols.append(c), vals.append(1)
-        mats.append(OperatorMatrix.from_triples(len(basis), rows, cols, vals))
+        mats.append(matrix(len(basis), rows, cols, vals))
     return tuple(basis), mats
 
 
@@ -333,6 +413,6 @@ def product_hecke_relations(mats, convention):
     for message, lhs, rhs, sign in relations:
         left = functools.reduce(operator.matmul, (mats[g] for g in lhs))
         right = functools.reduce(operator.matmul, (mats[g] for g in rhs))
-        if left != right.scaled(sign):
+        if not same(left, sign * right):
             violations.append(message)
     return RelationReport(len(relations), tuple(violations))

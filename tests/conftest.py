@@ -28,6 +28,20 @@ def member_by_word(family, word):
     raise LookupError(word)
 
 
+def apply_word(rep, word, vec):
+    """The image of a vector, given as {basis index: coefficient}, under a
+    generator word of a module, its rightmost factor applied first."""
+    for gen in reversed(word):
+        target, sign = rep.maps[gen - 1]
+        image = {}
+        for c, x in vec.items():
+            if target[c] >= 0:
+                r = int(target[c])
+                image[r] = image.get(r, 0) + int(sign[c]) * x
+        vec = {r: v for r, v in image.items() if v}
+    return vec
+
+
 def forced_word_set_families():
     """Every nonempty set of words in S_3 as a family on the demo diagram."""
     diagram = demo_incompatible_family().diagram

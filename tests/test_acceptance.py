@@ -19,6 +19,7 @@ import time
 
 import pytest
 
+from conftest import apply_word
 from diagmod.clifford import (
     MarkedTableau,
     build_clifford_module,
@@ -155,17 +156,20 @@ def test_criterion_06_displayed_supermodule_images(compatible_family):
     by_word = {t.reading_word: t for t in compatible_family}
     R, S, T = by_word[(2, 1, 3)], by_word[(1, 2, 3)], by_word[(1, 3, 2)]
 
-    def image(mat, tab, *marks):
-        col = rep.index_of(MarkedTableau(tab, frozenset(marks)))
-        return {rep.basis_element(r): v for r, v in mat.column(col)}
+    pi1 = next(entries for label, i, *entries in rep.generator_triples() if (label, i) == ("pi", 1))
+
+    def image(tab, *marks):
+        rows, cols, values = pi1
+        at = cols == rep.index_of(MarkedTableau(tab, frozenset(marks)))
+        return {rep.basis_element(int(r)): int(v) for r, v in zip(rows[at], values[at])}
 
     def mt(tab, *marks):
         return MarkedTableau(tab, frozenset(marks))
 
     ok = (
-        image(rep.pi[0], R, 1) == {mt(R, 2): -1}
-        and image(rep.pi[0], T, 1, 2) == {mt(T, 1, 2): -1, mt(T): 1}
-        and image(rep.pi[0], S, 2, 3) == {mt(S, 2, 3): -1, mt(S, 1, 3): 1, mt(R, 1, 3): 1}
+        image(R, 1) == {mt(R, 2): -1}
+        and image(T, 1, 2) == {mt(T, 1, 2): -1, mt(T): 1}
+        and image(S, 2, 3) == {mt(S, 2, 3): -1, mt(S, 1, 3): 1, mt(R, 1, 3): 1}
     )
     assert report(6, ok, "all three displayed signed images reproduced exactly")
 
@@ -360,13 +364,12 @@ def test_criterion_15_negative_control():
 
     rep = build_hecke_module(control, "pi", force=True)
     basis_words = [t.reading_word for t in rep.basis]
-    p1, p2 = rep.pi
     start = {basis_words.index((1, 2, 3)): 1}
 
-    def image(op):
-        return {basis_words[r]: v for r, v in op.apply(start).items()}
+    def image(word):
+        return {basis_words[r]: v for r, v in apply_word(rep, word, start).items()}
 
-    lhs, rhs = image(p1 @ p2 @ p1), image(p2 @ p1 @ p2)
+    lhs, rhs = image((1, 2, 1)), image((2, 1, 2))
     images_ok = lhs == {(3, 2, 1): 1} and rhs == {}
 
     ok = witness_ok and demo_ok and gate_ok and braid_ok and images_ok

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from conftest import forced_word_set_families, member_by_word
@@ -26,13 +27,19 @@ from diagmod.families import (
     source_tableau,
 )
 from diagmod.series import FormalSum, theta
-from diagmod.hecke import qsym_characteristic
+from diagmod.hecke import compose_maps, qsym_characteristic
 from diagmod.tableaux import TableauFamily
 
 
-def image(rep, mat, elt):
+def image(rep, label, index, elt):
+    """Image of a marked basis element under one generator, read off the
+    rep's triple emitter."""
     col = rep.index_of(elt)
-    return {rep.basis_element(r): v for r, v in mat.column(col)}
+    for name, k, rows, cols, values in rep.generator_triples():
+        if (name, k) == (label, index):
+            at = cols == col
+            return {rep.basis_element(int(r)): int(v) for r, v in zip(rows[at], values[at])}
+    raise LookupError((label, index))
 
 
 def mt(tab, *marks):
@@ -50,9 +57,9 @@ def test_displayed_generator_images(compatible_family):
     R = member_by_word(compatible_family, (2, 1, 3))
     S = member_by_word(compatible_family, (1, 2, 3))
     T = member_by_word(compatible_family, (1, 3, 2))
-    assert image(rep, rep.pi[0], mt(R, 1)) == {mt(R, 2): -1}
-    assert image(rep, rep.pi[0], mt(T, 1, 2)) == {mt(T, 1, 2): -1, mt(T): 1}
-    assert image(rep, rep.pi[0], mt(S, 2, 3)) == {
+    assert image(rep, "pi", 1, mt(R, 1)) == {mt(R, 2): -1}
+    assert image(rep, "pi", 1, mt(T, 1, 2)) == {mt(T, 1, 2): -1, mt(T): 1}
+    assert image(rep, "pi", 1, mt(S, 2, 3)) == {
         mt(S, 2, 3): -1,
         mt(S, 1, 3): 1,
         mt(R, 1, 3): 1,
@@ -62,16 +69,20 @@ def test_displayed_generator_images(compatible_family):
 def test_descent_with_no_marks_scales(compatible_family):
     rep = build_clifford_module(compatible_family)
     R = member_by_word(compatible_family, (2, 1, 3))
-    assert image(rep, rep.pi[0], mt(R)) == {mt(R): -1}
+    assert image(rep, "pi", 1, mt(R)) == {mt(R): -1}
 
 
 def test_mark_generator_squares_to_minus_one(compatible_family):
     rep = build_clifford_module(compatible_family)
-    for j, cj in enumerate(rep.c, start=1):
-        sq = cj @ cj
-        for r, c, v in sq.triples():
-            assert r == c and v == -1
-        assert sq.nnz == rep.dim
+    marks = [entries for label, *entries in rep.generator_triples() if label == "c"]
+    assert len(marks) == 3
+    for _, rows, cols, values in marks:
+        # one entry per column, so c_j^2 sends column c to v * v' times row r'
+        image = dict(zip(cols.tolist(), zip(rows.tolist(), values.tolist())))
+        assert len(image) == len(cols) == rep.dim
+        for c, (r, v) in image.items():
+            r2, v2 = image[r]
+            assert r2 == c and v * v2 == -1
 
 
 def test_relation_suite(compatible_family):
@@ -93,8 +104,10 @@ def test_reference_module_relations(n):
 
 def test_reference_module_single_row_kills_unmarked():
     rep = build_M_alpha((4,))
-    for mat in rep.pi:
-        assert mat.column(0) == []
+    pis = [cols for label, _, _, cols, _ in rep.generator_triples() if label == "pi"]
+    assert len(pis) == 3
+    for cols in pis:
+        assert 0 not in cols
 
 
 def test_one_box_family():
@@ -102,7 +115,7 @@ def test_one_box_family():
     rep = build_clifford_module(fam)
     assert rep.dim == 2
     assert verify_clifford_relations(rep).ok
-    assert not rep.pi
+    assert [label for label, *_ in rep.generator_triples()] == ["c"]
 
 
 def test_filtration_quotients(compatible_family):
@@ -183,12 +196,79 @@ def test_singleton_family_is_cyclic(compatible_family):
 def test_parity_structure(compatible_family):
     rep = build_clifford_module(compatible_family)
     par = rep.parity
-    for mat in rep.pi:
-        rows, cols, _ = mat.coo_arrays()
-        assert np.all(par[rows] == par[cols])
-    for mat in rep.c:
-        rows, cols, _ = mat.coo_arrays()
-        assert np.all(par[rows] != par[cols])
+    for label, _, rows, cols, _ in rep.generator_triples():
+        assert np.all((par[rows] == par[cols]) == (label == "pi"))
+
+
+def test_reachability_matches_materialised_support_closure():
+    """The walk over the Hecke graph and the mark blocks reaches exactly the
+    closure under the column supports of the materialised generators, from
+    every basis tableau of every nonempty family with n <= 4."""
+    seeds = 0
+    for kind, shape, sigma in family_instances(4, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if not fam.members:
+            continue
+        rep = build_clifford_module(fam)
+        for tab in rep.basis_tableaux:
+            closure = {rep.index_of(m) for m in clifford_reachability(rep, tab)}
+            assert closure == oracle.materialised_reachability(rep, rep.index_of(mt(tab))), tab
+            seeds += 1
+    assert seeds > 100
+
+
+def _blocks(n):
+    """Random 2^n blocks as stacks of one or two layers: at most two signed
+    entries per column, which may share a row and cancel."""
+    size = 1 << n
+    entry = st.one_of(
+        st.just((size, 0)), st.tuples(st.integers(0, size - 1), st.sampled_from((-1, 1)))
+    )
+    layers = st.lists(st.lists(entry, min_size=size, max_size=size), min_size=1, max_size=2)
+    return layers.map(
+        lambda ls: (
+            np.array([[t for t, _ in layer] + [size] for layer in ls], dtype=np.int64),
+            np.array([[v for _, v in layer] + [0] for layer in ls], dtype=np.int64),
+        )
+    )
+
+
+@st.composite
+def _block_pairs(draw):
+    n = draw(st.integers(1, 5))
+    return draw(_blocks(n)), draw(_blocks(n))
+
+
+def _scipy_block(block):
+    targets, signs = block
+    cols = np.broadcast_to(np.arange(targets.shape[1]), targets.shape)
+    live = signs != 0
+    return oracle.matrix(targets.shape[1] - 1, targets[live], cols[live], signs[live])
+
+
+def _canonical_triples(op):
+    rows, cols, values = clifford._canonical(op)
+    assert all(a.dtype == np.int64 for a in (rows, cols, values))
+    return sorted(zip(rows.tolist(), cols.tolist(), values.tolist()))
+
+
+def _is_int(op):
+    return all(a.dtype.kind == "i" for a in op)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_pairs(), st.sampled_from((-1, 1)))
+def test_block_algebra_matches_scipy(pair, sign):
+    a, b = pair
+    A, B = _scipy_block(a), _scipy_block(b)
+    product, total = compose_maps(a, b), clifford._stack(a, b)
+    assert _is_int(a) and _is_int(b) and _is_int(product) and _is_int(total)
+    assert _canonical_triples(product) == oracle.triples(A @ B)
+    assert _canonical_triples(total) == oracle.triples(A + B)
+    assert _canonical_triples(clifford._stack(a, clifford._scaled(a, -1))) == []
+    assert clifford._equal(a, clifford._scaled(a, sign), sign)
+    assert clifford._equal(a, b, sign) == oracle.same(A, sign * B)
+    assert clifford._equal(product, compose_maps(b, a), sign) == oracle.same(A @ B, sign * (B @ A))
 
 
 def test_marked_rendering(compatible_family):
@@ -206,8 +286,10 @@ def assert_matches_materialised(rep):
     report = verify_clifford_relations(rep)
     expected = oracle.materialised_clifford_relations(rep)
     assert (report.checked, report.violations) == (expected.checked, expected.violations)
-    for k in range(1, len(rep.basis_tableaux) + 1):
-        assert filtration_quotient_check(rep, k) == oracle.materialised_quotient_check(rep, k), k
+    quotients = tuple(
+        filtration_quotient_check(rep, k) for k in range(1, len(rep.basis_tableaux) + 1)
+    )
+    assert quotients == oracle.materialised_quotient_checks(rep)
     return report
 
 
@@ -233,16 +315,16 @@ def test_factored_checks_match_materialised_on_forced_word_sets():
     assert "braid fails at pi[1], pi[2]" in failing[control]
 
 
-def _corrupted(arrays, col, row=None):
-    """Copies of a block's (rows, cols, vals) with the entry in column col
-    moved to row ``row`` if given, else negated."""
-    rows, cols, vals = (a.copy() for a in arrays)
-    at = np.flatnonzero(cols == col)[0]
+def _corrupted(block, col, row=None):
+    """A copy of a block with the entry in column col of its first layer
+    that has one moved to row ``row`` if given, else negated."""
+    targets, signs = (a.copy() for a in block)
+    layer = np.flatnonzero(signs[:, col])[0]
     if row is None:
-        vals[at] = -vals[at]
+        signs[layer, col] = -signs[layer, col]
     else:
-        rows[at] = row
-    return rows, cols, vals
+        targets[layer, col] = row
+    return targets, signs
 
 
 @pytest.fixture
@@ -274,6 +356,8 @@ FAULTS = {
 @pytest.mark.parametrize("fault", sorted(FAULTS))
 def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_caches):
     gens, key, col, row, expected, quotient_holds = FAULTS[fault]
+    # a fault corrupts the first entry of its column, which in a two-entry
+    # attack column is the diagonal one
     if gens == "pi":
         original = clifford._hecke_mask_blocks
         n, i, case = key
@@ -289,8 +373,8 @@ def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_
         original = clifford._mark_blocks
 
         def patched(m, j):
-            arrays = original(m, j)
-            return _corrupted(arrays, col, row) if (m, j) == key else arrays
+            block = original(m, j)
+            return _corrupted(block, col, row) if (m, j) == key else block
 
         monkeypatch.setattr(clifford, "_mark_blocks", patched)
 

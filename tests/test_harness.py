@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import _oracles as oracle
 import diagmod.harness
 from diagmod.cli import main
 from diagmod.compositions import (
@@ -13,6 +14,8 @@ from diagmod.compositions import (
 )
 from diagmod.errors import DomainError
 from diagmod.harness import (
+    TheoremMismatch,
+    _graphs_isomorphic,
     all_intervals,
     ascent_pairs,
     build_interval_modules,
@@ -32,7 +35,8 @@ from diagmod.harness import (
     words_family,
     _upward_closure,
 )
-from diagmod.families import build_family
+from diagmod.clifford import build_clifford_module
+from diagmod.families import build_family, family_instances, rect
 
 
 def test_perm_helpers():
@@ -98,6 +102,79 @@ def test_witness_report():
 def test_rect_isomorphism(n):
     for lam in enumerate_strict_partitions(n):
         assert check_rect_isomorphism(lam)
+
+
+def _transpositions(pairing):
+    for a, b in itertools.combinations(range(len(pairing)), 2):
+        wrong = list(pairing)
+        wrong[a], wrong[b] = wrong[b], wrong[a]
+        yield wrong
+
+
+def assert_isomorphism_verdicts_agree(rep_a, rep_b, pairing):
+    """The Hecke-graph isomorphism check and the matrix identity P A = B P
+    on the materialised generators accept the pairing and agree on every
+    pairing with two tableaux exchanged; returns how many of those both
+    reject."""
+    assert _graphs_isomorphic(rep_a, rep_b, pairing)
+    assert oracle.materialised_intertwiner(rep_a, rep_b, pairing)
+    rejected = 0
+    for wrong in _transpositions(pairing):
+        verdict = _graphs_isomorphic(rep_a, rep_b, wrong)
+        assert verdict == oracle.materialised_intertwiner(rep_a, rep_b, wrong), wrong
+        rejected += not verdict
+    return rejected
+
+
+def test_rect_graph_isomorphism_matches_materialised_intertwiner():
+    """On every strict partition with n <= 6 the two checks accept the rect
+    pairing, agree on every exchange of two tableaux, and both reject the
+    exchange of the first and last."""
+    exchanged = 0
+    for n in range(1, 7):
+        for lam in enumerate_strict_partitions(n):
+            shifted = build_clifford_module(build_family("ssht", lam))
+            columnar = build_clifford_module(build_family("spyct", lam))
+            pairing = [columnar.tableau_index[rect(t)] for t in shifted.basis_tableaux]
+            assert_isomorphism_verdicts_agree(shifted, columnar, pairing)
+            if len(pairing) > 1:
+                wrong = [pairing[-1]] + pairing[1:-1] + [pairing[0]]
+                assert not _graphs_isomorphic(shifted, columnar, wrong), lam
+                assert not oracle.materialised_intertwiner(shifted, columnar, wrong), lam
+                exchanged += 1
+    assert exchanged == 6
+
+
+def test_graph_automorphisms_match_materialised_intertwiner():
+    """Each nonempty family with n <= 4 paired with itself: the two checks
+    accept the identity and agree on every exchange of two tableaux, which
+    includes exchanges that keep every case or every swap target."""
+    rejected = 0
+    for kind, shape, sigma in family_instances(4, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.members:
+            rep = build_clifford_module(fam)
+            rejected += assert_isomorphism_verdicts_agree(rep, rep, range(len(fam.members)))
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("flavour", ["bar", "plain"])
+def test_interval_modules_reject_a_moved_target(flavour, monkeypatch):
+    """A direct-rule swap target moved to another basis element is a
+    mismatch with the diagram module."""
+    direct = diagmod.harness._direct_interval_maps
+
+    def moved(interval, order, kind):
+        maps = direct(interval, order, kind)
+        if kind == flavour:
+            targets, _ = maps[0]
+            col = next(c for c, t in enumerate(targets) if t not in (-1, c))
+            targets[col] = col
+        return maps
+
+    monkeypatch.setattr(diagmod.harness, "_direct_interval_maps", moved)
+    with pytest.raises(TheoremMismatch):
+        build_interval_modules(weak_bruhat_interval((1, 2, 3), longest_element(3)))
 
 
 def test_rect_isomorphism_rejects_non_strict():

@@ -3,7 +3,7 @@ import dataclasses
 import pytest
 
 import _oracles as oracle
-from conftest import forced_word_set_families, member_by_word
+from conftest import apply_word, forced_word_set_families, member_by_word
 from diagmod.clifford import ATTACK, DESCENT, build_clifford_module
 from diagmod.compositions import comp_n, enumerate_compositions, enumerate_strict_partitions
 from diagmod.errors import DomainError, IncompatibleFamilyError
@@ -33,8 +33,17 @@ from diagmod.tableaux import (
 
 def column_action(rep, i, tab):
     """Image of a basis tableau under generator i as a {tableau: coeff} map."""
+    target, sign = rep.maps[i - 1]
     col = rep.index[tab]
-    return {rep.basis[r]: v for r, v in rep.pi[i - 1].column(col)}
+    return {rep.basis[target[col]]: int(sign[col])} if target[col] >= 0 else {}
+
+
+def generator_triples(rep):
+    """Per generator, the sorted (row, col, value) triples the rep emits."""
+    return [
+        list(zip(rows.tolist(), cols.tolist(), values.tolist()))
+        for _, _, rows, cols, values in rep.generator_triples()
+    ]
 
 
 def test_bent_family_action(compatible_family):
@@ -63,7 +72,7 @@ def test_singleton_family_is_simple_action(compatible_family):
     des = descent_set_tab(T)
     for i in (1, 2):
         expected = [(0, 0, -1)] if i in des else []
-        assert rep.pi[i - 1].triples() == expected
+        assert generator_triples(rep)[i - 1] == expected
     assert verify_hecke_relations(rep).ok
 
 
@@ -116,9 +125,10 @@ def test_hat_convention_action():
     fam = build_family("sit", (2, 2))
     rep = build_hecke_module(fam, "hat")
     assert verify_hecke_relations(rep).ok
-    for i, mat in enumerate(rep.pi, start=1):
-        for c, tab in enumerate(rep.basis):
-            col = dict(mat.column(c))
+    for i in range(1, fam.n):
+        for tab in rep.basis:
+            col = {rep.index[t]: v for t, v in column_action(rep, i, tab).items()}
+            c = rep.index[tab]
             if i not in descent_set_tab(tab):
                 assert col == {c: 1}
             else:
@@ -133,8 +143,8 @@ def test_basis_order_and_triangularity():
         invs = [inversions(t.reading_word) for t in rep.basis]
         assert invs == sorted(invs, reverse=True)
         diag_values = {-1, 0} if rep.convention == "pi" else {0, 1}
-        for mat in rep.pi:
-            for r, c, v in mat.triples():
+        for triples in generator_triples(rep):
+            for r, c, v in triples:
                 if r == c:
                     assert v in diag_values
                 else:
@@ -239,12 +249,9 @@ def test_generating_words():
     seed = source_tableau(alpha)
     words = generating_words(rep, seed)
     assert set(words) == set(fam.members)
-    # replay each word through the matrices and confirm the target appears
+    # replay each word through the maps and confirm the target appears
     for target, word in words.items():
-        vec = {rep.index[seed]: 1}
-        for gen in reversed(word):
-            vec = rep.pi[gen - 1].apply(vec)
-        assert rep.index[target] in vec
+        assert rep.index[target] in apply_word(rep, word, {rep.index[seed]: 1})
 
 
 def assert_matches_oracle(fam):
@@ -262,12 +269,12 @@ def assert_matches_oracle(fam):
         rep = build_hecke_module(fam, convention, force=not verdict.ok)
         basis, mats = oracle.oracle_hecke_matrices(fam, convention)
         assert rep.basis == basis
-        assert [m.triples() for m in rep.pi] == [m.triples() for m in mats]
+        assert generator_triples(rep) == [oracle.triples(m) for m in mats]
         reports[convention] = verify_hecke_relations(rep)
         assert reports[convention] == oracle.product_hecke_relations(mats, convention)
         if convention == "pi":
             # pi_i scales a descent by -1 and sends an ascent to its swap or 0
-            columns = [[mat.column(c) for c in range(len(basis))] for mat in mats]
+            columns = [[oracle.column(mat, c) for c in range(len(basis))] for mat in mats]
             expected = tuple(
                 tuple(
                     (DESCENT, -1) if col == [(c, -1)] else (ATTACK, col[0][0] if col else -1)
@@ -335,5 +342,6 @@ def test_signed_map_check_reports_injected_faults(case, fault):
     maps = rep.maps[: gen - 1] + ((target, sign),) + rep.maps[gen:]
     faulty = dataclasses.replace(rep, maps=maps)
     report = verify_hecke_relations(faulty)
-    assert report == oracle.product_hecke_relations(list(faulty.pi), convention)
+    mats = oracle.materialised(faulty, convention)
+    assert report == oracle.product_hecke_relations(mats, convention)
     assert report.violations == expected[fault]

@@ -1,9 +1,11 @@
-"""Imported names that a module never uses, and library code nothing uses.
+"""Imported names that a module never uses, library code nothing uses, and
+scipy imports in the library.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
-out of the library and the tests, and dead functions and methods out of the
-library.  ``src/diagmod/__init__.py`` is skipped by the import scan: its
-imports are the package's public re-exports.
+out of the library and the tests, dead functions and methods out of the
+library, and scipy, a test-only dependency, out of the library.
+``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
+are the package's public re-exports.
 """
 
 import ast
@@ -71,3 +73,25 @@ def unreferenced_definitions() -> list[str]:
 def test_no_unreferenced_functions_or_methods():
     dead = unreferenced_definitions()
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def scipy_imports(path: Path) -> list[str]:
+    """``file:line`` for every import of scipy or one of its modules."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any(m == "scipy" or m.startswith("scipy.") for m in modules):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_library_does_not_import_scipy():
+    """The library's operators are signed partial maps; scipy is for the
+    tests' materialised oracles only."""
+    found = [entry for path in LIBRARY for entry in scipy_imports(path)]
+    assert not found, "scipy imported by the library:\n" + "\n".join(found)
