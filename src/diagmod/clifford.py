@@ -33,10 +33,9 @@ import numpy as np
 from .compositions import (
     Composition,
     check_composition,
-    comp_n,
     composition_size,
     descent_set,
-    peak_set,
+    mask_composition,
 )
 from .errors import DomainError, IncompatibleFamilyError
 from .hecke import RelationReport, compose_maps, zero_hecke_relations
@@ -44,7 +43,7 @@ from .series import PEAK, FormalSum
 from .tableaux import (
     StandardTableau,
     TableauFamily,
-    descent_set_tab,
+    Tableaux,
     is_ascent_compatible,
     render_tableau,
 )
@@ -204,7 +203,7 @@ class CliffordModuleRep:
     """
 
     family: TableauFamily
-    basis_tableaux: tuple[StandardTableau, ...]
+    basis_tableaux: Tableaux
     hecke_graph: tuple[tuple[tuple[int, int], ...], ...]
 
     @cached_property
@@ -517,13 +516,15 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 
 
 def peak_characteristic(obj) -> FormalSum:
-    """Sum of peak basis elements indexed by member peak sets."""
+    """Sum of peak basis elements indexed by member peak sets, summed over
+    the family's distinct descent masks."""
     family = obj if isinstance(obj, TableauFamily) else obj.family
     n = family.n
     terms: dict[Composition, int] = {}
-    for tab in family:
-        alpha = comp_n(peak_set(descent_set_tab(tab)), n)
-        terms[alpha] = terms.get(alpha, 0) + 1
+    for mask, count in family.descent_histogram.items():
+        # the peaks: descents i > 1 with i - 1 not a descent
+        alpha = mask_composition(mask & ~(mask << 1) & ~1, n)
+        terms[alpha] = terms.get(alpha, 0) + count
     return FormalSum(PEAK, n, terms)
 
 

@@ -2,13 +2,15 @@
 
 A composition of n is a tuple of positive integers summing to n.  Subsets of
 {1, ..., n-1} travel as frozensets, with the ambient n passed explicitly
-where it matters.  The canonical enumeration order everywhere is descending
-lexicographic on parts, so (n) comes first; this is the total order used for
-triangularity checks and for display.
+where it matters, or as bit masks with bit i-1 standing for i.  The
+canonical enumeration order everywhere is descending lexicographic on parts,
+so (n) comes first; this is the total order used for triangularity checks
+and for display.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 from .errors import DomainError
@@ -66,6 +68,17 @@ def comp_n(xs: Iterable[int], n: int) -> Composition:
         prev = x
     parts.append(n - prev)
     return tuple(parts)
+
+
+@lru_cache(maxsize=None)
+def mask_composition(mask: int, n: int) -> Composition:
+    """The composition of n whose descent set holds i exactly when bit i-1
+    of the mask is set.
+
+    >>> mask_composition(0b10011, 8)
+    (1, 1, 3, 3)
+    """
+    return comp_n((i for i in range(1, n) if mask >> (i - 1) & 1), n)
 
 
 def peak_set(xs: Iterable[int]) -> frozenset[int]:
@@ -189,7 +202,7 @@ def parse_composition(text: str) -> Composition:
 
 
 def format_composition(alpha: Composition) -> str:
-    return ",".join(str(p) for p in alpha)
+    return ",".join(map(str, alpha))
 
 
 def format_subset(xs: Iterable[int]) -> str:

@@ -1,10 +1,13 @@
 """Constructors for the built-in tableau families.
 
 Each family kind bundles a diagram builder, a reading order, and a
-membership rule.  Enumeration inserts the entries 1..n one at a time
-(backtracking over linear extensions of a box precedence order, with
-incremental checks for the triple and prefix-shape rules), so only legal
-fillings are ever generated.
+membership rule: a box precedence order plus, for some kinds, the triple
+or prefix-shape rules, compiled once per (kind, shape, sigma) to bit masks
+over the boxes.  Enumeration is a depth-first search that places the
+entries 1..n one at a time over the mask of filled boxes, so only legal
+fillings are ever generated, and it records each member's descent mask as
+it goes.  A family comes out as an entry array sorted by reading word with
+its descent masks; tableau objects are built only when a member is read.
 
 Row 1 is the bottom row throughout.  Kinds:
 
@@ -45,7 +48,9 @@ from __future__ import annotations
 import enum
 import itertools
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
+
+import numpy as np
 
 from .compositions import (
     Composition,
@@ -60,7 +65,7 @@ from .compositions import (
     is_strict_partition,
 )
 from .errors import DomainError
-from .tableaux import Box, Diagram, StandardTableau, TableauFamily
+from .tableaux import Box, Diagram, StandardTableau, TableauFamily, Tableaux
 
 PI = "pi"
 HAT = "hat"
@@ -185,7 +190,7 @@ def _read_syrt(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
 
 
 # ---------------------------------------------------------------------------
-# membership rules: precedence edges plus dynamic checks
+# membership rules: precedence edges plus the triple and prefix-shape rules
 
 
 def _row_edges(boxset: frozenset[Box], increasing: bool) -> list[tuple[Box, Box]]:
@@ -222,99 +227,151 @@ def _first_column_edges(nrows: int, sigma: tuple[int, ...]) -> list[tuple[Box, B
     return [((1, inv[p]), (1, inv[p + 1])) for p in range(nrows - 1)]
 
 
-def _syct_triple_check(boxset: frozenset[Box]):
-    """Placing an entry into box (c, r') finalizes every comparison against
-    already-filled boxes (c-1, r) with r > r'; each such smaller neighbour
-    forces the box to its right to exist and to be filled already."""
-    rows_by_col: dict[int, list[int]] = {}
-    for c, r in boxset:
-        rows_by_col.setdefault(c, []).append(r)
-
-    def check(filled: dict[Box, int], box: Box, entry: int) -> bool:
-        cb, rb = box
-        if cb < 2:
-            return True
-        for r in rows_by_col.get(cb - 1, ()):
-            if r > rb and (cb - 1, r) in filled:
-                if (cb, r) not in boxset or (cb, r) not in filled:
-                    return False
-        return True
-
-    return check
+# The rules beyond the precedence order, each checked as an entry is placed.
+# triple: an entry a with b strictly below-right of it forces the box right of
+# a to exist and hold a value below b, so a box (c, r') may be filled only
+# once each filled (c-1, r) with r > r' has (c, r) filled.
+TRIPLE = "triple"
+# reversed triple: an entry a at (c, r) larger than b at (c+1, r') with
+# r' > r forces (c+1, r) to exist and to exceed b; all of it is known when
+# a is placed, b being smaller.
+REVERSED_TRIPLE = "reversed triple"
+# prefix peak: after each placement the occupied row counts form the diagram
+# of a peak composition, so a row may start only on a row below holding at
+# least 2 entries.
+PREFIX_PEAK = "prefix peak"
 
 
-def _srct_triple_check(boxset: frozenset[Box]):
-    """Reversed triple rule: an entry a at (c, r) larger than b at (c+1, r')
-    with r < r' forces (c+1, r) to exist and to exceed b.  All triggers fire
-    when a is placed (b, being smaller, is already present)."""
-    rows_by_col: dict[int, list[int]] = {}
-    for c, r in boxset:
-        rows_by_col.setdefault(c, []).append(r)
+class _Rules(NamedTuple):
+    """A kind's membership rules compiled for one (shape, sigma), on box
+    indices into ``Diagram.boxes``, which run through the rows bottom to top
+    and each row left to right, so the box right of box k is box k + 1.
 
-    def check(filled: dict[Box, int], box: Box, entry: int) -> bool:
-        ca, ra = box
-        right = (ca + 1, ra)
-        for r in rows_by_col.get(ca + 1, ()):
-            if r > ra:
-                vb = filled.get((ca + 1, r))
-                if vb is not None:
-                    if right not in boxset:
-                        return False
-                    cv = filled.get(right)
-                    if cv is not None and cv < vb:
-                        return False
-        return True
+    The precedence order is ``start``, the mask of the boxes with no
+    predecessor, and ``unlocks[a]``, a (bit, predecessor mask) pair for each
+    box with a among its predecessors: that box may be filled once its
+    predecessor mask is.  For a box b = (c, r'):
 
-    return check
+    - ``triples[b]`` (triple rule) is the (trigger, required) masks of the
+      boxes (c-1, r) and (c, r) with r > r'; b may be filled only if the
+      right neighbour of each filled trigger is a filled required box;
+    - ``order_pairs[b]`` (reversed triple rule) is (lower, right), ``lower``
+      masking the boxes (c+1, r) with r > r' and ``right`` the index of
+      (c+1, r'), or -1; once a box of ``lower`` is filled, (c+1, r') must
+      exist and have been filled after it (it precedes b in its row);
+    - ``rows[b]`` (prefix-peak rule) is the masks of b's row and the row
+      below it;
+    - ``reading_pos[b]`` is the reading position of b.
 
+    Rules a kind does not use are None.
+    """
 
-def _prefix_peak_check(nrows: int):
-    """After each placement the occupied row counts must form the diagram of
-    a peak composition: nonempty rows contiguous from the bottom, and every
-    row below the topmost nonempty one holding at least 2 entries."""
-
-    def check(filled: dict[Box, int], box: Box, entry: int) -> bool:
-        counts = [0] * (nrows + 1)
-        for (_, r) in filled:
-            counts[r] += 1
-        counts[box[1]] += 1
-        top = max(r for r in range(1, nrows + 1) if counts[r]) if any(counts) else 0
-        for r in range(1, top):
-            if counts[r] < 2:
-                return False
-        return True
-
-    return check
+    start: int
+    unlocks: tuple[tuple[tuple[int, int], ...], ...]
+    triples: tuple[Optional[tuple[int, int]], ...]
+    order_pairs: tuple[Optional[tuple[int, int]], ...]
+    rows: tuple[Optional[tuple[int, int]], ...]
+    reading_pos: tuple[int, ...]
 
 
-def _enumerate_fillings(
-    boxes: tuple[Box, ...],
-    edges: list[tuple[Box, Box]],
-    checks: list[Callable[[dict[Box, int], Box, int], bool]],
-) -> Iterator[dict[Box, int]]:
-    """Backtracking insertion of 1..n: a box may receive the next entry once
-    all its precedence predecessors are filled and the dynamic checks pass."""
-    n = len(boxes)
-    preds: dict[Box, tuple[Box, ...]] = {b: () for b in boxes}
+def _compile_rules(diagram: Diagram, edges, rules) -> _Rules:
+    """A recipe's precedence edges and rule names, compiled on the diagram."""
+    index = diagram.box_index
+    preds = [0] * diagram.n
     for a, b in edges:
-        preds[b] = preds[b] + (a,)
-    filled: dict[Box, int] = {}
+        preds[index[b]] |= 1 << index[a]
+    unlocks: list[list[tuple[int, int]]] = [[] for _ in preds]
+    for a, b in edges:
+        unlocks[index[a]].append((1 << index[b], preds[index[b]]))
+    start = sum(1 << b for b, mask in enumerate(preds) if not mask)
+    reading_pos = [0] * diagram.n
+    for p, b in enumerate(diagram.reading_positions):
+        reading_pos[b] = p
+    return _Rules(
+        start, tuple(map(tuple, unlocks)), *_box_rules(diagram.boxes, rules), tuple(reading_pos)
+    )
 
-    def rec(k: int) -> Iterator[dict[Box, int]]:
-        if k > n:
-            yield dict(filled)
+
+@lru_cache(maxsize=None)
+def _box_rules(boxes: tuple[Box, ...], rules: tuple[str, ...]):
+    """The triples, order pairs and rows of :class:`_Rules`, which depend
+    on the boxes (in ``Diagram.boxes`` order) and not on the reading order or
+    the first-column permutation."""
+    n = len(boxes)
+    index = {b: k for k, b in enumerate(boxes)}
+    col: dict[int, int] = {}
+    row: dict[int, int] = {}
+    for (c, r), k in index.items():
+        col[c] = col.get(c, 0) | 1 << k
+        row[r] = row.get(r, 0) | 1 << k
+    full = (1 << n) - 1
+    # the boxes in rows above r: every index past the last box of row r
+    above = {r: full >> mask.bit_length() << mask.bit_length() for r, mask in row.items()}
+    triples = order_pairs = rows = (None,) * n
+    if TRIPLE in rules:
+        triples = tuple((col.get(c - 1, 0) & above[r], col[c] & above[r]) for c, r in boxes)
+    if REVERSED_TRIPLE in rules:
+        order_pairs = tuple(
+            (col.get(c + 1, 0) & above[r], index.get((c + 1, r), -1)) for c, r in boxes
+        )
+    if PREFIX_PEAK in rules:
+        rows = tuple((row[r], row.get(r - 1, 0)) for c, r in boxes)
+    return triples, order_pairs, rows
+
+
+def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Every legal filling as a row of an (m, n) entry array, indexed like
+    ``diagram.boxes`` and sorted by reading word, with each member's descent
+    mask (bit i-1 set when i is a descent).
+
+    A depth-first search places the entries 1..n one at a time over the mask
+    of filled boxes, trying the boxes whose predecessors are all filled.
+    Placing k at reading position p makes k-1 a descent when p comes before
+    the position of k-1.
+    """
+    n = diagram.n
+    full = (1 << n) - 1
+    boxes = tuple(zip(range(n), *rules[1:]))
+    entry = [0] * n
+    before = [0] * n  # the filled mask just before each box was filled
+    found: list[list[int]] = []
+    masks: list[int] = []
+
+    def place(k: int, filled: int, ready: int, last: int, mask: int) -> None:
+        if filled == full:
+            found.append(entry[:])
+            masks.append(mask)
             return
-        for b in boxes:
-            if b in filled:
-                continue
-            if any(p not in filled for p in preds[b]):
-                continue
-            if all(chk(filled, b, k) for chk in checks):
-                filled[b] = k
-                yield from rec(k + 1)
-                del filled[b]
+        todo = ready
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            b, unlocked, triple, order_pair, rows, p = boxes[bit.bit_length() - 1]
+            if triple:
+                trigger, required = triple
+                if (filled & trigger) << 1 & ~(filled & required):
+                    continue
+            if order_pair:
+                lower, right = order_pair
+                if filled & lower and (right < 0 or filled & lower & ~before[right]):
+                    continue
+            if rows:
+                own, below = rows
+                if below and not filled & own and (filled & below).bit_count() < 2:
+                    continue
+            entry[b], before[b] = k, filled
+            now, after = filled | bit, ready ^ bit
+            for later, preds in unlocked:
+                if preds & now == preds:
+                    after |= later
+            place(k + 1, now, after, p, mask | 1 << (k - 2) if p < last else mask)
 
-    yield from rec(1)
+    place(1, 0, rules.start, -1, 0)
+    entries = np.array(found, dtype=np.min_scalar_type(n)).reshape(len(found), n)
+    if len(found) < 2:
+        return entries, tuple(masks)
+    order = np.lexsort(entries[:, diagram.reading_positions].T[::-1])
+    return entries[order], tuple(masks[k] for k in order.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -338,64 +395,46 @@ def _identity(nrows: int) -> tuple[int, ...]:
     return tuple(range(1, nrows + 1))
 
 
-def _kind_recipe(kind: FamilyKind, shape: Composition, sigma: tuple[int, ...]):
-    """Return (boxes, reading_order, edges, dynamic checks)."""
-    nrows = len(shape)
-    if kind is FamilyKind.SSHT:
-        boxes = shifted_diagram(shape)
-    elif kind is FamilyKind.RIB:
-        boxes = ribbon_diagram(shape)
-    else:
-        boxes = composition_diagram(shape)
-    boxset = frozenset(boxes)
+# kind -> (diagram, rows increasing, column order, reading order, further
+# rules); the column order is "first" (the first column in sigma order),
+# "up" or "down" (every column, entries increasing that way).
+_RECIPES = {
+    FamilyKind.SPCT: (composition_diagram, True, "first", _read_columns_lr_bottom_up, (PREFIX_PEAK,)),
+    FamilyKind.SYCT: (composition_diagram, True, "first", _read_syct, (TRIPLE,)),
+    FamilyKind.SPYCT: (composition_diagram, True, "first", _read_syct, (TRIPLE, PREFIX_PEAK)),
+    FamilyKind.SSHT: (shifted_diagram, True, "up", _read_rows_top_down, ()),
+    FamilyKind.SYT: (composition_diagram, True, "up", _read_rows_top_down, ()),
+    FamilyKind.SIT: (composition_diagram, True, "first", _read_rows_top_down, ()),
+    FamilyKind.SRIT: (composition_diagram, True, "first", _read_rows_bottom_up_rl, ()),
+    FamilyKind.SET: (composition_diagram, True, "up", _read_rows_top_down, ()),
+    FamilyKind.SRET: (composition_diagram, True, "up", _read_rows_bottom_up_rl, ()),
+    FamilyKind.SRCT: (composition_diagram, False, "first", _read_srct, (REVERSED_TRIPLE,)),
+    FamilyKind.SYRT: (composition_diagram, True, "first", _read_syrt, (TRIPLE,)),
+    FamilyKind.RIB: (ribbon_diagram, True, "down", _read_rows_bottom_up_lr, ()),
+}
 
-    if kind is FamilyKind.SPCT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = [_prefix_peak_check(nrows)]
-        reading = _read_columns_lr_bottom_up(boxes)
-    elif kind is FamilyKind.SYCT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = [_syct_triple_check(boxset)]
-        reading = _read_syct(boxes, sigma)
-    elif kind is FamilyKind.SPYCT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = [_syct_triple_check(boxset), _prefix_peak_check(nrows)]
-        reading = _read_syct(boxes, sigma)
-    elif kind in (FamilyKind.SSHT, FamilyKind.SYT):
-        edges = _row_edges(boxset, True) + _column_edges_up(boxset)
-        checks = []
-        reading = _read_rows_top_down(boxes)
-    elif kind is FamilyKind.SIT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = []
-        reading = _read_rows_top_down(boxes)
-    elif kind is FamilyKind.SRIT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = []
-        reading = _read_rows_bottom_up_rl(boxes)
-    elif kind is FamilyKind.SET:
-        edges = _row_edges(boxset, True) + _column_edges_up(boxset)
-        checks = []
-        reading = _read_rows_top_down(boxes)
-    elif kind is FamilyKind.SRET:
-        edges = _row_edges(boxset, True) + _column_edges_up(boxset)
-        checks = []
-        reading = _read_rows_bottom_up_rl(boxes)
-    elif kind is FamilyKind.SRCT:
-        edges = _row_edges(boxset, False) + _first_column_edges(nrows, sigma)
-        checks = [_srct_triple_check(boxset)]
-        reading = _read_srct(boxes, sigma)
-    elif kind is FamilyKind.SYRT:
-        edges = _row_edges(boxset, True) + _first_column_edges(nrows, sigma)
-        checks = [_syct_triple_check(boxset)]
-        reading = _read_syrt(boxes, sigma)
-    elif kind is FamilyKind.RIB:
-        edges = _row_edges(boxset, True) + _column_edges_down(boxset)
-        checks = []
-        reading = _read_rows_bottom_up_lr(boxes)
-    else:  # pragma: no cover
-        raise DomainError(f"unknown family kind {kind!r}")
-    return boxes, reading, edges, checks
+
+@lru_cache(maxsize=None)
+def _shape_recipe(kind: FamilyKind, shape: Composition):
+    """The boxes and the precedence edges that do not depend on sigma."""
+    diagram, increasing, columns, _, _ = _RECIPES[kind]
+    boxes = diagram(shape)
+    boxset = frozenset(boxes)
+    edges = _row_edges(boxset, increasing)
+    if columns == "up":
+        edges += _column_edges_up(boxset)
+    elif columns == "down":
+        edges += _column_edges_down(boxset)
+    return boxes, tuple(edges)
+
+
+def _kind_recipe(kind: FamilyKind, shape: Composition, sigma: tuple[int, ...]):
+    """Return (boxes, reading_order, precedence edges, further rules)."""
+    _, _, columns, read, rules = _RECIPES[kind]
+    boxes, edges = _shape_recipe(kind, shape)
+    if columns == "first":
+        edges += tuple(_first_column_edges(len(shape), sigma))
+    return boxes, read(boxes, sigma), edges, rules
 
 
 def _family_tag(kind: FamilyKind, shape: Composition, sigma) -> str:
@@ -410,19 +449,17 @@ def _build_family_cached(
     kind: FamilyKind, shape: Composition, sigma: Optional[tuple[int, ...]]
 ) -> TableauFamily:
     effective_sigma = sigma if sigma is not None else _identity(len(shape))
-    boxes, reading, edges, checks = _kind_recipe(kind, shape, effective_sigma)
+    boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)
     diagram = Diagram(boxes, reading)
-    members = tuple(
-        StandardTableau.from_box_map(diagram, mapping)
-        for mapping in _enumerate_fillings(boxes, edges, checks)
-    )
+    entries, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
     return TableauFamily(
         diagram=diagram,
-        members=members,
+        members=Tableaux(diagram, entries),
         family_tag=_family_tag(kind, shape, sigma),
         kind=kind.value,
         shape=shape,
         sigma=sigma,
+        descent_masks=masks,
     )
 
 

@@ -18,6 +18,7 @@ read off the family's word graph.  A product of such maps is a gather, which
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -25,11 +26,11 @@ import numpy as np
 
 from .errors import DomainError, IncompatibleFamilyError
 from .series import FUNDAMENTAL, FormalSum
-from .compositions import comp_n
+from .compositions import mask_composition
 from .tableaux import (
     StandardTableau,
     TableauFamily,
-    descent_set_tab,
+    Tableaux,
     is_ascent_compatible,
     is_descent_compatible,
 )
@@ -49,7 +50,7 @@ class HeckeModuleRep:
 
     family: TableauFamily
     convention: str
-    basis: tuple[StandardTableau, ...]
+    basis: Tableaux
     maps: tuple[tuple[np.ndarray, np.ndarray], ...]
 
     @cached_property
@@ -151,44 +152,61 @@ def compose_maps(outer, inner) -> tuple[np.ndarray, np.ndarray]:
     return targets, (outer_s.take(inner_t, axis=1) * inner_s).reshape(-1, width)
 
 
-def _word_map(maps, word) -> tuple[np.ndarray, np.ndarray]:
-    """The one-layer stack of a nonempty generator word, leftmost factor
-    first."""
-    product = maps[word[0]]
-    for g in word[1:]:
-        product = compose_maps(product, maps[g])
-    return product
+# Relation words are composed in chunks of at most this many cells per array.
+_RELATION_CELLS = 1 << 15
+
+
+def _compose_words(targets, signs, words) -> tuple[np.ndarray, np.ndarray]:
+    """The images of every column under each row of ``words``, a (w, L)
+    array of generator indices, leftmost factor first: one gather per
+    factor for all the words together."""
+    width = targets.shape[1]
+    cols, product = targets[words[:, -1]], signs[words[:, -1]]
+    for g in words.T[-2::-1, :, None]:
+        cols += g * width  # flat indices into the stacked maps
+        product *= signs.take(cols)
+        cols = targets.take(cols)
+    return cols, product
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     """Check the quadratic, commutation, and braid relations exactly.
 
-    A product of signed partial maps is one again, so each side of a
-    relation is composed by gathers and the two are compared as arrays.
+    A product of signed partial maps is one again.  The generators are
+    stacked, and the relations of one kind, whose sides have fixed lengths,
+    are checked together: their left words are composed in one batch, their
+    right words in another, and each side is compared with the other.
     """
     dim = rep.dim
-    maps = [
-        (np.append(np.where(target < 0, dim, target), dim)[None], np.append(sign, 0)[None])
-        for target, sign in rep.maps
-    ]
+    # column dim is a sink that every zero image points to, with sign 0
+    targets = np.full((len(rep.maps), dim + 1), dim)
+    signs = np.zeros((len(rep.maps), dim + 1), dtype=np.int8)
+    for g, (target, sign) in enumerate(rep.maps):
+        targets[g, :dim] = np.where(target < 0, dim, target)
+        signs[g, :dim] = sign
     quad_sign = -1 if rep.convention == PI else 1
-    relations = zero_hecke_relations(len(maps), quad_sign, rep.convention)
+    relations = zero_hecke_relations(len(rep.maps), quad_sign, rep.convention)
     violations = []
-    for message, lhs, rhs, sign in relations:
-        (left, left_sign), (right, right_sign) = _word_map(maps, lhs), _word_map(maps, rhs)
-        if not (np.array_equal(left, right) and np.array_equal(left_sign, sign * right_sign)):
-            violations.append(message)
+    step = max(1, _RELATION_CELLS // (dim + 1))
+    for _, group in itertools.groupby(relations, key=lambda rel: (len(rel[1]), len(rel[2]))):
+        group = list(group)
+        for first in range(0, len(group), step):
+            chunk = group[first : first + step]
+            messages, lhs, rhs, relation_signs = zip(*chunk)
+            left, left_sign = _compose_words(targets, signs, np.array(lhs))
+            right, right_sign = _compose_words(targets, signs, np.array(rhs))
+            right_sign *= np.array(relation_signs, dtype=np.int8)[:, None]
+            fails = (left != right).any(axis=1) | (left_sign != right_sign).any(axis=1)
+            violations.extend(message for message, bad in zip(messages, fails) if bad)
     return RelationReport(len(relations), tuple(violations))
 
 
 def qsym_characteristic(obj) -> FormalSum:
-    """Sum of fundamental basis elements indexed by member descent sets."""
+    """Sum of fundamental basis elements indexed by member descent sets, one
+    term per distinct descent mask of the family."""
     family = obj if isinstance(obj, TableauFamily) else obj.family
     n = family.n
-    terms: dict[tuple[int, ...], int] = {}
-    for tab in family:
-        alpha = comp_n(descent_set_tab(tab), n)
-        terms[alpha] = terms.get(alpha, 0) + 1
+    terms = {mask_composition(mask, n): count for mask, count in family.descent_histogram.items()}
     return FormalSum(FUNDAMENTAL, n, terms)
 
 

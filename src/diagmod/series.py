@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Iterator, Mapping
 
 from .compositions import (
@@ -46,7 +47,8 @@ class FormalSum:
         clean: dict[Composition, Fraction] = {}
         for alpha, coeff in self.terms.items():
             alpha = check_composition(alpha)
-            coeff = Fraction(coeff)
+            if type(coeff) is not Fraction:
+                coeff = Fraction(coeff)
             if coeff == 0:
                 continue
             if composition_size(alpha) != self.n:
@@ -55,7 +57,7 @@ class FormalSum:
                 )
             if self.basis == PEAK and not is_peak_composition(alpha):
                 raise DomainError(f"peak-basis index {alpha} is not a peak composition")
-            clean[alpha] = clean.get(alpha, Fraction(0)) + coeff
+            clean[alpha] = clean[alpha] + coeff if alpha in clean else coeff
         clean = {a: c for a, c in clean.items() if c != 0}
         object.__setattr__(self, "terms", clean)
 
@@ -157,9 +159,15 @@ def theta(f: FormalSum) -> FormalSum:
         return FormalSum(PEAK, 0, dict(f.terms))
     out: dict[Composition, Fraction] = {}
     for alpha, coeff in f.terms.items():
-        idx = comp_n(peak_set(descent_set(alpha)), f.n)
-        out[idx] = out.get(idx, Fraction(0)) + coeff
+        idx = _peak_index(alpha)
+        out[idx] = out[idx] + coeff if idx in out else coeff
     return FormalSum(PEAK, f.n, out)
+
+
+@lru_cache(maxsize=None)
+def _peak_index(alpha: Composition) -> Composition:
+    """comp_n of the peak set of alpha's descent set."""
+    return comp_n(peak_set(descent_set(alpha)), composition_size(alpha))
 
 
 @dataclass(frozen=True)

@@ -5,22 +5,31 @@ bottom row.  A diagram fixes a finite box set together with a reading order,
 and a standard tableau fills the boxes bijectively with 1..n.  Descents,
 ascents, and attacking status are all computed from the reading word, with
 family membership deciding whether a swap of consecutive entries stays legal.
-A family's word graph records both for every member and generator, once; the
-compatibility gate and the module builders read it.
+
+A family is stored as an integer array, one row of entries per member in
+reading-word order, with one descent mask per member; its tableaux are built
+only when read (for display, ``rect`` and witnesses).  The family's word
+graph records descents and swaps for every member and generator, once, from
+the array; the compatibility gate and the module builders read it, and the
+characteristics read the histogram of descent masks.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DomainError
 
 Box = tuple[int, int]  # (column, row)
+_row_major = itemgetter(1, 0)  # sort key: row, then column
 
 
 @dataclass(frozen=True)
@@ -28,36 +37,32 @@ class Diagram:
     """A finite set of boxes with a fixed reading order.
 
     ``boxes`` is kept sorted by (row, column); ``reading_order`` is a
-    permutation of ``boxes``.
+    permutation of ``boxes``.  ``box_index`` maps each box to its index in
+    ``boxes``, and ``reading_positions`` lists the index of the box read at
+    each position.
     """
 
     boxes: tuple[Box, ...]
     reading_order: tuple[Box, ...]
 
     def __post_init__(self):
-        boxes = tuple(sorted(set(self.boxes), key=lambda b: (b[1], b[0])))
+        boxes = tuple(sorted(set(self.boxes), key=_row_major))
         if len(boxes) != len(self.boxes):
             raise DomainError("duplicate boxes in diagram")
         for c, r in boxes:
             if c < 1 or r < 1:
                 raise DomainError(f"box coordinates must be >= 1, got {(c, r)}")
-        if sorted(self.reading_order, key=lambda b: (b[1], b[0])) != list(boxes):
+        if sorted(self.reading_order, key=_row_major) != list(boxes):
             raise DomainError("reading order is not a permutation of the boxes")
+        index = {b: i for i, b in enumerate(boxes)}
         object.__setattr__(self, "boxes", boxes)
         object.__setattr__(self, "reading_order", tuple(self.reading_order))
+        object.__setattr__(self, "box_index", index)
+        object.__setattr__(self, "reading_positions", tuple(index[b] for b in self.reading_order))
 
     @property
     def n(self) -> int:
         return len(self.boxes)
-
-    @cached_property
-    def box_index(self) -> dict[Box, int]:
-        return {b: i for i, b in enumerate(self.boxes)}
-
-    @cached_property
-    def reading_positions(self) -> tuple[int, ...]:
-        """Index into ``boxes`` of the box read at each position."""
-        return tuple(self.box_index[b] for b in self.reading_order)
 
 
 @dataclass(frozen=True)
@@ -131,49 +136,134 @@ class AscentClass(enum.Enum):
     NONATTACKING = "nonattacking"
 
 
-@dataclass(frozen=True)
+class Tableaux(Sequence):
+    """Tableaux of one diagram whose entries are the rows of an int array.
+
+    ``entries[k, i]`` is the entry of ``diagram.boxes[i]`` in row k, and
+    element k is the tableau of row k, built when it is first read and kept
+    (``built`` may supply some).  A view made by :meth:`reordered` lists the
+    same tableaux in another order, reading them from its source.
+    """
+
+    __slots__ = ("diagram", "entries", "order", "_source", "_built")
+
+    def __init__(self, diagram: Diagram, entries: np.ndarray, built=None):
+        self.diagram = diagram
+        self.entries = entries
+        self.order = None
+        self._source: Optional[Tableaux] = None
+        self._built: Optional[dict[int, StandardTableau]] = built
+
+    def reordered(self, order: np.ndarray) -> "Tableaux":
+        """The view whose element j is element ``order[j]`` of this one."""
+        view = Tableaux(self.diagram, self.entries)
+        view.order, view._source = order, self
+        return view
+
+    def __len__(self) -> int:
+        return len(self.entries if self.order is None else self.order)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return tuple(self[k] for k in range(len(self))[j])
+        row = range(len(self))[j]
+        if self.order is not None:
+            return self._source[int(self.order[row])]
+        if self._built is None:
+            self._built = {}
+        tab = self._built.get(row)
+        if tab is None:
+            tab = self._built[row] = StandardTableau(self.diagram, tuple(self.entries[row].tolist()))
+        return tab
+
+    def __iter__(self) -> Iterator[StandardTableau]:
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
+@dataclass(frozen=True, eq=False)
 class TableauFamily:
     """A set of standard fillings of one diagram, with a descriptive tag.
 
-    Members are kept sorted by reading word.  Some permuted-variant
-    constructions admit no fillings at all; the empty family is representable
-    but rejected by the module builders.
+    Members are kept sorted by reading word, as the rows of the entry array
+    ``members.entries``; a member's tableau is built only when it is read.
+    ``members`` may be given as tableaux or as :class:`Tableaux` rows already
+    in that order.  ``descent_masks[k]``, recorded by the enumerator, has
+    bit i-1 set when i is a descent of member k; a family built from
+    tableaux has none, and its descent histogram is read from the entries.
+    Some permuted-variant constructions admit no fillings at all; the empty
+    family is representable but rejected by the module builders.
     """
 
     diagram: Diagram
-    members: tuple[StandardTableau, ...]
+    members: Sequence[StandardTableau]
     family_tag: str
     kind: Optional[str] = None
     shape: Optional[tuple[int, ...]] = None
     sigma: Optional[tuple[int, ...]] = None
+    descent_masks: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        members = tuple(sorted(self.members, key=lambda t: t.reading_word))
-        for t in members:
-            if t.diagram != self.diagram:
-                raise DomainError("family member on a different diagram")
-        object.__setattr__(self, "members", members)
+        if not isinstance(self.members, Tableaux):
+            n = self.diagram.n
+            members = sorted(self.members, key=lambda t: t.reading_word)
+            for t in members:
+                if t.diagram != self.diagram:
+                    raise DomainError("family member on a different diagram")
+            entries = np.array([t.entries for t in members], dtype=np.min_scalar_type(n))
+            rows = Tableaux(self.diagram, entries.reshape(len(members), n), built=dict(enumerate(members)))
+            object.__setattr__(self, "members", rows)
 
-    @cached_property
-    def member_set(self) -> frozenset[StandardTableau]:
-        return frozenset(self.members)
+    @property
+    def words(self) -> np.ndarray:
+        """The members' reading words, one per row."""
+        return self.members.entries[:, self.diagram.reading_positions]
+
+    @property
+    def descent_histogram(self) -> Counter:
+        """How many members have each descent mask.  Not cached: a Counter
+        per cached family costs more memory than counting again."""
+        masks = self.descent_masks
+        if masks is None:
+            positions = _positions(self.words)
+            bits = np.packbits(positions[:, :-1] > positions[:, 1:], axis=1, bitorder="little")
+            masks = (int.from_bytes(row.tobytes(), "little") for row in bits)
+        return Counter(masks)
 
     @cached_property
     def word_graph(self) -> "WordGraph":
         return _word_graph(self)
+
+    @cached_property
+    def _entry_rows(self) -> frozenset[tuple[int, ...]]:
+        return frozenset(map(tuple, self.members.entries.tolist()))
 
     @property
     def n(self) -> int:
         return self.diagram.n
 
     def __contains__(self, tab: StandardTableau) -> bool:
-        return tab in self.member_set
+        return tab.diagram == self.diagram and tab.entries in self._entry_rows
 
     def __iter__(self) -> Iterator[StandardTableau]:
         return iter(self.members)
 
     def __len__(self) -> int:
         return len(self.members)
+
+
+def _positions(words: np.ndarray) -> np.ndarray:
+    """``positions[t, v - 1]`` is the reading position of the entry v in row t."""
+    m, n = words.shape
+    positions = np.empty((m, n), dtype=np.int16)
+    positions[np.arange(m)[:, None], words - 1] = np.arange(n, dtype=np.int16)
+    return positions
 
 
 class WordGraph(NamedTuple):
@@ -186,22 +276,20 @@ class WordGraph(NamedTuple):
     not in the family.
     """
 
-    basis: tuple[StandardTableau, ...]
+    basis: Tableaux
     positions: np.ndarray  # (members, n) int16
     descent: np.ndarray  # (n - 1, members) bool
     target: np.ndarray  # (n - 1, members) int32
 
 
 def _word_graph(family: TableauFamily) -> WordGraph:
-    m, n = len(family.members), family.n
-    words = np.array([t.reading_word for t in family.members], dtype=np.int16).reshape(m, n)
+    words = family.words.astype(np.int16)
+    m, n = words.shape
     # Module-basis order: inversion count of the reading word descending,
     # ties by the word itself, which is the order of the members.
     inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
     order = np.argsort(-inversion_counts, kind="stable")
-    basis = tuple(family.members[k] for k in order)
-    positions = np.empty_like(words)
-    positions[np.arange(m)[:, None], words[order] - 1] = np.arange(n, dtype=np.int16)
+    positions = _positions(words[order])
     # Members share one diagram, so their entry positions name them, and
     # exchanging the entries i and i+1 exchanges two columns of positions.
     # A swapped row is looked up, as raw bytes, among the sorted rows.
@@ -216,7 +304,7 @@ def _word_graph(family: TableauFamily) -> WordGraph:
         probe = swapped.view(row).ravel()
         at = np.searchsorted(rows, probe).clip(max=m - 1)
         target[i - 1] = np.where(rows[at] == probe, row_order[at], -1)
-    return WordGraph(basis, positions, descent, target)
+    return WordGraph(family.members.reordered(order), positions, descent, target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:

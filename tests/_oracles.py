@@ -3,8 +3,13 @@
 Everything here is computed from scratch: box sets, membership conditions,
 positional descent rules, and attacking classifications are restated as
 one-shot predicates over complete fillings and filtered over all n!
-assignments.  Nothing is shared with the library's backtracking enumerator
-or its reading-word machinery.
+assignments.  Nothing is shared with the library's enumerator or its
+reading-word machinery.
+
+The library's former enumerator, a backtracking insertion over the kind
+recipes with the triple and prefix-peak rules as checks on a box -> entry
+map, is kept here as a second oracle for the bitmask search that replaced
+it, together with the former per-tableau characteristics.
 
 The library keeps no matrices, only signed partial maps and 2^n blocks.
 Here its generators are materialised as ``scipy.sparse`` integer matrices
@@ -26,10 +31,19 @@ import operator
 import numpy as np
 from scipy import sparse
 
+from diagmod import families
 from diagmod.clifford import build_M_alpha
-from diagmod.compositions import comp_n
+from diagmod.compositions import comp_n, peak_set
 from diagmod.hecke import RelationReport, zero_hecke_relations
-from diagmod.tableaux import descent_set_tab, inversions, swap_entries
+from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
+from diagmod.tableaux import (
+    Diagram,
+    StandardTableau,
+    TableauFamily,
+    descent_set_tab,
+    inversions,
+    swap_entries,
+)
 
 
 def matrix(dim, rows, cols, values):
@@ -71,7 +85,7 @@ def materialised(rep, label):
     ]
 
 
-def oracle_boxes(kind, shape):
+def _boxes(kind, shape):
     if kind == "ssht":
         return [(c, r) for r, part in enumerate(shape, 1) for c in range(r, r + part)]
     if kind == "rib":
@@ -159,7 +173,7 @@ def _prefix_peak(m, nrows, n):
 
 def oracle_members(kind, shape, sigma=None):
     """All legal fillings, as frozensets of (box, entry) pairs."""
-    boxes = oracle_boxes(kind, shape)
+    boxes = _boxes(kind, shape)
     boxset = set(boxes)
     n = len(boxes)
     nrows = len(shape)
@@ -194,6 +208,131 @@ def oracle_members(kind, shape, sigma=None):
         if ok:
             out.add(frozenset(m.items()))
     return out
+
+
+def _syct_triple_check(boxset):
+    """Placing an entry into box (c, r') finalizes every comparison against
+    already-filled boxes (c-1, r) with r > r'; each such smaller neighbour
+    forces the box to its right to exist and to be filled already."""
+    rows_by_col = {}
+    for c, r in boxset:
+        rows_by_col.setdefault(c, []).append(r)
+
+    def check(filled, box, entry):
+        cb, rb = box
+        if cb < 2:
+            return True
+        for r in rows_by_col.get(cb - 1, ()):
+            if r > rb and (cb - 1, r) in filled:
+                if (cb, r) not in boxset or (cb, r) not in filled:
+                    return False
+        return True
+
+    return check
+
+
+def _srct_triple_check(boxset):
+    """Reversed triple rule: an entry a at (c, r) larger than b at (c+1, r')
+    with r < r' forces (c+1, r) to exist and to exceed b.  All triggers fire
+    when a is placed (b, being smaller, is already present)."""
+    rows_by_col = {}
+    for c, r in boxset:
+        rows_by_col.setdefault(c, []).append(r)
+
+    def check(filled, box, entry):
+        ca, ra = box
+        right = (ca + 1, ra)
+        for r in rows_by_col.get(ca + 1, ()):
+            if r > ra:
+                vb = filled.get((ca + 1, r))
+                if vb is not None:
+                    if right not in boxset:
+                        return False
+                    cv = filled.get(right)
+                    if cv is not None and cv < vb:
+                        return False
+        return True
+
+    return check
+
+
+def _prefix_peak_check(nrows):
+    """After each placement the occupied row counts must form the diagram of
+    a peak composition: nonempty rows contiguous from the bottom, and every
+    row below the topmost nonempty one holding at least 2 entries."""
+
+    def check(filled, box, entry):
+        counts = [0] * (nrows + 1)
+        for (_, r) in filled:
+            counts[r] += 1
+        counts[box[1]] += 1
+        top = max(r for r in range(1, nrows + 1) if counts[r]) if any(counts) else 0
+        for r in range(1, top):
+            if counts[r] < 2:
+                return False
+        return True
+
+    return check
+
+
+def _enumerate_fillings(boxes, edges, checks):
+    """Backtracking insertion of 1..n: a box may receive the next entry once
+    all its precedence predecessors are filled and the dynamic checks pass."""
+    n = len(boxes)
+    preds = {b: () for b in boxes}
+    for a, b in edges:
+        preds[b] = preds[b] + (a,)
+    filled = {}
+
+    def rec(k):
+        if k > n:
+            yield dict(filled)
+            return
+        for b in boxes:
+            if b in filled:
+                continue
+            if any(p not in filled for p in preds[b]):
+                continue
+            if all(chk(filled, b, k) for chk in checks):
+                filled[b] = k
+                yield from rec(k + 1)
+                del filled[b]
+
+    yield from rec(1)
+
+
+def backtracking_family(kind, shape, sigma=None):
+    """The family as the former backtracking enumerator built it: every
+    filling as a tableau, on the library's kind recipe (diagram, reading
+    order, precedence edges and rule names)."""
+    kind, shape = families.FamilyKind(kind), tuple(shape)
+    effective = sigma if sigma is not None else tuple(range(1, len(shape) + 1))
+    boxes, reading, edges, rules = families._kind_recipe(kind, shape, effective)
+    boxset = frozenset(boxes)
+    factories = {
+        families.TRIPLE: lambda: _syct_triple_check(boxset),
+        families.REVERSED_TRIPLE: lambda: _srct_triple_check(boxset),
+        families.PREFIX_PEAK: lambda: _prefix_peak_check(len(shape)),
+    }
+    checks = [factories[rule]() for rule in rules]
+    diagram = Diagram(boxes, reading)
+    members = tuple(
+        StandardTableau.from_box_map(diagram, m) for m in _enumerate_fillings(boxes, edges, checks)
+    )
+    return TableauFamily(diagram, members, "backtracking", kind.value, shape, sigma)
+
+
+def tableau_characteristics(family):
+    """(fundamental, peak) characteristics summed tableau by tableau from
+    each member's descent set."""
+    n = family.n
+    fundamental, peak = {}, {}
+    for tab in family:
+        des = descent_set_tab(tab)
+        alpha, beta = comp_n(des, n), comp_n(peak_set(des), n)
+        fundamental[alpha] = fundamental.get(alpha, 0) + 1
+        peak[beta] = peak.get(beta, 0) + 1
+    return FormalSum(FUNDAMENTAL, n, fundamental), FormalSum(PEAK, n, peak)
 
 
 def positional_descents(kind, tab_map, n):

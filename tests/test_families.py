@@ -1,8 +1,14 @@
 import itertools
+from collections import Counter
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from conftest import forced_word_set_families
+from diagmod import families
+from diagmod.clifford import peak_characteristic
 from diagmod.compositions import (
     enumerate_compositions,
     enumerate_peak_compositions,
@@ -13,12 +19,17 @@ from diagmod.families import (
     FamilyKind,
     SIGMA_KINDS,
     build_family,
+    family_instances,
     rect,
     shapes_for,
     source_tableau,
 )
+from diagmod.harness import words_family
+from diagmod.hecke import build_hecke_module, qsym_characteristic, verify_hecke_relations
+from diagmod.series import theta
 from diagmod.tableaux import (
     AscentClass,
+    StandardTableau,
     classify_ascent,
     descent_set_tab,
     is_ascent_compatible,
@@ -104,6 +115,82 @@ def test_sigma_enumeration_matches_brute_force(kind):
                 fam = build_family(kind, shape, sigma)
                 assert family_maps(fam) == oracle.oracle_members(kind, shape, sigma), (
                     kind, shape, sigma)
+
+
+def descent_mask(tab):
+    return sum(1 << (i - 1) for i in descent_set_tab(tab))
+
+
+def assert_same_family(fam, old):
+    """The same entry rows in the same reading-word order, descent masks
+    equal to those of the old tableaux, the same basis order and word-graph
+    arrays, and characteristics equal to the per-tableau sums over the old
+    family."""
+    assert np.array_equal(fam.members.entries, old.members.entries)
+    assert fam.descent_masks == tuple(descent_mask(t) for t in old)
+    fundamental, peak = oracle.tableau_characteristics(old)
+    assert qsym_characteristic(fam) == fundamental
+    assert peak_characteristic(fam) == peak
+    if fam.members:
+        graph, old_graph = fam.word_graph, old.word_graph
+        assert graph.basis == old_graph.basis
+        for array, old_array in zip(graph[1:], old_graph[1:]):
+            assert array.dtype == old_array.dtype and np.array_equal(array, old_array)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_search_matches_backtracking_enumerator(kind):
+    """Every (kind, shape, sigma) with n <= 6, and every shape with n = 7."""
+    instances = [
+        (k, shape, sigma) for k, shape, sigma in family_instances(6, sigmas=True) if k.value == kind
+    ] + [(kind, shape, None) for shape in shapes_for(kind, 7)]
+    for kind_, shape, sigma in instances:
+        fam = build_family(kind_, shape, sigma)
+        assert_same_family(fam, oracle.backtracking_family(kind_, shape, sigma))
+
+
+def assert_histogram_matches_tableaux(fam):
+    assert fam.descent_histogram == Counter(map(descent_mask, fam))
+    assert (qsym_characteristic(fam), peak_characteristic(fam)) == oracle.tableau_characteristics(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.sets(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=40)
+    )
+)
+def test_descent_histogram_matches_tableaux_on_word_sets(words):
+    assert_histogram_matches_tableaux(words_family(sorted(words)))
+
+
+def test_descent_histogram_matches_tableaux_on_forced_word_sets():
+    families_ = forced_word_set_families()
+    assert len(families_) == 63
+    for fam in families_:
+        assert_histogram_matches_tableaux(fam)
+
+
+def test_module_pipeline_builds_no_tableaux(monkeypatch):
+    """Enumeration, the gate, the Hecke build and relation check, both
+    characteristics and theta run on arrays; a tableau is built only when
+    a member is read."""
+    built = []
+    post_init = StandardTableau.__post_init__
+
+    def counting(self):
+        built.append(self.entries)
+        post_init(self)
+
+    monkeypatch.setattr(StandardTableau, "__post_init__", counting)
+    fam = families._build_family_cached.__wrapped__(FamilyKind.SYT, (4, 3, 2, 1), None)
+    assert is_ascent_compatible(fam).ok
+    rep = build_hecke_module(fam, "pi")
+    assert verify_hecke_relations(rep).ok
+    assert theta(qsym_characteristic(rep)) == peak_characteristic(fam)
+    assert built == []
+    assert rep.basis[0] is fam.members[fam.word_graph.basis.order[0]]
+    assert len(built) == 1
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -1,9 +1,10 @@
-"""Imported names that a module never uses, library code nothing uses, and
-scipy imports in the library.
+"""Imported names that a module never uses, library code nothing uses, test
+oracles no test uses, and scipy imports in the library.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
 out of the library and the tests, dead functions and methods out of the
-library, and scipy, a test-only dependency, out of the library.
+library, untested oracles out of ``tests/_oracles.py``, and scipy, a
+test-only dependency, out of the library.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -40,12 +41,10 @@ def test_no_unused_imports():
     assert not unused, "imported but unused:\n" + "\n".join(unused)
 
 
-def unreferenced_definitions() -> list[str]:
-    """``file:line: name`` for every top-level function of the library that
-    no file names or imports, and every method, dunders aside, that no file
-    reads as an attribute."""
+def referenced_names(paths) -> tuple[set[str], set[str]]:
+    """The names the files use or import, and the attributes they read."""
     names, attributes = set(), set()
-    for path in READERS:
+    for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name):
                 names.add(node.id)
@@ -53,6 +52,14 @@ def unreferenced_definitions() -> list[str]:
                 names.update(alias.name for alias in node.names)
             elif isinstance(node, ast.Attribute):
                 attributes.add(node.attr)
+    return names, attributes
+
+
+def unreferenced_definitions() -> list[str]:
+    """``file:line: name`` for every top-level function of the library that
+    no file names or imports, and every method, dunders aside, that no file
+    reads as an attribute."""
+    names, attributes = referenced_names(READERS)
     dead = []
     for path in LIBRARY:
         rel = path.relative_to(ROOT)
@@ -73,6 +80,28 @@ def unreferenced_definitions() -> list[str]:
 def test_no_unreferenced_functions_or_methods():
     dead = unreferenced_definitions()
     assert not dead, "defined but never referenced:\n" + "\n".join(dead)
+
+
+def untested_oracles() -> list[str]:
+    """``line: name`` for every public function of ``tests/_oracles.py``
+    that no other test file names, imports or reads as an attribute (the
+    tests import the module as ``oracle``)."""
+    oracles = ROOT / "tests" / "_oracles.py"
+    names, attributes = referenced_names(
+        path for path in sorted((ROOT / "tests").glob("*.py")) if path != oracles
+    )
+    return [
+        f"{node.lineno}: {node.name}"
+        for node in ast.parse(oracles.read_text(), filename=str(oracles)).body
+        if isinstance(node, ast.FunctionDef)
+        and not node.name.startswith("_")
+        and node.name not in names | attributes
+    ]
+
+
+def test_every_oracle_is_used_by_a_test():
+    dead = untested_oracles()
+    assert not dead, "tests/_oracles.py functions no test uses:\n" + "\n".join(dead)
 
 
 def scipy_imports(path: Path) -> list[str]:
