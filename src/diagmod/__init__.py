@@ -3,9 +3,9 @@
 Enumerates tableau families over compositions, strict partitions, and
 ribbons; builds the 0-Hecke actions their swap rule generates, in both
 generator conventions, as signed partial maps, together with the induced
-supermodules on marked tableaux (the Hecke graph tensored with fixed 2^n
-blocks); expands characteristics in the fundamental and peak bases; and
-machine-verifies the structural identities relating all of these.
+supermodules on marked tableaux (the family's word graph tensored with
+fixed 2^n blocks); expands characteristics in the fundamental and peak
+bases; and machine-verifies the structural identities relating all of these.
 """
 
 from .compositions import (

@@ -90,27 +90,27 @@ def _cmd_enumerate(args, out) -> int:
     return 0
 
 
-def _cmd_characteristic(args, out) -> int:
-    family = _family_from_args(args)
-    _emit_sum(qsym_characteristic(family), args.format, out)
-    return 0
+# The commands that build a family and print one sum of it: name -> (help,
+# the sum).
+_FAMILY_SUMS = {
+    "characteristic": ("fundamental-basis characteristic", qsym_characteristic),
+    "peak-characteristic": ("peak-basis characteristic", peak_characteristic),
+    "theta": (
+        "project the characteristic onto the peak basis",
+        lambda family: theta(qsym_characteristic(family)),
+    ),
+}
 
 
-def _cmd_peak_characteristic(args, out) -> int:
-    family = _family_from_args(args)
-    _emit_sum(peak_characteristic(family), args.format, out)
+def _cmd_family_sum(args, out) -> int:
+    family_sum = _FAMILY_SUMS[args.command][1]
+    _emit_sum(family_sum(_family_from_args(args)), args.format, out)
     return 0
 
 
 def _cmd_expand_k(args, out) -> int:
     alpha = parse_composition(args.shape)
     _emit_sum(peak_to_fundamental(FormalSum.peak(alpha)), args.format, out)
-    return 0
-
-
-def _cmd_theta(args, out) -> int:
-    family = _family_from_args(args)
-    _emit_sum(theta(qsym_characteristic(family)), args.format, out)
     return 0
 
 
@@ -206,6 +206,13 @@ def _cmd_dump_matrices(args, out) -> int:
     return 0
 
 
+def _add_family_sum_parser(sub, name: str) -> None:
+    p = sub.add_parser(name, help=_FAMILY_SUMS[name][0])
+    _add_family_args(p)
+    _add_format_arg(p)
+    p.set_defaults(fn=_cmd_family_sum)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="diagmod",
@@ -222,25 +229,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_format_arg(p)
     p.set_defaults(fn=_cmd_enumerate)
 
-    p = sub.add_parser("characteristic", help="fundamental-basis characteristic")
-    _add_family_args(p)
-    _add_format_arg(p)
-    p.set_defaults(fn=_cmd_characteristic)
-
-    p = sub.add_parser("peak-characteristic", help="peak-basis characteristic")
-    _add_family_args(p)
-    _add_format_arg(p)
-    p.set_defaults(fn=_cmd_peak_characteristic)
+    _add_family_sum_parser(sub, "characteristic")
+    _add_family_sum_parser(sub, "peak-characteristic")
 
     p = sub.add_parser("expand-K", help="fundamental expansion of one peak basis element")
     p.add_argument("--shape", required=True, help="a peak composition, e.g. 3,3,1")
     _add_format_arg(p)
     p.set_defaults(fn=_cmd_expand_k)
 
-    p = sub.add_parser("theta", help="project the characteristic onto the peak basis")
-    _add_family_args(p)
-    _add_format_arg(p)
-    p.set_defaults(fn=_cmd_theta)
+    _add_family_sum_parser(sub, "theta")
 
     p = sub.add_parser("truncate", help="evaluate a characteristic in k variables")
     _add_family_args(p)

@@ -10,12 +10,14 @@ Each 0-Hecke generator acts blockwise per tableau: descent and attacking
 blocks stay on the tableau, nonattacking blocks add terms on the swapped
 tableau.
 
-A family supermodule is thus its Hecke graph (the case and swap target of
-each generator on each tableau) tensored with fixed 2^n blocks that depend
-only on n, i and the case.  It stores the graph; the relations and the
-filtration quotients are checked on the cached blocks.  Every block has at
-most two signed entries per column, so it is a stack of signed partial maps
-(see :func:`~diagmod.hecke.compose_maps`): a product is a gather, a sum is a
+A family supermodule is thus its word graph (whether i is a descent of
+each tableau, and the swap target) tensored with fixed 2^n blocks that
+depend only on n, i and the case.  It stores only its family and reads the
+graph from it; the relations and the filtration quotients are checked on the
+cached blocks.  Every block has at most two signed entries per column, so it
+is a stack of signed partial maps in the sink-column encoding of the module's
+generators (see :func:`~diagmod.hecke.sink_maps` and
+:func:`~diagmod.hecke.compose_maps`): a product is a gather, a sum is a
 stack, and equality is decided on the canonical integer entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
@@ -38,12 +40,13 @@ from .compositions import (
     mask_composition,
 )
 from .errors import DomainError, IncompatibleFamilyError
-from .hecke import RelationReport, compose_maps, zero_hecke_relations
+from .hecke import RelationReport, compose_maps, sink_maps, support_walk, zero_hecke_relations
 from .series import PEAK, FormalSum
 from .tableaux import (
     StandardTableau,
     TableauFamily,
     Tableaux,
+    WordGraph,
     is_ascent_compatible,
     render_tableau,
 )
@@ -135,9 +138,7 @@ def _equal(a, b, sign: int = 1) -> bool:
 
 def _map(targets, signs):
     """A one-layer stack from per-mask arrays, zeros sent to the sink."""
-    size = len(targets)
-    targets = np.where(signs == 0, size, targets)
-    return np.append(targets, size)[None], np.append(signs, 0)[None]
+    return sink_maps(targets[None], signs[None])
 
 
 @lru_cache(maxsize=None)
@@ -191,20 +192,40 @@ def _row_major(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows[order], cols[order], values[order]
 
 
+def _placed(block, n: int, rows_at: np.ndarray, cols_at: np.ndarray):
+    """``(rows, cols, values)`` of a 2^n block placed at each pair of row
+    and column tableaux."""
+    rows, cols, values = _canonical(block)
+    return (
+        (rows + (rows_at[:, None] << n)).ravel(),
+        (cols + (cols_at[:, None] << n)).ravel(),
+        np.tile(values, len(rows_at)),
+    )
+
+
+def swap_targets(graph: WordGraph) -> np.ndarray:
+    """Per generator i and tableau t, the tableau whose marked copies
+    receive the SWAP block of pi_i from t: the word graph's target where i
+    is not a descent of t, else -1, as is a swap that leaves the family."""
+    return np.where(graph.descent, -1, graph.target)
+
+
 @dataclass(frozen=True)
 class CliffordModuleRep:
-    """Ordered marked basis plus the family's Hecke graph.
+    """A family's supermodule: its word graph tensored with the 2^n mark
+    blocks.
 
-    ``hecke_graph[i - 1][t]`` is ``(case, target)`` for generator i on basis
-    tableau t: ``case`` is DESCENT or ATTACK, naming the 2^n block of pi_i on
-    the tableau's own marked copies, and ``target`` is the index of the
-    tableau with i and i+1 swapped, which receives the SWAP block, or -1 when
-    i is a descent or the swap leaves the family.
+    On the marked copies of basis tableau t, pi_i acts by its DESCENT block
+    when i is a descent of t (``word_graph.descent``), else by its ATTACK
+    block plus the SWAP block landing on tableau ``swap_targets(graph)[i -
+    1, t]``, if that is not -1.
     """
 
     family: TableauFamily
-    basis_tableaux: Tableaux
-    hecke_graph: tuple[tuple[tuple[int, int], ...], ...]
+
+    @property
+    def basis_tableaux(self) -> Tableaux:
+        return self.family.word_graph.basis
 
     @cached_property
     def tableau_index(self) -> dict[StandardTableau, int]:
@@ -226,21 +247,20 @@ class CliffordModuleRep:
         """``("pi", i, rows, cols, values)`` of each pi_i, then ``("c", j,
         ...)`` of each c_j, on the |F| 2^n marked basis, sorted by row, then
         column: each block's entries placed at its tableaux."""
-        n, size = self.n, 1 << self.n
+        n, graph = self.n, self.family.word_graph
         out = []
-        for i, edges in enumerate(self.hecke_graph, start=1):
-            blocks = {case: _canonical(block) for case, block in _hecke_mask_blocks(n, i).items()}
-            parts = []
-            for t, (case, target) in enumerate(edges):
-                for part, u in ((case, t), (SWAP, target)):
-                    if u >= 0:
-                        rows, cols, values = blocks[part]
-                        parts.append((rows + u * size, cols + t * size, values))
+        for i, (descent, swap) in enumerate(zip(graph.descent, swap_targets(graph)), start=1):
+            blocks = _hecke_mask_blocks(n, i)
+            at = [np.flatnonzero(flags) for flags in (descent, ~descent, swap >= 0)]
+            parts = [
+                _placed(blocks[DESCENT], n, at[0], at[0]),
+                _placed(blocks[ATTACK], n, at[1], at[1]),
+                _placed(blocks[SWAP], n, swap[at[2]], at[2]),
+            ]
             out.append(("pi", i, *_row_major(parts)))
-        offsets = range(0, self.dim, size)
+        every = np.arange(len(self.basis_tableaux))
         for j in range(1, n + 1):
-            rows, cols, values = _canonical(_mark_blocks(n, j))
-            out.append(("c", j, *_row_major((rows + o, cols + o, values) for o in offsets)))
+            out.append(("c", j, *_row_major([_placed(_mark_blocks(n, j), n, every, every)])))
         return out
 
     def index_of(self, element: MarkedTableau) -> int:
@@ -262,11 +282,7 @@ def build_clifford_module(family: TableauFamily, force: bool = False) -> Cliffor
         compat = is_ascent_compatible(family)
         if not compat.ok:
             raise IncompatibleFamilyError("ascent", compat.witness)
-    graph = family.word_graph
-    cases = np.where(graph.descent, DESCENT, ATTACK).tolist()
-    targets = np.where(graph.descent, -1, graph.target).tolist()
-    hecke_graph = tuple(tuple(zip(case, target)) for case, target in zip(cases, targets))
-    return CliffordModuleRep(family, graph.basis, hecke_graph)
+    return CliffordModuleRep(family)
 
 
 @dataclass(frozen=True)
@@ -434,39 +450,38 @@ def _paths_agree(n: int, signature: tuple, sign: int) -> bool:
     )
 
 
-def _paths(graph, word, t: int) -> list[tuple[int, tuple]]:
+def _paths(cases, swaps, word, t: int) -> list[tuple[int, tuple]]:
     """(end tableau, steps) of every path of the generator word from tableau
     t; a step is 3 * generator + case, leftmost factor first."""
     paths = [(t, ())]
     for g in reversed(word):
-        edges = graph[g]
         grown = []
         for u, steps in paths:
-            case, target = edges[u]
-            grown.append((u, (3 * g + case,) + steps))
-            if target >= 0:
-                grown.append((target, (3 * g + SWAP,) + steps))
+            grown.append((u, (3 * g + cases[g][u],) + steps))
+            if swaps[g][u] >= 0:
+                grown.append((swaps[g][u], (3 * g + SWAP,) + steps))
         paths = grown
     return paths
 
 
-def _relation_holds(rep: CliffordModuleRep, lhs, rhs, sign: int) -> bool:
+def _relation_holds(n: int, cases, swaps, lhs, rhs, sign: int) -> bool:
     """Whether left word = sign * right word as operators, checked column
     block by column block.
 
-    Applied to tableau t's marked copies, a word of pi's is the sum over its
-    at most 2^len paths of the path's block product, landing on the path's
-    end tableau.  The verdict depends only on the case sequences grouped by
-    end tableau, which is memoised.
+    ``cases[g][t]`` and ``swaps[g][t]`` are the case of generator g + 1 on
+    tableau t's own block and its swap target, as lists.  Applied to tableau
+    t's marked copies, a word of pi's is the sum over its at most 2^len
+    paths of the path's block product, landing on the path's end tableau.
+    The verdict depends only on the case sequences grouped by end tableau,
+    which is memoised.
     """
-    graph = rep.hecke_graph
-    for t in range(len(rep.basis_tableaux)):
+    for t in range(len(cases[0])):
         ends: dict[int, tuple[list, list]] = {}
         for side, word in enumerate((lhs, rhs)):
-            for u, steps in _paths(graph, word, t):
+            for u, steps in _paths(cases, swaps, word, t):
                 ends.setdefault(u, ([], []))[side].append(steps)
         signature = tuple((tuple(left), tuple(right)) for left, right in ends.values())
-        if not _paths_agree(rep.n, signature, sign):
+        if not _paths_agree(n, signature, sign):
             return False
     return True
 
@@ -477,23 +492,24 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 
     The relations among the c_j are checked once per n, each pi-c relation
     and pi parity once per block case present, and the 0-Hecke relations by
-    expanding both sides over paths in the Hecke graph (see
+    expanding both sides over paths in the word graph (see
     :func:`_relation_holds`).  The checks, their count and the violation
     messages are those of the products of the full generator matrices.
     """
-    n = rep.n
+    n, graph = rep.n, rep.family.word_graph
+    swaps = swap_targets(graph)
+    edges = np.where(graph.descent, DESCENT, ATTACK).tolist(), swaps.tolist()
     relations = zero_hecke_relations(n - 1, -1)
     checked = len(relations)
     violations = [
-        message for message, lhs, rhs, sign in relations if not _relation_holds(rep, lhs, rhs, sign)
+        message
+        for message, lhs, rhs, sign in relations
+        if not _relation_holds(n, *edges, lhs, rhs, sign)
     ]
     mark_relations, mark_parity = _mark_violations(n)
     checked += n + n * (n - 1) // 2
     violations.extend(mark_relations)
-    cases = [
-        {case for case, _ in edges} | ({SWAP} if any(u >= 0 for _, u in edges) else set())
-        for edges in rep.hecke_graph
-    ]
+    cases = [set(row) | ({SWAP} if max(targets) >= 0 else set()) for row, targets in zip(*edges)]
     for i, present in enumerate(cases, start=1):
         for j in range(1, n + 1):
             checked += 1
@@ -542,8 +558,8 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     if not 1 <= k <= m:
         raise DomainError(f"filtration index {k} out of range 1..{m}")
     return all(
-        _quotient_holds(rep.n, i, edges[k - 1][0] == DESCENT)
-        for i, edges in enumerate(rep.hecke_graph, start=1)
+        _quotient_holds(rep.n, i, descent)
+        for i, descent in enumerate(rep.family.word_graph.descent[:, k - 1].tolist(), start=1)
     ) and _marks_match_reference(rep.n)
 
 
@@ -559,47 +575,11 @@ def _marks_match_reference(n: int) -> bool:
     return all(_equal(_mark_blocks(n, j), target) for j, target in enumerate(c_ops, start=1))
 
 
-def _supports(block) -> list[list[int]]:
-    """The rows of the nonzero entries in each column of a 2^n block."""
-    rows, cols, _ = _canonical(block)
-    out: list[list[int]] = [[] for _ in range(block[0].shape[1] - 1)]
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        out[c].append(r)
-    return out
-
-
 def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:
-    """Closure of the seed under the supports of all generator images: a
-    walk over the Hecke graph and the mark blocks."""
+    """Closure of the seed under the supports of all generator images."""
     if isinstance(seed, StandardTableau):
         seed = MarkedTableau(seed, frozenset())
-    n, size = rep.n, 1 << rep.n
-    start = rep.index_of(seed)
-    hecke = [
-        {case: _supports(block) for case, block in _hecke_mask_blocks(n, i).items()}
-        for i in range(1, n)
-    ]
-    marks = [_supports(_mark_blocks(n, j)) for j in range(1, n + 1)]
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            t, mask = divmod(idx, size)
-            images = [(t, rows[mask]) for rows in marks]
-            for blocks, edges in zip(hecke, rep.hecke_graph):
-                case, target = edges[t]
-                images.append((t, blocks[case][mask]))
-                if target >= 0:
-                    images.append((target, blocks[SWAP][mask]))
-            for u, rows in images:
-                for r in rows:
-                    k = u * size + r
-                    if k not in seen:
-                        seen.add(k)
-                        nxt.append(k)
-        frontier = nxt
-    return frozenset(rep.basis_element(i) for i in seen)
+    return frozenset(map(rep.basis_element, support_walk(rep, rep.index_of(seed))))
 
 
 def is_tableau_cyclic(rep: CliffordModuleRep, seed) -> bool:

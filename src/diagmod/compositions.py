@@ -140,17 +140,7 @@ def enumerate_peak_compositions(n: int) -> Iterator[Composition]:
     >>> list(enumerate_peak_compositions(4))
     [(4,), (3, 1), (2, 2)]
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-    if n == 0:
-        yield ()
-        return
-    for first in range(n, 0, -1):
-        if first == n:
-            yield (n,)
-        elif first >= 2:
-            for rest in enumerate_peak_compositions(n - first):
-                yield (first,) + rest
+    return filter(is_peak_composition, enumerate_compositions(n))
 
 
 def enumerate_strict_partitions(n: int) -> Iterator[Composition]:
@@ -159,34 +149,12 @@ def enumerate_strict_partitions(n: int) -> Iterator[Composition]:
     >>> list(enumerate_strict_partitions(8))[:3]
     [(8,), (7, 1), (6, 2)]
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-
-    def rec(m: int, max_part: int) -> Iterator[Composition]:
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, max_part), 0, -1):
-            for rest in rec(m - first, first - 1):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+    return filter(is_strict_partition, enumerate_compositions(n))
 
 
 def enumerate_partitions(n: int) -> Iterator[Composition]:
     """All weakly decreasing partitions of n, descending lexicographically."""
-    if n < 0:
-        raise DomainError("n must be nonnegative")
-
-    def rec(m: int, max_part: int) -> Iterator[Composition]:
-        if m == 0:
-            yield ()
-            return
-        for first in range(min(m, max_part), 0, -1):
-            for rest in rec(m - first, first):
-                yield (first,) + rest
-
-    yield from rec(n, n)
+    return filter(is_partition, enumerate_compositions(n))
 
 
 def parse_composition(text: str) -> Composition:

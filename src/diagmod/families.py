@@ -65,10 +65,8 @@ from .compositions import (
     is_strict_partition,
 )
 from .errors import DomainError
+from .hecke import HAT, PI
 from .tableaux import Box, Diagram, StandardTableau, TableauFamily, Tableaux
-
-PI = "pi"
-HAT = "hat"
 
 
 class FamilyKind(str, enum.Enum):

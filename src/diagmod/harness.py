@@ -16,10 +16,13 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .clifford import (
     build_clifford_module,
     filtration_quotient_check,
     peak_characteristic,
+    swap_targets,
     verify_clifford_relations,
 )
 from .compositions import (
@@ -206,7 +209,8 @@ def _direct_interval_maps(
     interval: BruhatInterval, order: Sequence[Perm], flavour: str
 ) -> list[tuple[list[int], list[int]]]:
     """Generator maps ``(targets, signs)`` built straight from the interval
-    action rules, target -1 and sign 0 for a zero image.
+    action rules, in the sink-column encoding: column ``len(order)`` is a
+    sink, fixed with sign 0, and a zero image points at it with sign 0.
 
     ``flavour`` 'bar' is the signed action (descents scale by -1, ascents
     swap inside the interval or die); 'plain' is the unsigned action
@@ -214,6 +218,7 @@ def _direct_interval_maps(
     """
     member_set = set(interval.members)
     index = {g: k for k, g in enumerate(order)}
+    sink = len(order)
     maps = []
     for i in range(1, len(interval.sigma)):
         targets, signs = [], []
@@ -222,14 +227,14 @@ def _direct_interval_maps(
                 targets.append(col), signs.append(-1 if flavour == "bar" else 1)
             else:
                 up = s_apply(i, g)
-                targets.append(index[up] if up in member_set else -1)
+                targets.append(index[up] if up in member_set else sink)
                 signs.append(1 if up in member_set else 0)
-        maps.append((targets, signs))
+        maps.append((targets + [sink], signs + [0]))
     return maps
 
 
 def _maps_as_lists(rep: HeckeModuleRep) -> list[tuple[list[int], list[int]]]:
-    return [(target.tolist(), sign.tolist()) for target, sign in rep.maps]
+    return list(zip(rep.targets.tolist(), rep.signs.tolist()))
 
 
 def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, HeckeModuleRep]:
@@ -263,7 +268,7 @@ def build_interval_modules(interval: BruhatInterval) -> tuple[HeckeModuleRep, He
 
 def _graphs_isomorphic(rep_a, rep_b, pairing: Sequence[int]) -> bool:
     """Whether the tableau bijection t -> pairing[t] is an isomorphism of the
-    two supermodules' Hecke graphs: the same case at paired tableaux, and
+    two supermodules' word graphs: the same descents at paired tableaux, and
     paired swap targets.
 
     With P the permutation of marked bases that pairs the tableaux and keeps
@@ -273,10 +278,13 @@ def _graphs_isomorphic(rep_a, rep_b, pairing: Sequence[int]) -> bool:
     """
     if rep_a.dim != rep_b.dim or sorted(pairing) != list(range(len(rep_b.basis_tableaux))):
         return False
-    return all(
-        edges_b[pairing[t]] == (case, pairing[target] if target >= 0 else -1)
-        for edges_a, edges_b in zip(rep_a.hecke_graph, rep_b.hecke_graph)
-        for t, (case, target) in enumerate(edges_a)
+    graph_a, graph_b = rep_a.family.word_graph, rep_b.family.word_graph
+    pairing = np.asarray(pairing, dtype=np.intp)
+    swaps_a, swaps_b = swap_targets(graph_a), swap_targets(graph_b)
+    paired_a = np.where(swaps_a >= 0, pairing[swaps_a], -1)
+    return bool(
+        (graph_b.descent[:, pairing] == graph_a.descent).all()
+        and (swaps_b[:, pairing] == paired_a).all()
     )
 
 
@@ -460,10 +468,9 @@ def generalization_witness() -> WitnessReport:
     demo_words = sorted(t.reading_word for t in fam.members)
     is_interval = any(sorted(iv.members) == demo_words for iv in all_intervals(3))
     rep = build_hecke_module(fam, "pi")
-    demo_max = 0
-    for col in range(rep.dim):
-        count = sum(1 for target, _ in rep.maps if target[col] not in (-1, col))
-        demo_max = max(demo_max, count)
+    # a nonattacking ascent sends a column neither to itself nor to the sink
+    moved = (rep.targets != np.arange(rep.dim + 1)) & (rep.targets != rep.dim)
+    demo_max = int(moved.sum(axis=0).max())
     verdict = (
         "not isomorphic to any weak Bruhat interval module"
         if (all_chains and max_nonatt <= 1 and not is_interval and demo_max >= 2)

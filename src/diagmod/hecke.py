@@ -12,8 +12,10 @@ by the word itself), so every swap image lands on an earlier basis element
 and each generator matrix is triangular with diagonal entries in {-1, 0}
 (pi) or {0, 1} (hat).  Each generator sends a basis element to plus or
 minus one basis element or to zero, so it is stored as a signed partial map
-read off the family's word graph.  A product of such maps is a gather, which
-:func:`compose_maps` also does for the stacked maps of the supermodule blocks.
+read off the family's word graph, in the sink-column encoding that the
+supermodule blocks share (see :func:`sink_maps`).  A product of such maps is
+a gather, :func:`compose_maps`.  Reachability in either module is one
+breadth-first walk over its generators' entries, :func:`support_walk`.
 """
 
 from __future__ import annotations
@@ -41,17 +43,23 @@ HAT = "hat"
 
 @dataclass(frozen=True)
 class HeckeModuleRep:
-    """An ordered tableau basis with one signed partial map per generator.
+    """A family's 0-Hecke module: its word graph's basis with one signed
+    partial map per generator.
 
-    ``maps[i - 1]`` is the pair ``(target, sign)`` of arrays for generator i:
-    basis element c goes to ``sign[c]`` times basis element ``target[c]``,
-    or to zero when ``target[c]`` is -1 (and ``sign[c]`` is 0).
+    ``targets`` and ``signs`` are (n - 1, dim + 1) arrays in the sink-column
+    encoding of :func:`sink_maps`: generator i sends basis element c to
+    ``signs[i - 1, c]`` times basis element ``targets[i - 1, c]``, and a
+    zero image points at the sink column dim with sign 0.
     """
 
     family: TableauFamily
     convention: str
-    basis: Tableaux
-    maps: tuple[tuple[np.ndarray, np.ndarray], ...]
+    targets: np.ndarray
+    signs: np.ndarray
+
+    @property
+    def basis(self) -> Tableaux:
+        return self.family.word_graph.basis
 
     @cached_property
     def index(self) -> dict[StandardTableau, int]:
@@ -62,8 +70,8 @@ class HeckeModuleRep:
         entry (r, c) being the coefficient of basis element r in the image of
         c, sorted by row, then column."""
         out = []
-        for i, (target, sign) in enumerate(self.maps, start=1):
-            cols = np.flatnonzero((target >= 0) & (sign != 0))
+        for i, (target, sign) in enumerate(zip(self.targets, self.signs), start=1):
+            cols = np.flatnonzero(sign)
             order = np.lexsort((cols, target[cols]))
             cols = cols[order]
             out.append((self.convention, i, target[cols], cols, sign[cols]))
@@ -72,6 +80,18 @@ class HeckeModuleRep:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+
+def sink_maps(targets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed partial maps on d columns, given as (k, d) arrays with sign 0
+    for a zero image, in the sink-column encoding: (k, d + 1) arrays in which
+    every zero image points at column d, a sink fixed with sign 0."""
+    k, d = targets.shape
+    sink = np.full((k, 1), d, dtype=targets.dtype)
+    return (
+        np.concatenate((np.where(signs == 0, d, targets), sink), axis=1),
+        np.concatenate((signs, np.zeros((k, 1), dtype=signs.dtype)), axis=1),
+    )
 
 
 def build_hecke_module(
@@ -99,7 +119,7 @@ def build_hecke_module(
     diagonal = graph.descent if convention == PI else ~graph.descent
     targets = np.where(diagonal, np.arange(len(graph.basis), dtype=np.intp), graph.target)
     signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
-    return HeckeModuleRep(family, convention, graph.basis, tuple(zip(targets, signs)))
+    return HeckeModuleRep(family, convention, *sink_maps(targets, signs))
 
 
 @dataclass(frozen=True)
@@ -177,17 +197,11 @@ def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     are checked together: their left words are composed in one batch, their
     right words in another, and each side is compared with the other.
     """
-    dim = rep.dim
-    # column dim is a sink that every zero image points to, with sign 0
-    targets = np.full((len(rep.maps), dim + 1), dim)
-    signs = np.zeros((len(rep.maps), dim + 1), dtype=np.int8)
-    for g, (target, sign) in enumerate(rep.maps):
-        targets[g, :dim] = np.where(target < 0, dim, target)
-        signs[g, :dim] = sign
+    targets, signs = rep.targets, rep.signs
     quad_sign = -1 if rep.convention == PI else 1
-    relations = zero_hecke_relations(len(rep.maps), quad_sign, rep.convention)
+    relations = zero_hecke_relations(len(targets), quad_sign, rep.convention)
     violations = []
-    step = max(1, _RELATION_CELLS // (dim + 1))
+    step = max(1, _RELATION_CELLS // targets.shape[1])
     for _, group in itertools.groupby(relations, key=lambda rel: (len(rel[1]), len(rel[2]))):
         group = list(group)
         for first in range(0, len(group), step):
@@ -210,6 +224,33 @@ def qsym_characteristic(obj) -> FormalSum:
     return FormalSum(FUNDAMENTAL, n, terms)
 
 
+def support_walk(rep, start: int) -> dict[int, tuple[int, ...]]:
+    """Breadth-first walk from basis index ``start`` along the nonzero
+    entries of a module's or supermodule's generators.
+
+    Returns, for each basis index reached, one word (p_1, ..., p_r) of
+    positions in ``rep.generator_triples()``, applied right to left, whose
+    product has the index in the support of its image of ``start``.  Words
+    carry no minimality promise.
+    """
+    # out-edges per column: generator position, then row, in triple order
+    edges: list[list[tuple[int, int]]] = [[] for _ in range(rep.dim)]
+    for p, (_, _, rows, cols, _) in enumerate(rep.generator_triples()):
+        for r, c in zip(rows.tolist(), cols.tolist()):
+            edges[c].append((p, r))
+    words: dict[int, tuple[int, ...]] = {start: ()}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for c in frontier:
+            for p, r in edges[c]:
+                if r not in words:
+                    words[r] = (p,) + words[c]
+                    nxt.append(r)
+        frontier = nxt
+    return words
+
+
 def reachability_closure(rep: HeckeModuleRep, seed: StandardTableau) -> frozenset[StandardTableau]:
     """All basis tableaux in the support of any generator word applied to the
     seed."""
@@ -228,17 +269,7 @@ def generating_words(
     """
     if seed not in rep.index:
         raise DomainError("seed is not a basis tableau")
-    start = rep.index[seed]
-    words: dict[int, tuple[int, ...]] = {start: ()}
-    frontier = [start]
-    targets = [target.tolist() for target, _ in rep.maps]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for gen, images in enumerate(targets, start=1):
-                r = images[c]
-                if r >= 0 and r not in words:
-                    words[r] = (gen,) + words[c]
-                    nxt.append(r)
-        frontier = nxt
-    return {rep.basis[i]: w for i, w in words.items()}
+    return {
+        rep.basis[c]: tuple(p + 1 for p in word)
+        for c, word in support_walk(rep, rep.index[seed]).items()
+    }

@@ -9,7 +9,10 @@ reading-word machinery.
 The library's former enumerator, a backtracking insertion over the kind
 recipes with the triple and prefix-peak rules as checks on a box -> entry
 map, is kept here as a second oracle for the bitmask search that replaced
-it, together with the former per-tableau characteristics.
+it, together with the former per-tableau characteristics.  The former
+recursive enumerators of peak compositions and of strict and weak partitions,
+which the library replaced by filters of the composition enumerator, are
+kept as ``recursive_shapes``.
 
 The library keeps no matrices, only signed partial maps and 2^n blocks.
 Here its generators are materialised as ``scipy.sparse`` integer matrices
@@ -333,6 +336,38 @@ def tableau_characteristics(family):
         fundamental[alpha] = fundamental.get(alpha, 0) + 1
         peak[beta] = peak.get(beta, 0) + 1
     return FormalSum(FUNDAMENTAL, n, fundamental), FormalSum(PEAK, n, peak)
+
+
+def _recursive_peak_compositions(n):
+    if n == 0:
+        yield ()
+        return
+    for first in range(n, 0, -1):
+        if first == n:
+            yield (n,)
+        elif first >= 2:
+            for rest in _recursive_peak_compositions(n - first):
+                yield (first,) + rest
+
+
+def _recursive_partitions(m, max_part, strict):
+    if m == 0:
+        yield ()
+        return
+    for first in range(min(m, max_part), 0, -1):
+        for rest in _recursive_partitions(m - first, first - strict, strict):
+            yield (first,) + rest
+
+
+def recursive_shapes(n):
+    """Peak compositions, strict partitions and partitions of n, each in
+    descending lexicographic order, as the former recursive enumerators
+    listed them."""
+    return (
+        list(_recursive_peak_compositions(n)),
+        list(_recursive_partitions(n, n, strict=True)),
+        list(_recursive_partitions(n, n, strict=False)),
+    )
 
 
 def positional_descents(kind, tab_map, n):

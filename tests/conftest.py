@@ -32,12 +32,12 @@ def apply_word(rep, word, vec):
     """The image of a vector, given as {basis index: coefficient}, under a
     generator word of a module, its rightmost factor applied first."""
     for gen in reversed(word):
-        target, sign = rep.maps[gen - 1]
+        target, sign = rep.targets[gen - 1], rep.signs[gen - 1]
         image = {}
         for c, x in vec.items():
-            if target[c] >= 0:
-                r = int(target[c])
-                image[r] = image.get(r, 0) + int(sign[c]) * x
+            # a zero image lands on the sink column with coefficient 0
+            r = int(target[c])
+            image[r] = image.get(r, 0) + int(sign[c]) * x
         vec = {r: v for r, v in image.items() if v}
     return vec
 

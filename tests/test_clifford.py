@@ -27,7 +27,12 @@ from diagmod.families import (
     source_tableau,
 )
 from diagmod.series import FormalSum, theta
-from diagmod.hecke import compose_maps, qsym_characteristic
+from diagmod.hecke import (
+    build_hecke_module,
+    compose_maps,
+    qsym_characteristic,
+    reachability_closure,
+)
 from diagmod.tableaux import TableauFamily
 
 
@@ -201,9 +206,9 @@ def test_parity_structure(compatible_family):
 
 
 def test_reachability_matches_materialised_support_closure():
-    """The walk over the Hecke graph and the mark blocks reaches exactly the
-    closure under the column supports of the materialised generators, from
-    every basis tableau of every nonempty family with n <= 4."""
+    """The walk over the generators' entries reaches exactly the closure
+    under the column supports of the materialised generators, from every
+    basis tableau of every nonempty family with n <= 4."""
     seeds = 0
     for kind, shape, sigma in family_instances(4, sigmas=True):
         fam = build_family(kind, shape, sigma)
@@ -215,6 +220,27 @@ def test_reachability_matches_materialised_support_closure():
             assert closure == oracle.materialised_reachability(rep, rep.index_of(mt(tab))), tab
             seeds += 1
     assert seeds > 100
+
+
+def test_reachability_is_module_reachability_with_every_mark():
+    """From every basis tableau of every nonempty family with n <= 5, the
+    supermodule closure holds all 2^n marked copies of exactly the tableaux
+    in the module closure: the swap and mark blocks are nonzero on every
+    mask, so this characterises the closure independently of the walk the
+    two share."""
+    seeds = 0
+    for kind, shape, sigma in family_instances(5, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if not fam.members:
+            continue
+        crep, rep = build_clifford_module(fam), build_hecke_module(fam, "pi")
+        for tab in crep.basis_tableaux:
+            closure = clifford_reachability(crep, tab)
+            tableaux = reachability_closure(rep, tab)
+            assert {m.tableau for m in closure} == tableaux, tab
+            assert len(closure) == len(tableaux) << fam.n, tab
+            seeds += 1
+    assert seeds == 1631
 
 
 def _blocks(n):

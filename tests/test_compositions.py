@@ -2,10 +2,12 @@ import itertools
 
 import pytest
 
+import _oracles as oracle
 from diagmod.compositions import (
     comp_n,
     descent_set,
     enumerate_compositions,
+    enumerate_partitions,
     enumerate_peak_compositions,
     enumerate_strict_partitions,
     format_composition,
@@ -121,3 +123,15 @@ def test_text_helpers():
         parse_composition("")
     with pytest.raises(DomainError):
         parse_composition("3,0,1")
+
+
+def test_shape_enumerators_match_recursive_enumerators():
+    """The filtered composition lists equal the former recursive
+    enumerators' lists, order included, for every n <= 12."""
+    for n in range(13):
+        filtered = (
+            list(enumerate_peak_compositions(n)),
+            list(enumerate_strict_partitions(n)),
+            list(enumerate_partitions(n)),
+        )
+        assert filtered == oracle.recursive_shapes(n), n

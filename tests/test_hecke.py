@@ -1,10 +1,11 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 import _oracles as oracle
 from conftest import apply_word, forced_word_set_families, member_by_word
-from diagmod.clifford import ATTACK, DESCENT, build_clifford_module
+from diagmod.clifford import ATTACK, DESCENT, build_clifford_module, swap_targets
 from diagmod.compositions import comp_n, enumerate_compositions, enumerate_strict_partitions
 from diagmod.errors import DomainError, IncompatibleFamilyError
 from diagmod.families import (
@@ -33,9 +34,9 @@ from diagmod.tableaux import (
 
 def column_action(rep, i, tab):
     """Image of a basis tableau under generator i as a {tableau: coeff} map."""
-    target, sign = rep.maps[i - 1]
+    target, sign = rep.targets[i - 1], rep.signs[i - 1]
     col = rep.index[tab]
-    return {rep.basis[target[col]]: int(sign[col])} if target[col] >= 0 else {}
+    return {rep.basis[target[col]]: int(sign[col])} if sign[col] else {}
 
 
 def generator_triples(rep):
@@ -156,9 +157,11 @@ def test_basis_order_and_triangularity():
 def direct_ribbon_maps(fam, basis, index):
     """Ribbon generator action implemented straight from row comparisons, as
     (targets, signs) per generator: scale by -1 when i sits strictly above
-    i+1, kill when they share a row, swap when i sits strictly below i+1."""
+    i+1, kill when they share a row, swap when i sits strictly below i+1.
+    A zero image points at the sink column len(basis), fixed with sign 0."""
     from diagmod.tableaux import swap_entries
 
+    sink = len(basis)
     maps = []
     for i in range(1, fam.n):
         targets, signs = [], []
@@ -167,10 +170,10 @@ def direct_ribbon_maps(fam, basis, index):
             if rows[i] > rows[i + 1]:
                 targets.append(c), signs.append(-1)
             elif rows[i] == rows[i + 1]:
-                targets.append(-1), signs.append(0)
+                targets.append(sink), signs.append(0)
             else:
                 targets.append(index[swap_entries(tab, i)]), signs.append(1)
-        maps.append((targets, signs))
+        maps.append((targets + [sink], signs + [0]))
     return maps
 
 
@@ -180,7 +183,7 @@ def test_ribbon_action_matches_direct_rule(n):
         fam = build_family("rib", alpha)
         rep = build_hecke_module(fam, "pi")
         direct = direct_ribbon_maps(fam, rep.basis, rep.index)
-        assert [(t.tolist(), s.tolist()) for t, s in rep.maps] == direct, alpha
+        assert list(zip(rep.targets.tolist(), rep.signs.tolist())) == direct, alpha
 
 
 def test_qsym_characteristic_examples():
@@ -257,7 +260,8 @@ def test_generating_words():
 def assert_matches_oracle(fam):
     """In both conventions, the gate verdict and witness, the basis, the
     generator triples and the relation report equal the oracle's, building
-    by force where the gate rejects; so does the supermodule's Hecke graph.
+    by force where the gate rejects; so do the case and swap target of each
+    pi_i on each tableau that the supermodule reads from the word graph.
     Returns the relation reports by convention."""
     reports = {}
     for convention, gate, mode in (
@@ -282,7 +286,10 @@ def assert_matches_oracle(fam):
                 )
                 for cols in columns
             )
-            assert build_clifford_module(fam, force=True).hecke_graph == expected
+            graph = build_clifford_module(fam, force=True).family.word_graph
+            cases = np.where(graph.descent, DESCENT, ATTACK).tolist()
+            swaps = swap_targets(graph).tolist()
+            assert tuple(tuple(zip(*edges)) for edges in zip(cases, swaps)) == expected
     return reports
 
 
@@ -331,16 +338,16 @@ MAP_FAULTS = {
 def test_signed_map_check_reports_injected_faults(case, fault):
     kind, shape, convention, gen, col, expected = MAP_FAULTS[case]
     rep = build_hecke_module(build_family(kind, shape), convention)
-    target, sign = (a.copy() for a in rep.maps[gen - 1])
-    assert target[col] not in (-1, 0, col)
+    targets, signs = rep.targets.copy(), rep.signs.copy()
+    target, sign = targets[gen - 1], signs[gen - 1]
+    assert target[col] not in (rep.dim, 0, col)
     if fault == "sign flip":
         sign[col] = -sign[col]
     elif fault == "dropped target":
-        target[col], sign[col] = -1, 0
+        target[col], sign[col] = rep.dim, 0
     else:
         target[col] = 0
-    maps = rep.maps[: gen - 1] + ((target, sign),) + rep.maps[gen:]
-    faulty = dataclasses.replace(rep, maps=maps)
+    faulty = dataclasses.replace(rep, targets=targets, signs=signs)
     report = verify_hecke_relations(faulty)
     mats = oracle.materialised(faulty, convention)
     assert report == oracle.product_hecke_relations(mats, convention)
