@@ -21,7 +21,7 @@ from .families import (
     FamilyKind,
     build_family,
 )
-from .harness import check_family, run_harness
+from .harness import CHECKS, check_family, run_harness
 from .hecke import build_hecke_module, qsym_characteristic
 from .series import (
     FormalSum,
@@ -259,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="append",
         default=None,
-        choices=["all", "rect", "transition", "positivity", "schurq", "theta", "bruhat", "relations", "witness"],
+        choices=["all", *CHECKS],
     )
     p.add_argument("--max-n", type=int, default=5)
     _add_format_arg(p)

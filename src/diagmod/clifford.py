@@ -575,13 +575,18 @@ def _marks_match_reference(n: int) -> bool:
     return all(_equal(_mark_blocks(n, j), target) for j, target in enumerate(c_ops, start=1))
 
 
-def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:
-    """Closure of the seed under the supports of all generator images."""
+def _seed_walk(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:
+    """The support walk from a marked tableau, or from a tableau unmarked."""
     if isinstance(seed, StandardTableau):
         seed = MarkedTableau(seed, frozenset())
-    return frozenset(map(rep.basis_element, support_walk(rep, rep.index_of(seed))))
+    return support_walk(rep, rep.index_of(seed))
+
+
+def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:
+    """Closure of the seed under the supports of all generator images."""
+    return frozenset(map(rep.basis_element, _seed_walk(rep, seed)))
 
 
 def is_tableau_cyclic(rep: CliffordModuleRep, seed) -> bool:
     """True iff the closure of the (unmarked) seed is the whole basis."""
-    return len(clifford_reachability(rep, seed)) == rep.dim
+    return len(_seed_walk(rep, seed)) == rep.dim

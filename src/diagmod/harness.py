@@ -53,7 +53,7 @@ from .hecke import (
     verify_hecke_relations,
 )
 from .series import theta
-from .tableaux import StandardTableau, TableauFamily
+from .tableaux import StandardTableau, TableauFamily, inversions, swap_values, word_descents
 
 
 class TheoremMismatch(AssertionError):
@@ -71,24 +71,6 @@ def check_perm(word: Iterable[int]) -> Perm:
     if sorted(g) != list(range(1, len(g) + 1)):
         raise DomainError(f"{g} is not a permutation of 1..{len(g)}")
     return g
-
-
-def perm_descents(g: Perm) -> frozenset[int]:
-    """Values i written to the right of i+1."""
-    pos = {v: p for p, v in enumerate(g)}
-    return frozenset(i for i in range(1, len(g)) if pos[i] > pos[i + 1])
-
-
-def perm_inversions(g: Perm) -> int:
-    return sum(1 for r in range(len(g)) for s in range(r + 1, len(g)) if g[r] > g[s])
-
-
-def s_apply(i: int, g: Perm) -> Perm:
-    """Exchange the values i and i+1 (left multiplication by a transposition)."""
-    out = list(g)
-    a, b = out.index(i), out.index(i + 1)
-    out[a], out[b] = out[b], out[a]
-    return tuple(out)
 
 
 def longest_element(n: int) -> Perm:
@@ -126,34 +108,21 @@ class BruhatInterval:
         return g in set(self.members)
 
 
-def _upward_closure(g: Perm) -> set[Perm]:
+def _weak_order_walk(g: Perm, upward: bool) -> set[Perm]:
+    """Every permutation reached from g by left multiplications s_i that go
+    up (at ascents i) or down (at descents i) in left weak order."""
     seen = {g}
     frontier = [g]
     while frontier:
         nxt = []
         for h in frontier:
-            des = perm_descents(h)
+            des = word_descents(h)
             for i in range(1, len(h)):
-                if i not in des:
-                    up = s_apply(i, h)
-                    if up not in seen:
-                        seen.add(up)
-                        nxt.append(up)
-        frontier = nxt
-    return seen
-
-
-def _downward_closure(g: Perm) -> set[Perm]:
-    seen = {g}
-    frontier = [g]
-    while frontier:
-        nxt = []
-        for h in frontier:
-            for i in perm_descents(h):
-                down = s_apply(i, h)
-                if down not in seen:
-                    seen.add(down)
-                    nxt.append(down)
+                if (i in des) != upward:
+                    step = swap_values(h, i)
+                    if step not in seen:
+                        seen.add(step)
+                        nxt.append(step)
         frontier = nxt
     return seen
 
@@ -169,8 +138,8 @@ def weak_bruhat_interval(sigma: Perm, rho: Perm) -> BruhatInterval:
         raise DomainError("permutations of different sizes")
     if not leq_left_weak(sigma, rho):
         raise DomainError(f"{sigma} is not below {rho} in left weak order")
-    up = _upward_closure(sigma)
-    members = sorted(up & _downward_closure(rho))
+    up = _weak_order_walk(sigma, upward=True)
+    members = sorted(up & _weak_order_walk(rho, upward=False))
     ap_rho = ascent_pairs(rho)
     criterion = sorted(g for g in up if ap_rho <= ascent_pairs(g))
     if members != criterion:
@@ -223,10 +192,10 @@ def _direct_interval_maps(
     for i in range(1, len(interval.sigma)):
         targets, signs = [], []
         for col, g in enumerate(order):
-            if i in perm_descents(g):
+            if i in word_descents(g):
                 targets.append(col), signs.append(-1 if flavour == "bar" else 1)
             else:
-                up = s_apply(i, g)
+                up = swap_values(g, i)
                 targets.append(index[up] if up in member_set else sink)
                 signs.append(1 if up in member_set else 0)
         maps.append((targets + [sink], signs + [0]))
@@ -434,18 +403,11 @@ class WitnessReport:
         return self.verdict
 
 
-def _interval_nonattacking_counts(interval: BruhatInterval) -> list[int]:
-    member_set = set(interval.members)
-    out = []
-    for g in interval.members:
-        des = perm_descents(g)
-        count = sum(
-            1
-            for i in range(1, len(g))
-            if i not in des and s_apply(i, g) in member_set
-        )
-        out.append(count)
-    return out
+def _max_nonattacking(family: TableauFamily) -> int:
+    """The most nonattacking ascents of one member: generators at which it
+    has no descent and its swap stays in the family."""
+    graph = family.word_graph
+    return int((~graph.descent & (graph.target >= 0)).sum(axis=0).max())
 
 
 def generalization_witness() -> WitnessReport:
@@ -453,24 +415,17 @@ def generalization_witness() -> WitnessReport:
     module: every 3-element interval on 3 letters is a chain, so its basis
     elements admit at most one nonattacking ascent, while the bent-diagram
     demo family has a member with two."""
-    size3 = [iv for iv in all_intervals(3) if len(iv) == 3]
-    all_chains = True
-    max_nonatt = 0
-    for iv in size3:
-        counts = _interval_nonattacking_counts(iv)
-        max_nonatt = max(max_nonatt, max(counts))
-        members = sorted(iv.members, key=perm_inversions)
-        for a, b in zip(members, members[1:]):
-            if not leq_left_weak(a, b):
-                all_chains = False
+    intervals = all_intervals(3)
+    size3 = [iv for iv in intervals if len(iv) == 3]
+    chains = [sorted(iv.members, key=inversions) for iv in size3]
+    all_chains = all(leq_left_weak(a, b) for c in chains for a, b in zip(c, c[1:]))
+    max_nonatt = max(_max_nonattacking(words_family(iv.members)) for iv in size3)
 
     fam = demo_compatible_family()
     demo_words = sorted(t.reading_word for t in fam.members)
-    is_interval = any(sorted(iv.members) == demo_words for iv in all_intervals(3))
-    rep = build_hecke_module(fam, "pi")
-    # a nonattacking ascent sends a column neither to itself nor to the sink
-    moved = (rep.targets != np.arange(rep.dim + 1)) & (rep.targets != rep.dim)
-    demo_max = int(moved.sum(axis=0).max())
+    is_interval = any(sorted(iv.members) == demo_words for iv in intervals)
+    build_hecke_module(fam, "pi")  # the demo family must pass the gate
+    demo_max = _max_nonattacking(fam)
     verdict = (
         "not isomorphic to any weak Bruhat interval module"
         if (all_chains and max_nonatt <= 1 and not is_interval and demo_max >= 2)
@@ -563,44 +518,53 @@ def _witness_job() -> tuple[bool, str]:
     return report.verdict != "witness failed", f"{report.size_three_intervals} intervals"
 
 
+CHECKS = ("rect", "transition", "positivity", "schurq", "theta", "bruhat", "relations", "witness")
+
+
 def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckRecord]:
     """Run the named theorem checks up to the given size and collect records.
 
-    Jobs run one after another in a fixed order, so the report is
-    deterministic.  A job that raises anything but ``TheoremMismatch`` gives
-    an ``ERROR`` record naming the exception, and the run goes on.
+    ``checks`` holds names from ``CHECKS``, or ``"all"`` for every one; an
+    unknown name raises.  Jobs run one after another in the order of
+    ``CHECKS``, so the report is deterministic.  A job that raises anything
+    but ``TheoremMismatch`` gives an ``ERROR`` record naming the exception,
+    and the run goes on.
     """
     wanted = set(checks)
-    everything = "all" in wanted
+    unknown = sorted(wanted - {"all", *CHECKS})
+    if unknown:
+        raise DomainError(f"unknown harness check(s): {', '.join(unknown)}")
+    if "all" in wanted:
+        wanted = set(CHECKS)
     jobs: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []
-    if everything or "rect" in wanted:
+    if "rect" in wanted:
         for n in range(1, max_n + 1):
             for lam in enumerate_strict_partitions(n):
                 jobs.append(("rect-intertwiner", format_composition(lam), partial(_rect_job, lam)))
-    if everything or "transition" in wanted:
+    if "transition" in wanted:
         for n in range(1, max_n + 1):
             jobs.append(("peak-transition", str(n), partial(_transition_job, n)))
-    if everything or "positivity" in wanted:
+    if "positivity" in wanted:
         for n in range(1, max_n + 1):
             for alpha in enumerate_peak_compositions(n):
                 job = partial(_verdict_job, check_Q_minus_S_positivity, alpha)
                 jobs.append(("peak-positivity", format_composition(alpha), job))
-    if everything or "schurq" in wanted:
+    if "schurq" in wanted:
         for n in range(1, max_n + 1):
             for lam in enumerate_strict_partitions(n):
                 job = partial(_verdict_job, check_schurQ_inclusion, lam)
                 jobs.append(("symmetric-inclusion", format_composition(lam), job))
-    if everything or "theta" in wanted:
+    if "theta" in wanted:
         for kind, shape, _ in family_instances(max_n):
             job = partial(_theta_job, kind, shape)
             jobs.append((f"theta-{kind.value}", format_composition(shape), job))
-    if everything or "bruhat" in wanted:
+    if "bruhat" in wanted:
         for n in range(1, min(max_n, 4) + 1):
             jobs.append(("interval-modules", f"S{n}", partial(_intervals_job, n)))
-    if everything or "relations" in wanted:
+    if "relations" in wanted:
         for kind, shape, _ in family_instances(max_n):
             job = partial(_relations_job, kind, shape)
             jobs.append((f"relations-{kind.value}", format_composition(shape), job))
-    if everything or "witness" in wanted:
+    if "witness" in wanted:
         jobs.append(("interval-witness", "-", _witness_job))
     return [_record(t, s, fn) for t, s, fn in jobs]

@@ -112,11 +112,24 @@ def inversions(word: Sequence[int]) -> int:
     )
 
 
-def descent_set_tab(tab: StandardTableau) -> frozenset[int]:
-    """Values i that appear after i+1 in the reading word."""
-    word = tab.reading_word
+def word_descents(word: Sequence[int]) -> frozenset[int]:
+    """Values i that appear after i+1 in the word."""
     pos = {v: p for p, v in enumerate(word)}
     return frozenset(i for i in range(1, len(word)) if pos[i] > pos[i + 1])
+
+
+def descent_set_tab(tab: StandardTableau) -> frozenset[int]:
+    """Values i that appear after i+1 in the reading word."""
+    return word_descents(tab.reading_word)
+
+
+def swap_values(seq: Sequence[int], i: int) -> tuple[int, ...]:
+    """Exchange the values i and i+1; on a one-line permutation this is left
+    multiplication by the transposition (i, i+1)."""
+    out = list(seq)
+    a, b = out.index(i), out.index(i + 1)
+    out[a], out[b] = out[b], out[a]
+    return tuple(out)
 
 
 def swap_entries(tab: StandardTableau, i: int) -> StandardTableau:
@@ -124,10 +137,7 @@ def swap_entries(tab: StandardTableau, i: int) -> StandardTableau:
     n = tab.diagram.n
     if not 1 <= i <= n - 1:
         raise DomainError(f"swap index {i} out of range for n={n}")
-    entries = list(tab.entries)
-    a, b = entries.index(i), entries.index(i + 1)
-    entries[a], entries[b] = entries[b], entries[a]
-    return StandardTableau(tab.diagram, tuple(entries))
+    return StandardTableau(tab.diagram, swap_values(tab.entries, i))
 
 
 class AscentClass(enum.Enum):

@@ -24,7 +24,8 @@ and graph checks.  Likewise the 0-Hecke generator matrices, the
 compatibility gate and the 0-Hecke relation check are restated tableau by
 tableau, with a validated swapped tableau per (tableau, generator) and exact
 matrix products, the reference for the library's word graph and signed
-partial maps.
+partial maps.  The interval witness's count of nonattacking ascents, which
+the library now reads from word graphs, is restated on one-line words.
 """
 
 import functools
@@ -590,3 +591,21 @@ def product_hecke_relations(mats, convention):
         if not same(left, sign * right):
             violations.append(message)
     return RelationReport(len(relations), tuple(violations))
+
+
+def interval_nonattacking_counts(interval):
+    """Per member of a weak-order interval, the number of ascents i (i left
+    of i+1 in the one-line word) whose exchange of i and i+1 stays in the
+    interval; the library's former hand count for the interval witness."""
+    member_set = set(interval.members)
+    counts = []
+    for g in interval.members:
+        count = 0
+        for i in range(1, len(g)):
+            a, b = g.index(i), g.index(i + 1)
+            if a < b:
+                swapped = list(g)
+                swapped[a], swapped[b] = i + 1, i
+                count += tuple(swapped) in member_set
+        counts.append(count)
+    return counts

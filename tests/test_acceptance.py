@@ -39,7 +39,7 @@ from diagmod.families import (
     source_tableau,
 )
 from diagmod.harness import (
-    _upward_closure,
+    _weak_order_walk,
     all_intervals,
     build_interval_modules,
     check_family,
@@ -238,7 +238,7 @@ def test_criterion_10_positivity():
 
 def test_criterion_11_weak_order_interval_modules():
     perms5 = [tuple(p) for p in itertools.permutations(range(1, 6))]
-    ups = {g: _upward_closure(g) for g in perms5}
+    ups = {g: _weak_order_walk(g, upward=True) for g in perms5}
     criterion_ok = all(
         (rho in ups[g]) == leq_left_weak(g, rho) for g in perms5 for rho in perms5
     )

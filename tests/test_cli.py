@@ -118,8 +118,8 @@ def test_dump_matrices_clifford():
 
 
 def test_dump_matrices_clifford_is_pinned():
-    """The supermodule triples, emitted from the Hecke graph and the 2^n
-    blocks, are byte-identical to those of the former eager matrix build."""
+    """The supermodule triples, emitted from the family's word graph and the
+    2^n blocks, are byte-identical to those of the former eager matrix build."""
     pinned = {
         "text": "86f1782ed4dfb1f0446ddd352d9faf4cb5402370d1ac11456bba6584c890b699",
         "structured": "d39629ea62430beac38eacb571c421cdd6372f80aed01786af6013304eda529f",

@@ -14,8 +14,11 @@ from diagmod.compositions import (
 )
 from diagmod.errors import DomainError
 from diagmod.harness import (
+    CHECKS,
     TheoremMismatch,
     _graphs_isomorphic,
+    _max_nonattacking,
+    _weak_order_walk,
     all_intervals,
     ascent_pairs,
     build_interval_modules,
@@ -25,24 +28,21 @@ from diagmod.harness import (
     generalization_witness,
     leq_left_weak,
     longest_element,
-    perm_descents,
-    perm_inversions,
     run_harness,
-    s_apply,
     theta_matches_peak,
     transition_to_peak_basis,
     weak_bruhat_interval,
     words_family,
-    _upward_closure,
 )
 from diagmod.clifford import build_clifford_module
 from diagmod.families import build_family, family_instances, rect
+from diagmod.tableaux import inversions, swap_values, word_descents
 
 
 def test_perm_helpers():
-    assert perm_descents((3, 1, 2)) == {2}
-    assert perm_inversions((3, 1, 2)) == 2
-    assert s_apply(1, (2, 1, 3)) == (1, 2, 3)
+    assert word_descents((3, 1, 2)) == {2}
+    assert inversions((3, 1, 2)) == 2
+    assert swap_values((2, 1, 3), 1) == (1, 2, 3)
     assert longest_element(4) == (4, 3, 2, 1)
     assert ascent_pairs((1, 2)) == {(1, 2)}
 
@@ -66,10 +66,24 @@ def test_interval_requires_comparability():
 @pytest.mark.parametrize("n", range(1, 6))
 def test_ascent_pair_criterion_matches_closure(n):
     perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
-    ups = {g: _upward_closure(g) for g in perms}
+    ups = {g: _weak_order_walk(g, upward=True) for g in perms}
     for g in perms:
         for rho in perms:
             assert (rho in ups[g]) == leq_left_weak(g, rho)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_downward_walk_is_the_lower_set(n):
+    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    for g in perms:
+        assert _weak_order_walk(g, upward=False) == {s for s in perms if leq_left_weak(s, g)}
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_word_graph_nonattacking_count_matches_oracle(n):
+    for iv in all_intervals(n):
+        expected = max(oracle.interval_nonattacking_counts(iv))
+        assert _max_nonattacking(words_family(iv.members)) == expected, iv
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -221,6 +235,27 @@ def test_run_harness_records():
     assert "interval-witness" in kinds and "peak-transition" in kinds
     as_dicts = [r.as_dict() for r in records]
     assert all(set(d) == {"theorem", "shape", "verdict", "dims", "elapsed"} for d in as_dicts)
+
+
+def test_run_harness_rejects_an_unknown_check():
+    with pytest.raises(DomainError, match="nope"):
+        run_harness(("nope",))
+    with pytest.raises(DomainError, match="nope"):
+        run_harness(("witness", "nope"))
+
+
+def test_run_harness_check_names_slice_the_full_run():
+    def rows(records):
+        return [{k: v for k, v in r.as_dict().items() if k != "elapsed"} for r in records]
+
+    everything = rows(run_harness(("all",), max_n=4))
+    assert rows(run_harness(CHECKS, max_n=4)) == everything
+    start = 0
+    for check in CHECKS:
+        part = rows(run_harness((check,), max_n=4))
+        assert part and everything[start : start + len(part)] == part, check
+        start += len(part)
+    assert start == len(everything)
 
 
 def test_run_harness_isolates_a_raising_job(monkeypatch):
