@@ -40,7 +40,7 @@ from .compositions import (
     mask_composition,
 )
 from .errors import DomainError, IncompatibleFamilyError
-from .hecke import RelationReport, compose_maps, sink_maps, support_walk, zero_hecke_relations
+from .hecke import RelationReport, compose_maps, relation_table, sink_maps, support_walk
 from .series import PEAK, FormalSum
 from .tableaux import (
     StandardTableau,
@@ -499,7 +499,7 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     n, graph = rep.n, rep.family.word_graph
     swaps = swap_targets(graph)
     edges = np.where(graph.descent, DESCENT, ATTACK).tolist(), swaps.tolist()
-    relations = zero_hecke_relations(n - 1, -1)
+    relations = relation_table(n - 1).relations
     checked = len(relations)
     violations = [
         message

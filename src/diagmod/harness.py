@@ -138,10 +138,17 @@ def weak_bruhat_interval(sigma: Perm, rho: Perm) -> BruhatInterval:
         raise DomainError("permutations of different sizes")
     if not leq_left_weak(sigma, rho):
         raise DomainError(f"{sigma} is not below {rho} in left weak order")
-    up = _weak_order_walk(sigma, upward=True)
-    members = sorted(up & _weak_order_walk(rho, upward=False))
-    ap_rho = ascent_pairs(rho)
-    criterion = sorted(g for g in up if ap_rho <= ascent_pairs(g))
+    up, down = _weak_order_walk(sigma, upward=True), _weak_order_walk(rho, upward=False)
+    return _interval(sigma, rho, up, down, ascent_pairs)
+
+
+def _interval(sigma: Perm, rho: Perm, up: set, down: set, ascents) -> BruhatInterval:
+    """The interval from the upward walk from sigma and the downward walk
+    from rho, checked against the ascent-pair criterion; ``ascents`` gives
+    a permutation's ascent pairs."""
+    members = sorted(up & down)
+    ap_rho = ascents(rho)
+    criterion = sorted(g for g in up if ap_rho <= ascents(g))
     if members != criterion:
         raise TheoremMismatch(
             f"interval [{sigma}, {rho}]: closure and ascent-pair criterion disagree"
@@ -150,14 +157,19 @@ def weak_bruhat_interval(sigma: Perm, rho: Perm) -> BruhatInterval:
 
 
 def all_intervals(n: int) -> list[BruhatInterval]:
-    """Every interval of the left weak order on permutations of 1..n."""
+    """Every interval of the left weak order on permutations of 1..n.
+
+    Both walks and the ascent pairs are computed once per permutation."""
     perms = [tuple(g) for g in itertools.permutations(range(1, n + 1))]
-    out = []
-    for sigma in perms:
-        for rho in perms:
-            if leq_left_weak(sigma, rho):
-                out.append(weak_bruhat_interval(sigma, rho))
-    return out
+    ascents = {g: ascent_pairs(g) for g in perms}
+    up = {g: _weak_order_walk(g, upward=True) for g in perms}
+    down = {g: _weak_order_walk(g, upward=False) for g in perms}
+    return [
+        _interval(sigma, rho, up[sigma], down[rho], ascents.__getitem__)
+        for sigma in perms
+        for rho in perms
+        if ascents[rho] <= ascents[sigma]
+    ]
 
 
 def words_family(words: Sequence[Perm], tag: str = "words") -> TableauFamily:

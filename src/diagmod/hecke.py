@@ -20,9 +20,9 @@ breadth-first walk over its generators' entries, :func:`support_walk`.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -172,6 +172,31 @@ def compose_maps(outer, inner) -> tuple[np.ndarray, np.ndarray]:
     return targets, (outer_s.take(inner_t, axis=1) * inner_s).reshape(-1, width)
 
 
+class RelationTable(NamedTuple):
+    """The relations of :func:`zero_hecke_relations` on k generators, with
+    their words as arrays: ``lhs`` and ``rhs`` are (r, 3) arrays of generator
+    indices, each word padded on the left with the index k of an identity
+    generator, and ``signs`` is the (r, 1) column of right signs."""
+
+    relations: tuple[tuple, ...]
+    lhs: np.ndarray
+    rhs: np.ndarray
+    signs: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def relation_table(k: int, convention: str = PI) -> RelationTable:
+    """The relation table of k generators in the convention, built once."""
+    relations = tuple(zero_hecke_relations(k, -1 if convention == PI else 1, convention))
+
+    def padded(side: int) -> np.ndarray:
+        words = [(k,) * (3 - len(rel[side])) + rel[side] for rel in relations]
+        return np.array(words, dtype=np.intp).reshape(-1, 3)
+
+    signs = np.array([rel[3] for rel in relations], dtype=np.int8).reshape(-1, 1)
+    return RelationTable(relations, padded(1), padded(2), signs)
+
+
 # Relation words are composed in chunks of at most this many cells per array.
 _RELATION_CELLS = 1 << 15
 
@@ -193,26 +218,28 @@ def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     """Check the quadratic, commutation, and braid relations exactly.
 
     A product of signed partial maps is one again.  The generators are
-    stacked, and the relations of one kind, whose sides have fixed lengths,
-    are checked together: their left words are composed in one batch, their
-    right words in another, and each side is compared with the other.
+    stacked with an identity map on top, and the words of the cached
+    :func:`relation_table`, padded with that identity to length 3, are
+    composed together: every left side in one batch of gathers, every right
+    side in another, a chunk of relations at a time.  A relation holds
+    when both sides send every column to the same target with the same sign.
     """
-    targets, signs = rep.targets, rep.signs
-    quad_sign = -1 if rep.convention == PI else 1
-    relations = zero_hecke_relations(len(targets), quad_sign, rep.convention)
-    violations = []
-    step = max(1, _RELATION_CELLS // targets.shape[1])
-    for _, group in itertools.groupby(relations, key=lambda rel: (len(rel[1]), len(rel[2]))):
-        group = list(group)
-        for first in range(0, len(group), step):
-            chunk = group[first : first + step]
-            messages, lhs, rhs, relation_signs = zip(*chunk)
-            left, left_sign = _compose_words(targets, signs, np.array(lhs))
-            right, right_sign = _compose_words(targets, signs, np.array(rhs))
-            right_sign *= np.array(relation_signs, dtype=np.int8)[:, None]
-            fails = (left != right).any(axis=1) | (left_sign != right_sign).any(axis=1)
-            violations.extend(message for message, bad in zip(messages, fails) if bad)
-    return RelationReport(len(relations), tuple(violations))
+    k, width = rep.targets.shape
+    table = relation_table(k, rep.convention)
+    # generator k is the identity: every column fixed with sign 1, the sink with 0
+    columns = np.arange(width)
+    targets = np.vstack((rep.targets, columns))
+    signs = np.vstack((rep.signs, columns < width - 1)).astype(rep.signs.dtype, copy=False)
+    fails = []
+    step = max(1, _RELATION_CELLS // width)
+    for first in range(0, len(table.relations), step):
+        rows = slice(first, first + step)
+        left, left_sign = _compose_words(targets, signs, table.lhs[rows])
+        right, right_sign = _compose_words(targets, signs, table.rhs[rows])
+        right_sign *= table.signs[rows]
+        fails.extend(((left != right) | (left_sign != right_sign)).any(axis=1).tolist())
+    violations = tuple(rel[0] for rel, bad in zip(table.relations, fails) if bad)
+    return RelationReport(len(table.relations), violations)
 
 
 def qsym_characteristic(obj) -> FormalSum:

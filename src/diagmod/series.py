@@ -20,13 +20,15 @@ from .compositions import (
     composition_size,
     descent_set,
     enumerate_compositions,
-    is_peak_composition,
     peak_set,
 )
 from .errors import DomainError
 
 FUNDAMENTAL = "F"
 PEAK = "K"
+
+
+_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -46,7 +48,11 @@ class FormalSum:
             raise DomainError(f"unknown basis label {self.basis!r}")
         clean: dict[Composition, Fraction] = {}
         for alpha, coeff in self.terms.items():
-            alpha = check_composition(alpha)
+            # A tuple of exact ints, as the library builds, is checked by
+            # builtins; any other index goes through check_composition, which
+            # raises on a float, bool or nonpositive part.
+            if type(alpha) is not tuple or not _INT.issuperset(map(type, alpha)) or min(alpha, default=1) < 1:
+                alpha = check_composition(alpha)
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff == 0:
@@ -55,7 +61,8 @@ class FormalSum:
                 raise DomainError(
                     f"index {alpha} is not a composition of {self.n}"
                 )
-            if self.basis == PEAK and not is_peak_composition(alpha):
+            # is_peak_composition, on an index already checked
+            if self.basis == PEAK and min(alpha[:-1], default=2) < 2:
                 raise DomainError(f"peak-basis index {alpha} is not a peak composition")
             clean[alpha] = clean[alpha] + coeff if alpha in clean else coeff
         clean = {a: c for a, c in clean.items() if c != 0}

@@ -10,8 +10,9 @@ A family is stored as an integer array, one row of entries per member in
 reading-word order, with one descent mask per member; its tableaux are built
 only when read (for display, ``rect`` and witnesses).  The family's word
 graph records descents and swaps for every member and generator, once, from
-the array; the compatibility gate and the module builders read it, and the
-characteristics read the histogram of descent masks.
+the array; the compatibility gate and the module builders read it, the
+gate's verdicts are kept on the family, and the characteristics read the
+histogram of descent masks.
 """
 
 from __future__ import annotations
@@ -250,6 +251,16 @@ class TableauFamily:
     def word_graph(self) -> "WordGraph":
         return _word_graph(self)
 
+    # The gate verdicts, computed once per family and mode; builders and
+    # direct callers of the gate share them.
+    @cached_property
+    def _ascent_gate(self) -> "CompatibilityResult":
+        return _compatibility(self, "ascent")
+
+    @cached_property
+    def _descent_gate(self) -> "CompatibilityResult":
+        return _compatibility(self, "descent")
+
     @cached_property
     def _entry_rows(self) -> frozenset[tuple[int, ...]]:
         return frozenset(map(tuple, self.members.entries.tolist()))
@@ -293,6 +304,17 @@ class WordGraph(NamedTuple):
 
 
 def _word_graph(family: TableauFamily) -> WordGraph:
+    """Read the family's words once: the basis order, the descents, and
+    every swap target, found by one sorted search over exact integer keys.
+
+    Members share one diagram, so their entry positions name them, and
+    exchanging the entries i and i+1 exchanges two columns of positions.
+    Row t of positions is keyed by the integer whose base-n digit j is
+    ``positions[t, j]``, so the swap at i adds the key delta
+    ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is looked up
+    among the sorted keys.  A key is below n^n, so it is an int64 when
+    that fits and a Python integer otherwise: never rounded or hashed.
+    """
     words = family.words.astype(np.int16)
     m, n = words.shape
     # Module-basis order: inversion count of the reading word descending,
@@ -300,21 +322,21 @@ def _word_graph(family: TableauFamily) -> WordGraph:
     inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
     order = np.argsort(-inversion_counts, kind="stable")
     positions = _positions(words[order])
-    # Members share one diagram, so their entry positions name them, and
-    # exchanging the entries i and i+1 exchanges two columns of positions.
-    # A swapped row is looked up, as raw bytes, among the sorted rows.
-    row = np.dtype((np.void, positions.itemsize * n))
-    row_order = positions.view(row).ravel().argsort()
-    rows = positions.view(row).ravel()[row_order]
-    descent = (positions[:, :-1] > positions[:, 1:]).T.copy()
-    target = np.zeros((n - 1, m), dtype=np.int32)
-    for i in range(1, n):
-        swapped = positions.copy()
-        swapped[:, [i - 1, i]] = positions[:, [i, i - 1]]
-        probe = swapped.view(row).ravel()
-        at = np.searchsorted(rows, probe).clip(max=m - 1)
-        target[i - 1] = np.where(rows[at] == probe, row_order[at], -1)
-    return WordGraph(family.members.reordered(order), positions, descent, target)
+    dtype = np.int64 if n**n < 2**63 else object
+    radix = np.array([n**j for j in range(n)], dtype=dtype)
+    keys = positions.astype(dtype) @ radix
+    key_order = keys.argsort()
+    sorted_keys = keys[key_order]
+    steps = np.ascontiguousarray(np.diff(positions, axis=1).T)  # (n - 1, m): p[i] - p[i-1]
+    # in place where possible: these (n - 1, m) arrays are the graph's peak memory
+    probes = steps.astype(dtype)
+    probes *= (radix[:-1] - radix[1:])[:, None]
+    probes += keys
+    at = np.searchsorted(sorted_keys, probes)
+    np.minimum(at, m - 1, out=at)
+    target = key_order.astype(np.int32)[at]
+    target[sorted_keys[at] != probes] = -1
+    return WordGraph(family.members.reordered(order), positions, steps < 0, target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:
@@ -381,13 +403,13 @@ def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:
     """All members sharing an ascent at the same reading positions agree on
-    its attacking status."""
-    return _compatibility(family, "ascent")
+    its attacking status.  The verdict is computed once per family."""
+    return family._ascent_gate
 
 
 def is_descent_compatible(family: TableauFamily) -> CompatibilityResult:
     """Same as ascent-compatibility with descents in place of ascents."""
-    return _compatibility(family, "descent")
+    return family._descent_gate
 
 
 def render_tableau(tab: StandardTableau, marks: frozenset[int] = frozenset()) -> str:

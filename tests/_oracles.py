@@ -26,6 +26,11 @@ tableau, with a validated swapped tableau per (tableau, generator) and exact
 matrix products, the reference for the library's word graph and signed
 partial maps.  The interval witness's count of nonattacking ascents, which
 the library now reads from word graphs, is restated on one-line words.
+
+The library's former fast paths stay here as second oracles for the ones
+that replaced them: the word graph that looked up each swapped positions
+row as raw bytes, one sorted search per generator, and the relation check
+that composed the words of each relation kind as a separate batch.
 """
 
 import functools
@@ -609,3 +614,53 @@ def interval_nonattacking_counts(interval):
                 count += tuple(swapped) in member_set
         counts.append(count)
     return counts
+
+
+def byte_row_word_graph(family):
+    """(basis order, positions, descent, target) of the family's word graph,
+    each swapped positions row looked up as raw bytes among the sorted rows,
+    one search per generator; the library's former word graph."""
+    words = family.words.astype(np.int16)
+    m, n = words.shape
+    inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
+    order = np.argsort(-inversion_counts, kind="stable")
+    positions = np.empty((m, n), dtype=np.int16)
+    positions[np.arange(m)[:, None], words[order] - 1] = np.arange(n, dtype=np.int16)
+    row = np.dtype((np.void, positions.itemsize * n))
+    row_order = positions.view(row).ravel().argsort()
+    rows = positions.view(row).ravel()[row_order]
+    descent = (positions[:, :-1] > positions[:, 1:]).T.copy()
+    target = np.zeros((n - 1, m), dtype=np.int32)
+    for i in range(1, n):
+        swapped = positions.copy()
+        swapped[:, [i - 1, i]] = positions[:, [i, i - 1]]
+        probe = swapped.view(row).ravel()
+        at = np.searchsorted(rows, probe).clip(max=m - 1)
+        target[i - 1] = np.where(rows[at] == probe, row_order[at], -1)
+    return order, positions, descent, target
+
+
+def grouped_hecke_relations(rep):
+    """The relation report of a module's signed partial maps, the relations
+    of one kind composed together in their own batch, one gather per factor;
+    the library's former relation check."""
+    targets, signs = rep.targets, rep.signs
+    width = targets.shape[1]
+    relations = zero_hecke_relations(len(targets), -1 if rep.convention == "pi" else 1, rep.convention)
+
+    def compose(words):
+        cols, product = targets[words[:, -1]], signs[words[:, -1]]
+        for g in words.T[-2::-1, :, None]:
+            product = product * signs.take(cols + g * width)
+            cols = targets.take(cols + g * width)
+        return cols, product
+
+    violations = []
+    for _, group in itertools.groupby(relations, key=lambda rel: (len(rel[1]), len(rel[2]))):
+        messages, lhs, rhs, relation_signs = zip(*group)
+        left, left_sign = compose(np.array(lhs))
+        right, right_sign = compose(np.array(rhs))
+        right_sign = right_sign * np.array(relation_signs, dtype=np.int8)[:, None]
+        fails = (left != right).any(axis=1) | (left_sign != right_sign).any(axis=1)
+        violations.extend(message for message, bad in zip(messages, fails) if bad)
+    return RelationReport(len(relations), tuple(violations))

@@ -80,6 +80,31 @@ def test_downward_walk_is_the_lower_set(n):
 
 
 @pytest.mark.parametrize("n", range(1, 5))
+def test_all_intervals_are_the_pairwise_intervals(n):
+    perms = [tuple(p) for p in itertools.permutations(range(1, n + 1))]
+    pairwise = [
+        weak_bruhat_interval(sigma, rho) for sigma in perms for rho in perms if leq_left_weak(sigma, rho)
+    ]
+    assert all_intervals(n) == pairwise
+
+
+def test_interval_cross_check_raises_on_a_wrong_walk(monkeypatch):
+    """A downward walk that also reaches the longest element from the
+    identity disagrees with the ascent-pair criterion on [id, id]."""
+    walk = diagmod.harness._weak_order_walk
+    identity, top = (1, 2, 3), longest_element(3)
+
+    def wrong(g, upward):
+        return walk(g, upward) | ({top} if g == identity and not upward else set())
+
+    monkeypatch.setattr(diagmod.harness, "_weak_order_walk", wrong)
+    with pytest.raises(TheoremMismatch):
+        weak_bruhat_interval(identity, identity)
+    with pytest.raises(TheoremMismatch):
+        all_intervals(3)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
 def test_word_graph_nonattacking_count_matches_oracle(n):
     for iv in all_intervals(n):
         expected = max(oracle.interval_nonattacking_counts(iv))

@@ -1,11 +1,21 @@
 import dataclasses
+import itertools
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import _oracles as oracle
 from conftest import apply_word, forced_word_set_families, member_by_word
-from diagmod.clifford import ATTACK, DESCENT, build_clifford_module, swap_targets
+from diagmod import tableaux
+from diagmod.clifford import (
+    ATTACK,
+    DESCENT,
+    build_clifford_module,
+    swap_targets,
+    verify_clifford_relations,
+)
 from diagmod.compositions import comp_n, enumerate_compositions, enumerate_strict_partitions
 from diagmod.errors import DomainError, IncompatibleFamilyError
 from diagmod.families import (
@@ -15,7 +25,7 @@ from diagmod.families import (
     family_instances,
     shapes_for,
 )
-from diagmod.harness import check_family
+from diagmod.harness import check_family, words_family
 from diagmod.hecke import (
     build_hecke_module,
     generating_words,
@@ -29,6 +39,7 @@ from diagmod.tableaux import (
     inversions,
     is_ascent_compatible,
     is_descent_compatible,
+    swap_values,
 )
 
 
@@ -310,6 +321,124 @@ def test_word_graph_matches_oracle_on_forced_word_sets():
     control = reports[((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))]
     assert "braid fails at pi[1], pi[2]" in control["pi"].violations
     assert "braid fails at hat[1], hat[2]" in control["hat"].violations
+
+
+def assert_matches_former_paths(fam):
+    """The keyed word graph equals the byte-row one, and in both
+    conventions, built by force, the one-pass relation check equals the
+    grouped one."""
+    graph = fam.word_graph
+    order, positions, descent, target = oracle.byte_row_word_graph(fam)
+    assert np.array_equal(graph.basis.order, order)
+    assert np.array_equal(graph.positions, positions)
+    assert graph.descent.dtype == bool and np.array_equal(graph.descent, descent)
+    assert graph.target.dtype == np.int32 and np.array_equal(graph.target, target)
+    for convention in ("pi", "hat"):
+        rep = build_hecke_module(fam, convention, force=True)
+        assert verify_hecke_relations(rep) == oracle.grouped_hecke_relations(rep)
+
+
+SQUARE = ((1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3))
+
+
+def square_families():
+    """Every nonempty subset of the square of words joined by the
+    commuting swaps at 1 and 3, as a family of single-row fillings."""
+    return [
+        words_family(words)
+        for size in range(1, len(SQUARE) + 1)
+        for words in itertools.combinations(SQUARE, size)
+    ]
+
+
+def test_former_paths_agree_on_built_in_families():
+    built = 0
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.members:
+            assert_matches_former_paths(fam)
+            built += 1
+    assert built == 4603
+
+
+def test_former_paths_agree_on_large_families():
+    for kind, shape in [("syt", (5, 4, 3, 1)), ("rib", (3, 4, 4)), ("sit", (4, 4, 4)),
+                        ("srit", (4, 4, 3)), ("syt", (4, 3, 2)), ("spct", (3, 3, 3))]:
+        assert_matches_former_paths(build_family(kind, shape))
+
+
+def test_former_paths_agree_on_forced_word_sets():
+    families = forced_word_set_families() + square_families()
+    assert len(families) == 63 + 15
+    for fam in families:
+        assert_matches_former_paths(fam)
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_word_graph_keys_are_exact_at_the_int64_boundary(n):
+    """n^n < 2^63 only for n <= 15; above it the keys are Python integers.
+    Words within two swaps of a random one give many swap targets."""
+    rng = random.Random(n)
+    words = {tuple(rng.sample(range(1, n + 1), n))}
+    for _ in range(2):
+        words |= {swap_values(w, i) for w in words for i in range(1, n) if rng.random() < 0.5}
+    fam = words_family(sorted(words))
+    assert (fam.word_graph.target >= 0).sum() > len(words)
+    assert_matches_former_paths(fam)
+
+
+@pytest.mark.parametrize("n, relations", [(1, 0), (2, 1)])
+def test_smallest_modules_verify(n, relations):
+    fam = words_family(list(itertools.permutations(range(1, n + 1))))
+    for convention in ("pi", "hat"):
+        report = verify_hecke_relations(build_hecke_module(fam, convention))
+        assert (report.checked, report.violations) == (relations, ())
+
+
+def test_commutation_square_forced_builds():
+    """Force-built in pi, in hat and as a supermodule, exactly two subsets
+    of the square break a relation, each only the commutation of generators
+    1 and 3; the reports equal the product and materialised oracles'."""
+    failing = {}
+    for fam in square_families():
+        words = frozenset(t.reading_word for t in fam)
+        for convention in ("pi", "hat"):
+            report = verify_hecke_relations(build_hecke_module(fam, convention, force=True))
+            _, mats = oracle.oracle_hecke_matrices(fam, convention)
+            assert report == oracle.product_hecke_relations(mats, convention)
+            if report.violations:
+                failing[words, convention] = report.violations
+        crep = build_clifford_module(fam, force=True)
+        report = verify_clifford_relations(crep)
+        expected = oracle.materialised_clifford_relations(crep)
+        assert (report.checked, report.violations) == (expected.checked, expected.violations)
+        if report.violations:
+            failing[words, "supermodule"] = report.violations
+    bad = [
+        frozenset({(1, 2, 3, 4), (2, 1, 3, 4), (2, 1, 4, 3)}),
+        frozenset({(1, 2, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3)}),
+    ]
+    assert failing == {
+        (words, convention): (f"{label}[1] and {label}[3] do not commute",)
+        for words in bad
+        for convention, label in (("pi", "pi"), ("hat", "hat"), ("supermodule", "pi"))
+    }
+
+
+@pytest.mark.parametrize("kind, modes", [("syt", {"ascent": 1}), ("sit", {"ascent": 1, "descent": 1})])
+def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
+    """The gate verdict is cached on the family: the module and supermodule
+    builders and the direct gate calls share one scan per mode."""
+    calls = []
+    scan = tableaux._compatibility
+    monkeypatch.setattr(tableaux, "_compatibility", lambda fam, mode: calls.append(mode) or scan(fam, mode))
+    built = build_family(kind, (3, 2))
+    fam = tableaux.TableauFamily(built.diagram, built.members, "fresh", kind, built.shape)
+    assert check_family(fam).ok
+    assert Counter(calls) == modes
+    check_family(fam)
+    assert is_ascent_compatible(fam) is is_ascent_compatible(fam)
+    assert Counter(calls) == modes
 
 
 # (family kind, shape, convention, generator, basis column holding a swap

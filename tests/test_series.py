@@ -59,6 +59,39 @@ def test_peak_basis_rejects_non_peak_index():
         FormalSum.peak((1, 2))
 
 
+PARTS_MESSAGE = "composition parts must be positive integers, got {}"
+
+
+@pytest.mark.parametrize("basis, n, index, message", [
+    ("F", 3, (1.0, 2), PARTS_MESSAGE.format("(1.0, 2)")),
+    ("F", 3, (True, 2), PARTS_MESSAGE.format("(True, 2)")),
+    ("K", 3, (2.0, 1), PARTS_MESSAGE.format("(2.0, 1)")),
+    ("F", 3, (1, True, 1), PARTS_MESSAGE.format("(1, True, 1)")),
+    ("F", 3, (0, 3), PARTS_MESSAGE.format("(0, 3)")),
+    ("F", 4, (1, 2), "index (1, 2) is not a composition of 4"),
+    ("K", 3, (1, 2), "peak-basis index (1, 2) is not a peak composition"),
+])
+def test_formal_sum_rejects_bad_indices_after_equal_valid_ones(basis, n, index, message):
+    """Indices equal to valid ones already checked, as (1.0, 2) == (1, 2),
+    still raise, with the message of a first check."""
+    for valid in ((1, 2), (2, 1), (1, 1, 1), (3,)):
+        FormalSum("F", 3, {valid: 1})
+    FormalSum("K", 3, {(2, 1): 1})
+    with pytest.raises(DomainError) as err:
+        FormalSum(basis, n, {index: 1})
+    assert str(err.value) == message
+
+
+def test_formal_sum_keys_keep_their_type():
+    """A tuple-subclass index is stored as a plain tuple, and a term with
+    coefficient zero is dropped before its size is checked."""
+    class Parts(tuple):
+        pass
+
+    f = FormalSum("F", 3, {Parts((1, 2)): 1, (1, 1, 1): 0, (5,): 0})
+    assert list(f.terms) == [(1, 2)] and type(next(iter(f.terms))) is tuple
+
+
 def test_peak_to_fundamental_single_row():
     # empty peak set: every composition qualifies, coefficient 2
     n = 4
