@@ -47,6 +47,7 @@ from .tableaux import (
     TableauFamily,
     Tableaux,
     WordGraph,
+    WordSet,
     is_ascent_compatible,
     render_tableau,
 )
@@ -203,7 +204,7 @@ def _placed(block, n: int, rows_at: np.ndarray, cols_at: np.ndarray):
     )
 
 
-def swap_targets(graph: WordGraph) -> np.ndarray:
+def swap_targets(graph: WordGraph | WordSet) -> np.ndarray:
     """Per generator i and tableau t, the tableau whose marked copies
     receive the SWAP block of pi_i from t: the word graph's target where i
     is not a descent of t, else -1, as is a swap that leaves the family."""
@@ -495,10 +496,19 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     expanding both sides over paths in the word graph (see
     :func:`_relation_holds`).  The checks, their count and the violation
     messages are those of the products of the full generator matrices.
+    The report depends only on the family's word set and is computed once
+    per word set.
     """
-    n, graph = rep.n, rep.family.word_graph
-    swaps = swap_targets(graph)
-    edges = np.where(graph.descent, DESCENT, ATTACK).tolist(), swaps.tolist()
+    return _word_set_relations(rep.family.word_set)
+
+
+@lru_cache(maxsize=None)
+def _word_set_relations(words: WordSet) -> RelationReport:
+    """The supermodule relation report of a word set: a function of n, its
+    descents and swap targets, and the 2^n blocks."""
+    n = words.n
+    swaps = swap_targets(words)
+    edges = np.where(words.descent, DESCENT, ATTACK).tolist(), swaps.tolist()
     relations = relation_table(n - 1).relations
     checked = len(relations)
     violations = [

@@ -176,12 +176,17 @@ class RelationTable(NamedTuple):
     """The relations of :func:`zero_hecke_relations` on k generators, with
     their words as arrays: ``lhs`` and ``rhs`` are (r, 3) arrays of generator
     indices, each word padded on the left with the index k of an identity
-    generator, and ``signs`` is the (r, 1) column of right signs."""
+    generator, and ``signs`` is the (r, 1) column of right signs.  The
+    relations come quadratic, commutation, braid, so at each factor position
+    the padded rows come first: ``lhs_pads[c]`` rows of ``lhs`` hold k in
+    column c, and likewise ``rhs_pads``."""
 
     relations: tuple[tuple, ...]
     lhs: np.ndarray
     rhs: np.ndarray
     signs: np.ndarray
+    lhs_pads: tuple[int, ...]
+    rhs_pads: tuple[int, ...]
 
 
 @lru_cache(maxsize=None)
@@ -193,49 +198,54 @@ def relation_table(k: int, convention: str = PI) -> RelationTable:
         words = [(k,) * (3 - len(rel[side])) + rel[side] for rel in relations]
         return np.array(words, dtype=np.intp).reshape(-1, 3)
 
+    def pads(words: np.ndarray) -> tuple[int, ...]:
+        return tuple(int(np.count_nonzero(column == k)) for column in words.T)
+
+    lhs, rhs = padded(1), padded(2)
     signs = np.array([rel[3] for rel in relations], dtype=np.int8).reshape(-1, 1)
-    return RelationTable(relations, padded(1), padded(2), signs)
+    return RelationTable(relations, lhs, rhs, signs, pads(lhs), pads(rhs))
 
 
 # Relation words are composed in chunks of at most this many cells per array.
 _RELATION_CELLS = 1 << 15
 
 
-def _compose_words(targets, signs, words) -> tuple[np.ndarray, np.ndarray]:
+def _compose_words(targets, signs, words, pads) -> tuple[np.ndarray, np.ndarray]:
     """The images of every column under each row of ``words``, a (w, L)
     array of generator indices, leftmost factor first: one gather per
-    factor for all the words together."""
+    factor for all the words together.  The first ``pads[c]`` rows hold the
+    identity in column c and skip that factor."""
     width = targets.shape[1]
     cols, product = targets[words[:, -1]], signs[words[:, -1]]
-    for g in words.T[-2::-1, :, None]:
-        cols += g * width  # flat indices into the stacked maps
-        product *= signs.take(cols)
-        cols = targets.take(cols)
+    for g, live in zip(words.T[-2::-1], pads[-2::-1]):
+        at = cols[live:]
+        at += g[live:, None] * width  # flat indices into the maps
+        product[live:] *= signs.take(at)
+        cols[live:] = targets.take(at)
     return cols, product
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     """Check the quadratic, commutation, and braid relations exactly.
 
-    A product of signed partial maps is one again.  The generators are
-    stacked with an identity map on top, and the words of the cached
-    :func:`relation_table`, padded with that identity to length 3, are
-    composed together: every left side in one batch of gathers, every right
-    side in another, a chunk of relations at a time.  A relation holds
-    when both sides send every column to the same target with the same sign.
+    A product of signed partial maps is one again.  The words of the cached
+    :func:`relation_table` are composed together: every left side in one
+    batch of gathers, every right side in another, a chunk of relations at
+    a time.  A relation holds when both sides send every column to the same
+    target with the same sign.
     """
     k, width = rep.targets.shape
     table = relation_table(k, rep.convention)
-    # generator k is the identity: every column fixed with sign 1, the sink with 0
-    columns = np.arange(width)
-    targets = np.vstack((rep.targets, columns))
-    signs = np.vstack((rep.signs, columns < width - 1)).astype(rep.signs.dtype, copy=False)
     fails = []
     step = max(1, _RELATION_CELLS // width)
     for first in range(0, len(table.relations), step):
         rows = slice(first, first + step)
-        left, left_sign = _compose_words(targets, signs, table.lhs[rows])
-        right, right_sign = _compose_words(targets, signs, table.rhs[rows])
+        left, left_sign = _compose_words(
+            rep.targets, rep.signs, table.lhs[rows], [max(0, pad - first) for pad in table.lhs_pads]
+        )
+        right, right_sign = _compose_words(
+            rep.targets, rep.signs, table.rhs[rows], [max(0, pad - first) for pad in table.rhs_pads]
+        )
         right_sign *= table.signs[rows]
         fails.extend(((left != right) | (left_sign != right_sign)).any(axis=1).tolist())
     violations = tuple(rel[0] for rel, bad in zip(table.relations, fails) if bad)

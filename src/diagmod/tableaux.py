@@ -9,15 +9,18 @@ family membership deciding whether a swap of consecutive entries stays legal.
 A family is stored as an integer array, one row of entries per member in
 reading-word order, with one descent mask per member; its tableaux are built
 only when read (for display, ``rect`` and witnesses).  The family's word
-graph records descents and swaps for every member and generator, once, from
-the array; the compatibility gate and the module builders read it, the
-gate's verdicts are kept on the family, and the characteristics read the
-histogram of descent masks.
+graph records descents and swaps for every member and generator.  All of it
+but the basis tableaux depends only on the set of reading words, so that
+part is built once per word set and shared, read-only, by every family with
+those words, together with both gate scans; the module builders read the
+graph, the gate's verdicts are kept on the family, and the characteristics
+read the histogram of descent masks.
 """
 
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -248,8 +251,13 @@ class TableauFamily:
         return Counter(masks)
 
     @cached_property
+    def word_set(self) -> "WordSet":
+        return _interned_word_set(self.words)
+
+    @cached_property
     def word_graph(self) -> "WordGraph":
-        return _word_graph(self)
+        words = self.word_set
+        return WordGraph(self.members.reordered(words.order), words.positions, words.descent, words.target)
 
     # The gate verdicts, computed once per family and mode; builders and
     # direct callers of the gate share them.
@@ -294,31 +302,74 @@ class WordGraph(NamedTuple):
     of ``basis[t]``.  For generator i, row i-1 of ``descent`` flags the
     members with a descent at i, and row i-1 of ``target`` holds the basis
     index of the member with i and i+1 exchanged, or -1 when that word is
-    not in the family.
+    not in the family.  The arrays are the family's :class:`WordSet`'s.
     """
 
     basis: Tableaux
-    positions: np.ndarray  # (members, n) int16
+    positions: np.ndarray  # (members, n), the reading words' dtype
     descent: np.ndarray  # (n - 1, members) bool
     target: np.ndarray  # (n - 1, members) int32
 
 
-def _word_graph(family: TableauFamily) -> WordGraph:
-    """Read the family's words once: the basis order, the descents, and
-    every swap target, found by one sorted search over exact integer keys.
+class WordSet:
+    """The word graph of a set of reading words, without tableaux: the basis
+    order (``basis[t]`` is member ``order[t]``), ``positions``, ``descent``
+    and ``target`` as in :class:`WordGraph`, all read-only, and the
+    :func:`_gate_scan` of each mode once it is done, else None.  Families
+    with the same reading words share one, so it hashes by identity.
+    """
 
-    Members share one diagram, so their entry positions name them, and
-    exchanging the entries i and i+1 exchanges two columns of positions.
-    Row t of positions is keyed by the integer whose base-n digit j is
-    ``positions[t, j]``, so the swap at i adds the key delta
+    __slots__ = ("order", "positions", "descent", "target", "ascent_scan", "descent_scan", "__weakref__")
+
+    def __init__(self, order, positions, descent, target):
+        for array in (order, positions, descent, target):
+            array.flags.writeable = False
+        self.order, self.positions, self.descent, self.target = order, positions, descent, target
+        self.ascent_scan = self.descent_scan = None
+
+    @property
+    def n(self) -> int:
+        return self.positions.shape[1]
+
+
+# The word sets some family holds, keyed exactly by the reading-word array.
+_word_sets: "weakref.WeakValueDictionary[tuple, WordSet]" = weakref.WeakValueDictionary()
+
+
+def _interned_word_set(words: np.ndarray) -> WordSet:
+    """The shared word set of a family's reading words, built on first use."""
+    key = (*words.shape, words.dtype, words.tobytes())
+    found = _word_sets.get(key)
+    if found is None:
+        found = _word_sets[key] = _word_set(words)
+    return found
+
+
+# Swap targets are searched a block of generators at a time, each block of
+# at most this many cells (but at least one generator).
+_SEARCH_CELLS = 1 << 15
+
+
+def _word_set(words: np.ndarray) -> WordSet:
+    """Read a set of words, one per row in increasing order, once: the basis
+    order, the descents, and every swap target, found by a sorted search
+    over exact integer keys.
+
+    The words are permutations of one length n, so their entry positions
+    name them, and exchanging the entries i and i+1 exchanges two columns of
+    positions.  Row t of positions is keyed by the integer whose base-n
+    digit j is ``positions[t, j]``, so the swap at i adds the key delta
     ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is looked up
     among the sorted keys.  A key is below n^n, so it is an int64 when
     that fits and a Python integer otherwise: never rounded or hashed.
+    The positions are kept in the words' dtype, which holds 0..n-1: the
+    word set's key already costs a copy of the words.
     """
-    words = family.words.astype(np.int16)
+    kept = words.dtype
+    words = words.astype(np.int16)
     m, n = words.shape
     # Module-basis order: inversion count of the reading word descending,
-    # ties by the word itself, which is the order of the members.
+    # ties by the word itself, which is the order of the rows.
     inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
     order = np.argsort(-inversion_counts, kind="stable")
     positions = _positions(words[order])
@@ -327,16 +378,21 @@ def _word_graph(family: TableauFamily) -> WordGraph:
     keys = positions.astype(dtype) @ radix
     key_order = keys.argsort()
     sorted_keys = keys[key_order]
+    rank = key_order.astype(np.int32)
+    deltas = (radix[:-1] - radix[1:])[:, None]
     steps = np.ascontiguousarray(np.diff(positions, axis=1).T)  # (n - 1, m): p[i] - p[i-1]
-    # in place where possible: these (n - 1, m) arrays are the graph's peak memory
-    probes = steps.astype(dtype)
-    probes *= (radix[:-1] - radix[1:])[:, None]
-    probes += keys
-    at = np.searchsorted(sorted_keys, probes)
-    np.minimum(at, m - 1, out=at)
-    target = key_order.astype(np.int32)[at]
-    target[sorted_keys[at] != probes] = -1
-    return WordGraph(family.members.reordered(order), positions, steps < 0, target)
+    target = np.empty((n - 1, m), dtype=np.int32)
+    block = max(1, _SEARCH_CELLS // max(m, 1))
+    for first in range(0, n - 1, block):
+        rows = slice(first, first + block)
+        probes = steps[rows].astype(dtype)
+        probes *= deltas[rows]
+        probes += keys
+        at = np.searchsorted(sorted_keys, probes)
+        np.minimum(at, m - 1, out=at)
+        found = sorted_keys[at] == probes
+        target[rows] = np.where(found, rank[at], -1)
+    return WordSet(order, positions.astype(kept), steps < 0, target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:
@@ -373,32 +429,58 @@ class CompatibilityResult(NamedTuple):
         return self.ok
 
 
+# Every passing scan and verdict is the same, so they share one object.
+_PASSES = (True, -1, -1, 0, 0)
+_COMPATIBLE = CompatibilityResult(True, None)
+
+
 def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     """Shared scan for ascent- and descent-compatibility.
 
-    Tableaux are visited in module-basis order, generators in increasing
-    order within each; the witness reports the tableau that first recorded
-    the reading positions of the conflicting pair and the first tableau that
-    disagrees with it on the attacking status.
+    The scan reads only the word set and runs once per word set and mode
+    (see :func:`_gate_scan`); the witness tableaux come from this family's
+    basis.
     """
-    graph = family.word_graph
-    n = family.n
-    pos = graph.positions.astype(np.int32)
-    low, high = np.minimum(pos[:, :-1], pos[:, 1:]), np.maximum(pos[:, :-1], pos[:, 1:])
-    # the scanned (tableau, generator) cells in scan order, each keyed by the
-    # reading positions of i and i+1
-    cells = np.flatnonzero((graph.descent if mode == "descent" else ~graph.descent).T)
-    keys = (low * n + high).ravel()[cells]
-    attacking = (graph.target < 0).T.ravel()[cells]
+    words, slot = family.word_set, f"{mode}_scan"
+    scan = getattr(words, slot)
+    if scan is None:
+        scan = _gate_scan(words, mode)
+        setattr(words, slot, scan)
+    ok, earlier, later, r, s = scan
+    if ok:
+        return _COMPATIBLE
+    basis = family.word_graph.basis
+    return CompatibilityResult(False, (basis[earlier], basis[later], r, s))
+
+
+def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
+    """``(ok, earlier, later, r, s)``: whether the word set passes the gate
+    in the mode, and if not, the basis indices and 1-based reading positions
+    of the witness.
+
+    Members are visited in basis order, generators in increasing order
+    within each; the witness reports the member that first recorded the
+    reading positions (r, s) of the conflicting pair and the first member
+    that disagrees with it on the attacking status.
+    """
+    n, pos = words.n, words.positions
+    # each (member, generator) cell keyed by the reading positions of i and
+    # i+1, lower * n + higher, in the narrowest dtype that holds n * n
+    keys = np.minimum(pos[:, :-1], pos[:, 1:]).astype(np.min_scalar_type(n * n))
+    keys *= n
+    keys += np.maximum(pos[:, :-1], pos[:, 1:])
+    # the scanned cells in scan order
+    cells = np.flatnonzero((words.descent if mode == "descent" else ~words.descent).T)
+    keys = keys.ravel()[cells]
+    attacking = (words.target < 0).T.ravel()[cells]
     first = np.full(n * n, cells.size)
     np.minimum.at(first, keys, np.arange(cells.size))
     conflicts = np.flatnonzero(attacking != attacking[first[keys]])
     if not conflicts.size:
-        return CompatibilityResult(True, None)
+        return _PASSES
     k = conflicts[0]
     r, s = divmod(int(keys[k]), n)
-    earlier, later = cells[first[keys[k]]] // (n - 1), cells[k] // (n - 1)
-    return CompatibilityResult(False, (graph.basis[earlier], graph.basis[later], r + 1, s + 1))
+    return False, int(cells[first[keys[k]]] // (n - 1)), int(cells[k] // (n - 1)), r + 1, s + 1
 
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:

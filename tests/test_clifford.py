@@ -417,3 +417,25 @@ def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_
     assert expected in report.violations, report.violations
     k = [t.reading_word for t in rep.basis_tableaux].index((2, 1, 3)) + 1
     assert filtration_quotient_check(rep, k) is quotient_holds
+
+
+def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fresh_block_caches):
+    """The supermodule report is memoised per word set in the clifford
+    module: a report cached before a block fault is injected is served until
+    the fixture's clearing step empties the clifford caches, and then the
+    fault shows."""
+    rep = build_clifford_module(demo_compatible_family())
+    assert verify_clifford_relations(rep).ok
+    _, (n, i, case), col, row, expected, _ = FAULTS["attack parity"]
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        return {**blocks, case: _corrupted(blocks[case], col, row)} if (m, g) == (n, i) else blocks
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    assert verify_clifford_relations(rep).ok
+    for value in vars(clifford).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    assert expected in verify_clifford_relations(rep).violations

@@ -8,7 +8,7 @@ import pytest
 
 import _oracles as oracle
 from conftest import apply_word, forced_word_set_families, member_by_word
-from diagmod import tableaux
+from diagmod import clifford, tableaux
 from diagmod.clifford import (
     ATTACK,
     DESCENT,
@@ -372,6 +372,55 @@ def test_former_paths_agree_on_forced_word_sets():
     assert len(families) == 63 + 15
     for fam in families:
         assert_matches_former_paths(fam)
+
+
+def assert_interning_matches_uncached(families):
+    """Each family's gate verdicts and witnesses and its supermodule report,
+    all read through its interned word set, equal those computed afresh from
+    its words; witnesses lie on the family's diagram; the shared arrays are
+    read-only; and two families share a word set exactly when they have the
+    same reading words.  Returns the number of distinct word sets."""
+    interned = {}
+    for fam in families:
+        words = fam.word_set
+        reading_words = frozenset(map(tuple, fam.words.tolist()))
+        assert interned.setdefault(reading_words, words) is words
+        fresh = tableaux._word_set(fam.words)
+        assert fresh is not words
+        for name in ("order", "positions", "descent", "target"):
+            shared = getattr(words, name)
+            assert shared.flags.writeable is False
+            assert np.array_equal(shared, getattr(fresh, name))
+        graph = fam.word_graph
+        assert graph.positions is words.positions and graph.descent is words.descent
+        assert graph.target is words.target
+        assert graph.basis.order is words.order
+        for mode, gate in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
+            verdict = gate(fam)
+            scan = tableaux._gate_scan(fresh, mode)
+            assert getattr(words, f"{mode}_scan") == scan
+            ok, earlier, later, r, s = scan
+            basis = fam.members.reordered(fresh.order)
+            assert (verdict.ok, verdict.witness) == (ok, None if ok else (basis[earlier], basis[later], r, s))
+            if not ok:
+                assert all(tab.diagram == fam.diagram and tab in fam for tab in verdict.witness[:2])
+        report = verify_clifford_relations(build_clifford_module(fam, force=True))
+        assert report == clifford._word_set_relations.__wrapped__(fresh)
+    assert len({id(words) for words in interned.values()}) == len(interned)
+    return len(interned)
+
+
+def test_interned_word_sets_match_uncached():
+    built = [
+        fam for fam in (build_family(*inst) for inst in family_instances(5, sigmas=True)) if fam.members
+    ]
+    assert len(built) == 968
+    assert assert_interning_matches_uncached(built) == 171
+    # each forced word set on the demo diagram and as single-row fillings:
+    # the two families share a word set but not a diagram
+    forced = forced_word_set_families()
+    forced += [words_family([t.reading_word for t in fam]) for fam in forced] + square_families()
+    assert assert_interning_matches_uncached(forced) == 63 + 15
 
 
 @pytest.mark.parametrize("n", [15, 16, 17])
