@@ -465,8 +465,9 @@ def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
     """
     n, pos = words.n, words.positions
     # each (member, generator) cell keyed by the reading positions of i and
-    # i+1, lower * n + higher, in the narrowest dtype that holds n * n
-    keys = np.minimum(pos[:, :-1], pos[:, 1:]).astype(np.min_scalar_type(n * n))
+    # i+1, lower * n + higher, in the narrowest dtype that holds n * n and
+    # the positions
+    keys = np.minimum(pos[:, :-1], pos[:, 1:]).astype(np.promote_types(pos.dtype, np.min_scalar_type(n * n)))
     keys *= n
     keys += np.maximum(pos[:, :-1], pos[:, 1:])
     # the scanned cells in scan order

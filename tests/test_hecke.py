@@ -423,6 +423,23 @@ def test_interned_word_sets_match_uncached():
     assert assert_interning_matches_uncached(forced) == 63 + 15
 
 
+@pytest.mark.parametrize("kind, shape", [("syt", (3, 2)), ("sit", (2, 2, 1)), ("rib", (2, 1, 2))])
+def test_word_sets_of_wider_entry_arrays(kind, shape):
+    """Entries given as int64 rows key a separate word set, whose positions
+    keep that dtype, with the same arrays, gate verdicts and reports."""
+    fam = build_family(kind, shape)
+    wide = tableaux.TableauFamily(
+        fam.diagram, tableaux.Tableaux(fam.diagram, fam.members.entries.astype(np.int64)), "wide"
+    )
+    assert wide.word_set is not fam.word_set and wide.word_set.positions.dtype == np.int64
+    for name in ("order", "positions", "descent", "target"):
+        assert np.array_equal(getattr(wide.word_set, name), getattr(fam.word_set, name))
+    for gate in (is_ascent_compatible, is_descent_compatible):
+        assert gate(wide) == gate(fam)
+    reports = [verify_clifford_relations(build_clifford_module(f, force=True)) for f in (wide, fam)]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("n", [15, 16, 17])
 def test_word_graph_keys_are_exact_at_the_int64_boundary(n):
     """n^n < 2^63 only for n <= 15; above it the keys are Python integers.
