@@ -13,12 +13,13 @@ tableau.
 A family supermodule is thus its word graph (whether i is a descent of
 each tableau, and the swap target) tensored with fixed 2^n blocks that
 depend only on n, i and the case.  It stores only its family and reads the
-graph from it; the relations and the filtration quotients are checked on the
-cached blocks.  Every block has at most two signed entries per column, so it
-is a stack of signed partial maps in the sink-column encoding of the module's
-generators (see :func:`~diagmod.hecke.sink_maps` and
-:func:`~diagmod.hecke.compose_maps`): a product is a gather, a sum is a
-stack, and equality is decided on the canonical integer entries.
+graph from the family's word set; the relations and the filtration
+quotients are checked on the cached blocks.  Every block has at most two
+signed entries per column, so it is a stack of signed partial maps in the
+sink-column encoding of the module's generators (see
+:func:`~diagmod.hecke.sink_maps` and :func:`~diagmod.hecke.compose_maps`): a
+product is a gather, a sum is a stack, and equality is decided on the
+canonical integer entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -46,7 +47,6 @@ from .tableaux import (
     StandardTableau,
     TableauFamily,
     Tableaux,
-    WordGraph,
     WordSet,
     is_ascent_compatible,
     render_tableau,
@@ -204,11 +204,11 @@ def _placed(block, n: int, rows_at: np.ndarray, cols_at: np.ndarray):
     )
 
 
-def swap_targets(graph: WordGraph | WordSet) -> np.ndarray:
+def swap_targets(words: WordSet) -> np.ndarray:
     """Per generator i and tableau t, the tableau whose marked copies
-    receive the SWAP block of pi_i from t: the word graph's target where i
+    receive the SWAP block of pi_i from t: the word set's target where i
     is not a descent of t, else -1, as is a swap that leaves the family."""
-    return np.where(graph.descent, -1, graph.target)
+    return np.where(words.descent, -1, words.target)
 
 
 @dataclass(frozen=True)
@@ -217,8 +217,8 @@ class CliffordModuleRep:
     blocks.
 
     On the marked copies of basis tableau t, pi_i acts by its DESCENT block
-    when i is a descent of t (``word_graph.descent``), else by its ATTACK
-    block plus the SWAP block landing on tableau ``swap_targets(graph)[i -
+    when i is a descent of t (``word_set.descent``), else by its ATTACK
+    block plus the SWAP block landing on tableau ``swap_targets(words)[i -
     1, t]``, if that is not -1.
     """
 
@@ -226,11 +226,7 @@ class CliffordModuleRep:
 
     @property
     def basis_tableaux(self) -> Tableaux:
-        return self.family.word_graph.basis
-
-    @cached_property
-    def tableau_index(self) -> dict[StandardTableau, int]:
-        return {t: i for i, t in enumerate(self.basis_tableaux)}
+        return self.family.basis
 
     @property
     def n(self) -> int:
@@ -248,9 +244,9 @@ class CliffordModuleRep:
         """``("pi", i, rows, cols, values)`` of each pi_i, then ``("c", j,
         ...)`` of each c_j, on the |F| 2^n marked basis, sorted by row, then
         column: each block's entries placed at its tableaux."""
-        n, graph = self.n, self.family.word_graph
+        n, words = self.n, self.family.word_set
         out = []
-        for i, (descent, swap) in enumerate(zip(graph.descent, swap_targets(graph)), start=1):
+        for i, (descent, swap) in enumerate(zip(words.descent, swap_targets(words)), start=1):
             blocks = _hecke_mask_blocks(n, i)
             at = [np.flatnonzero(flags) for flags in (descent, ~descent, swap >= 0)]
             parts = [
@@ -265,7 +261,7 @@ class CliffordModuleRep:
         return out
 
     def index_of(self, element: MarkedTableau) -> int:
-        t = self.tableau_index.get(element.tableau)
+        t = self.family.basis_index(element.tableau)
         if t is None:
             raise DomainError("tableau is not a basis tableau")
         return (t << self.n) + _mask_of(element.marks)
@@ -569,7 +565,7 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
         raise DomainError(f"filtration index {k} out of range 1..{m}")
     return all(
         _quotient_holds(rep.n, i, descent)
-        for i, descent in enumerate(rep.family.word_graph.descent[:, k - 1].tolist(), start=1)
+        for i, descent in enumerate(rep.family.word_set.descent[:, k - 1].tolist(), start=1)
     ) and _marks_match_reference(rep.n)
 
 

@@ -259,12 +259,12 @@ def _graphs_isomorphic(rep_a, rep_b, pairing: Sequence[int]) -> bool:
     """
     if rep_a.dim != rep_b.dim or sorted(pairing) != list(range(len(rep_b.basis_tableaux))):
         return False
-    graph_a, graph_b = rep_a.family.word_graph, rep_b.family.word_graph
+    words_a, words_b = rep_a.family.word_set, rep_b.family.word_set
     pairing = np.asarray(pairing, dtype=np.intp)
-    swaps_a, swaps_b = swap_targets(graph_a), swap_targets(graph_b)
+    swaps_a, swaps_b = swap_targets(words_a), swap_targets(words_b)
     paired_a = np.where(swaps_a >= 0, pairing[swaps_a], -1)
     return bool(
-        (graph_b.descent[:, pairing] == graph_a.descent).all()
+        (words_b.descent[:, pairing] == words_a.descent).all()
         and (swaps_b[:, pairing] == paired_a).all()
     )
 
@@ -276,7 +276,7 @@ def check_rect_isomorphism(lam: Composition) -> bool:
         raise DomainError(f"{lam} is not a strict partition")
     shifted = build_clifford_module(build_family(FamilyKind.SSHT, lam))
     columnar = build_clifford_module(build_family(FamilyKind.SPYCT, lam))
-    pairing = [columnar.tableau_index[rect(t)] for t in shifted.basis_tableaux]
+    pairing = [columnar.family.basis_index(rect(t)) for t in shifted.basis_tableaux]
     return _graphs_isomorphic(shifted, columnar, pairing)
 
 
@@ -418,8 +418,8 @@ class WitnessReport:
 def _max_nonattacking(family: TableauFamily) -> int:
     """The most nonattacking ascents of one member: generators at which it
     has no descent and its swap stays in the family."""
-    graph = family.word_graph
-    return int((~graph.descent & (graph.target >= 0)).sum(axis=0).max())
+    words = family.word_set
+    return int((~words.descent & (words.target >= 0)).sum(axis=0).max())
 
 
 def generalization_witness() -> WitnessReport:
@@ -537,7 +537,8 @@ def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckR
     """Run the named theorem checks up to the given size and collect records.
 
     ``checks`` holds names from ``CHECKS``, or ``"all"`` for every one; an
-    unknown name raises.  Jobs run one after another in the order of
+    unknown name raises, and so does a ``max_n`` below 1, which would leave
+    nothing to check.  Jobs run one after another in the order of
     ``CHECKS``, so the report is deterministic.  A job that raises anything
     but ``TheoremMismatch`` gives an ``ERROR`` record naming the exception,
     and the run goes on.
@@ -546,6 +547,8 @@ def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckR
     unknown = sorted(wanted - {"all", *CHECKS})
     if unknown:
         raise DomainError(f"unknown harness check(s): {', '.join(unknown)}")
+    if max_n < 1:
+        raise DomainError(f"max_n must be at least 1, got {max_n}")
     if "all" in wanted:
         wanted = set(CHECKS)
     jobs: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []

@@ -12,7 +12,7 @@ by the word itself), so every swap image lands on an earlier basis element
 and each generator matrix is triangular with diagonal entries in {-1, 0}
 (pi) or {0, 1} (hat).  Each generator sends a basis element to plus or
 minus one basis element or to zero, so it is stored as a signed partial map
-read off the family's word graph, in the sink-column encoding that the
+read off the family's word set, in the sink-column encoding that the
 supermodule blocks share (see :func:`sink_maps`).  A product of such maps is
 a gather, :func:`compose_maps`.  Reachability in either module is one
 breadth-first walk over its generators' entries, :func:`support_walk`.
@@ -21,7 +21,7 @@ breadth-first walk over its generators' entries, :func:`support_walk`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +43,8 @@ HAT = "hat"
 
 @dataclass(frozen=True)
 class HeckeModuleRep:
-    """A family's 0-Hecke module: its word graph's basis with one signed
-    partial map per generator.
+    """A family's 0-Hecke module: its basis with one signed partial map per
+    generator.
 
     ``targets`` and ``signs`` are (n - 1, dim + 1) arrays in the sink-column
     encoding of :func:`sink_maps`: generator i sends basis element c to
@@ -59,11 +59,7 @@ class HeckeModuleRep:
 
     @property
     def basis(self) -> Tableaux:
-        return self.family.word_graph.basis
-
-    @cached_property
-    def index(self) -> dict[StandardTableau, int]:
-        return {t: i for i, t in enumerate(self.basis)}
+        return self.family.basis
 
     def generator_triples(self) -> list[tuple]:
         """``(convention, i, rows, cols, values)`` of each generator matrix,
@@ -113,11 +109,11 @@ def build_hecke_module(
         if not compat.ok:
             raise IncompatibleFamilyError(mode, compat.witness)
 
-    graph = family.word_graph
+    words = family.word_set
     # pi scales descents by -1, hat fixes ascents; the other case swaps
     # inside the family or dies.
-    diagonal = graph.descent if convention == PI else ~graph.descent
-    targets = np.where(diagonal, np.arange(len(graph.basis), dtype=np.intp), graph.target)
+    diagonal = words.descent if convention == PI else ~words.descent
+    targets = np.where(diagonal, np.arange(len(words.order), dtype=np.intp), words.target)
     signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
     return HeckeModuleRep(family, convention, *sink_maps(targets, signs))
 
@@ -138,11 +134,13 @@ class RelationReport:
         return f"{len(self.violations)} of {self.checked} relations fail: {body}"
 
 
-def zero_hecke_relations(k: int, quad_sign: int, label: str = "pi") -> list[tuple]:
-    """The quadratic, commutation, and braid relations on k generators, in
-    report order, as (message, left word, right word, right sign) with the
-    relation reading left word = right sign * right word.  A word lists
-    0-based generator indices, leftmost factor first."""
+def zero_hecke_relations(k: int, convention: str) -> list[tuple]:
+    """The quadratic, commutation, and braid relations on k generators of
+    the convention, in report order, as (message, left word, right word,
+    right sign) with the relation reading left word = right sign * right
+    word.  A word lists 0-based generator indices, leftmost factor first;
+    the messages name the generators by the convention."""
+    label, quad_sign = convention, -1 if convention == PI else 1
     out = [
         (f"{label}[{i + 1}]^2 != {quad_sign:+d}*{label}[{i + 1}]", (i, i), (i,), quad_sign)
         for i in range(k)
@@ -192,7 +190,7 @@ class RelationTable(NamedTuple):
 @lru_cache(maxsize=None)
 def relation_table(k: int, convention: str = PI) -> RelationTable:
     """The relation table of k generators in the convention, built once."""
-    relations = tuple(zero_hecke_relations(k, -1 if convention == PI else 1, convention))
+    relations = tuple(zero_hecke_relations(k, convention))
 
     def padded(side: int) -> np.ndarray:
         words = [(k,) * (3 - len(rel[side])) + rel[side] for rel in relations]
@@ -304,9 +302,7 @@ def generating_words(
     seed.  Words come from breadth-first search and carry no minimality
     promise.
     """
-    if seed not in rep.index:
+    start = rep.family.basis_index(seed)
+    if start is None:
         raise DomainError("seed is not a basis tableau")
-    return {
-        rep.basis[c]: tuple(p + 1 for p in word)
-        for c, word in support_walk(rep, rep.index[seed]).items()
-    }
+    return {rep.basis[c]: tuple(p + 1 for p in word) for c, word in support_walk(rep, start).items()}

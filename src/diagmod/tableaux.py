@@ -8,13 +8,12 @@ family membership deciding whether a swap of consecutive entries stays legal.
 
 A family is stored as an integer array, one row of entries per member in
 reading-word order, with one descent mask per member; its tableaux are built
-only when read (for display, ``rect`` and witnesses).  The family's word
-graph records descents and swaps for every member and generator.  All of it
-but the basis tableaux depends only on the set of reading words, so that
-part is built once per word set and shared, read-only, by every family with
-those words, together with both gate scans; the module builders read the
-graph, the gate's verdicts are kept on the family, and the characteristics
-read the histogram of descent masks.
+only when read (for display, ``rect`` and witnesses).  The family's word set
+records the basis order and, for every member and generator, the descent
+and the swap.  It depends only on the set of reading words, so it is built
+once per word set and shared, read-only, by every family with those words,
+together with both gate scans; the module builders and the gate read it,
+and the characteristics read the histogram of descent masks.
 """
 
 from __future__ import annotations
@@ -255,30 +254,27 @@ class TableauFamily:
         return _interned_word_set(self.words)
 
     @cached_property
-    def word_graph(self) -> "WordGraph":
-        words = self.word_set
-        return WordGraph(self.members.reordered(words.order), words.positions, words.descent, words.target)
-
-    # The gate verdicts, computed once per family and mode; builders and
-    # direct callers of the gate share them.
-    @cached_property
-    def _ascent_gate(self) -> "CompatibilityResult":
-        return _compatibility(self, "ascent")
+    def basis(self) -> Tableaux:
+        """The members in module-basis order."""
+        return self.members.reordered(self.word_set.order)
 
     @cached_property
-    def _descent_gate(self) -> "CompatibilityResult":
-        return _compatibility(self, "descent")
+    def _basis_indices(self) -> dict[tuple[int, ...], int]:
+        rows = self.members.entries[self.word_set.order].tolist()
+        return {tuple(row): t for t, row in enumerate(rows)}
 
-    @cached_property
-    def _entry_rows(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(map(tuple, self.members.entries.tolist()))
+    def basis_index(self, tab: StandardTableau) -> Optional[int]:
+        """The basis index of a member, or None for any other tableau."""
+        if tab.diagram != self.diagram:
+            return None
+        return self._basis_indices.get(tab.entries)
 
     @property
     def n(self) -> int:
         return self.diagram.n
 
     def __contains__(self, tab: StandardTableau) -> bool:
-        return tab.diagram == self.diagram and tab.entries in self._entry_rows
+        return self.basis_index(tab) is not None
 
     def __iter__(self) -> Iterator[StandardTableau]:
         return iter(self.members)
@@ -295,28 +291,18 @@ def _positions(words: np.ndarray) -> np.ndarray:
     return positions
 
 
-class WordGraph(NamedTuple):
-    """A family's members in basis order and the swaps between them.
-
-    ``positions[t, v - 1]`` is the reading position, from 0, of the entry v
-    of ``basis[t]``.  For generator i, row i-1 of ``descent`` flags the
-    members with a descent at i, and row i-1 of ``target`` holds the basis
-    index of the member with i and i+1 exchanged, or -1 when that word is
-    not in the family.  The arrays are the family's :class:`WordSet`'s.
-    """
-
-    basis: Tableaux
-    positions: np.ndarray  # (members, n), the reading words' dtype
-    descent: np.ndarray  # (n - 1, members) bool
-    target: np.ndarray  # (n - 1, members) int32
-
-
 class WordSet:
-    """The word graph of a set of reading words, without tableaux: the basis
-    order (``basis[t]`` is member ``order[t]``), ``positions``, ``descent``
-    and ``target`` as in :class:`WordGraph`, all read-only, and the
-    :func:`_gate_scan` of each mode once it is done, else None.  Families
-    with the same reading words share one, so it hashes by identity.
+    """The word graph of a set of reading words, all arrays read-only.
+
+    Basis element t is member ``order[t]``, and ``positions[t, v - 1]``, in
+    the reading words' dtype, is the reading position, from 0, of its entry
+    v.  For generator i, row i-1 of the (n - 1, members) bool ``descent``
+    flags the basis elements with a descent at i, and row i-1 of the int32
+    ``target`` holds the basis index of the word with i and i+1 exchanged,
+    or -1 when that word is not in the set.  ``ascent_scan`` and
+    ``descent_scan`` hold the :func:`_gate_scan` of each mode once it is
+    done, else None.  Families with the same reading words share one, so it
+    hashes by identity.
     """
 
     __slots__ = ("order", "positions", "descent", "target", "ascent_scan", "descent_scan", "__weakref__")
@@ -438,8 +424,8 @@ def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     """Shared scan for ascent- and descent-compatibility.
 
     The scan reads only the word set and runs once per word set and mode
-    (see :func:`_gate_scan`); the witness tableaux come from this family's
-    basis.
+    (see :func:`_gate_scan`), its result kept on the word set; the witness
+    tableaux come from this family's basis.
     """
     words, slot = family.word_set, f"{mode}_scan"
     scan = getattr(words, slot)
@@ -449,7 +435,7 @@ def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     ok, earlier, later, r, s = scan
     if ok:
         return _COMPATIBLE
-    basis = family.word_graph.basis
+    basis = family.basis
     return CompatibilityResult(False, (basis[earlier], basis[later], r, s))
 
 
@@ -486,13 +472,13 @@ def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:
     """All members sharing an ascent at the same reading positions agree on
-    its attacking status.  The verdict is computed once per family."""
-    return family._ascent_gate
+    its attacking status."""
+    return _compatibility(family, "ascent")
 
 
 def is_descent_compatible(family: TableauFamily) -> CompatibilityResult:
     """Same as ascent-compatibility with descents in place of ascents."""
-    return family._descent_gate
+    return _compatibility(family, "descent")
 
 
 def render_tableau(tab: StandardTableau, marks: frozenset[int] = frozenset()) -> str:

@@ -588,7 +588,7 @@ def oracle_hecke_matrices(family, convention):
 
 def product_hecke_relations(mats, convention):
     """The 0-Hecke relation report by exact products of the matrices."""
-    relations = zero_hecke_relations(len(mats), -1 if convention == "pi" else 1, convention)
+    relations = zero_hecke_relations(len(mats), convention)
     violations = []
     for message, lhs, rhs, sign in relations:
         left = functools.reduce(operator.matmul, (mats[g] for g in lhs))
@@ -646,7 +646,7 @@ def grouped_hecke_relations(rep):
     the library's former relation check."""
     targets, signs = rep.targets, rep.signs
     width = targets.shape[1]
-    relations = zero_hecke_relations(len(targets), -1 if rep.convention == "pi" else 1, rep.convention)
+    relations = zero_hecke_relations(len(targets), rep.convention)
 
     def compose(words):
         cols, product = targets[words[:, -1]], signs[words[:, -1]]

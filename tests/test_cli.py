@@ -169,6 +169,13 @@ def test_harness_subcommand():
     assert "checks passed" in out
 
 
+@pytest.mark.parametrize("argv", [("--max-n", "0"), ("--max-n", "-3", "--check", "theta")])
+def test_harness_with_nothing_to_check_exits_two(argv, capsys):
+    code, out = run_cli("harness", *argv)
+    assert code == 2 and out == ""
+    assert "max_n must be at least 1" in capsys.readouterr().err
+
+
 def test_domain_error_exit_two(capsys):
     code, _ = run_cli("enumerate", "--family", "spct", "--shape", "1,3")
     assert code == 2

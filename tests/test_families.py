@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from conftest import forced_word_set_families
 from diagmod import families
-from diagmod.clifford import peak_characteristic
+from diagmod.clifford import MarkedTableau, build_clifford_module, peak_characteristic
 from diagmod.compositions import (
     enumerate_compositions,
     enumerate_peak_compositions,
@@ -25,15 +25,22 @@ from diagmod.families import (
     source_tableau,
 )
 from diagmod.harness import words_family
-from diagmod.hecke import build_hecke_module, qsym_characteristic, verify_hecke_relations
+from diagmod.hecke import (
+    build_hecke_module,
+    generating_words,
+    qsym_characteristic,
+    verify_hecke_relations,
+)
 from diagmod.series import theta
 from diagmod.tableaux import (
     AscentClass,
+    Diagram,
     StandardTableau,
     classify_ascent,
     descent_set_tab,
     is_ascent_compatible,
     is_descent_compatible,
+    swap_entries,
 )
 
 ALL_KINDS = [k.value for k in FamilyKind]
@@ -123,19 +130,23 @@ def descent_mask(tab):
 
 def assert_same_family(fam, old):
     """The same entry rows in the same reading-word order, descent masks
-    equal to those of the old tableaux, the same basis order and word-graph
-    arrays, and characteristics equal to the per-tableau sums over the old
-    family."""
+    equal to those of the old tableaux, characteristics equal to the
+    per-tableau sums over the old family, the word set's basis order and
+    arrays equal to the byte-row word graph of the old family, and each
+    basis element's descent column equal to the descents of its old
+    tableau."""
     assert np.array_equal(fam.members.entries, old.members.entries)
     assert fam.descent_masks == tuple(descent_mask(t) for t in old)
     fundamental, peak = oracle.tableau_characteristics(old)
     assert qsym_characteristic(fam) == fundamental
     assert peak_characteristic(fam) == peak
     if fam.members:
-        graph, old_graph = fam.word_graph, old.word_graph
-        assert graph.basis == old_graph.basis
-        for array, old_array in zip(graph[1:], old_graph[1:]):
-            assert array.dtype == old_array.dtype and np.array_equal(array, old_array)
+        words = fam.word_set
+        arrays = (words.order, words.positions, words.descent, words.target)
+        for array, old_array in zip(arrays, oracle.byte_row_word_graph(old)):
+            assert np.array_equal(array, old_array)
+        columns = [(np.flatnonzero(column) + 1).tolist() for column in words.descent.T]
+        assert columns == [sorted(descent_set_tab(old.members[k])) for k in words.order.tolist()]
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
@@ -189,8 +200,45 @@ def test_module_pipeline_builds_no_tableaux(monkeypatch):
     assert verify_hecke_relations(rep).ok
     assert theta(qsym_characteristic(rep)) == peak_characteristic(fam)
     assert built == []
-    assert rep.basis[0] is fam.members[fam.word_graph.basis.order[0]]
+    assert rep.basis[0] is fam.members[fam.word_set.order[0]]
     assert len(built) == 1
+
+
+def assert_lookup_matches_basis_dict(fam):
+    """Each member's basis index, read by the family and both modules,
+    equals that of a dict keyed by the basis tableaux; a swap that leaves
+    the family and the same entries on a translated diagram give None, are
+    not in the family, and are rejected by both modules."""
+    expected = {tab: t for t, tab in enumerate(fam.basis)}
+    rep, crep = build_hecke_module(fam, "pi", force=True), build_clifford_module(fam, force=True)
+    for tab, t in expected.items():
+        assert fam.basis_index(tab) == t and tab in fam
+        assert crep.index_of(MarkedTableau(tab, frozenset())) == t << fam.n
+    assert set(generating_words(rep, fam.basis[0])) <= set(expected)
+    shift = lambda b: (b[0] + 1, b[1])
+    moved = Diagram(tuple(map(shift, fam.diagram.boxes)), tuple(map(shift, fam.diagram.reading_order)))
+    outsiders = [StandardTableau(moved, tab.entries) for tab in expected]
+    for i, row in enumerate(fam.word_set.target.tolist(), start=1):
+        outsiders += [swap_entries(fam.basis[t], i) for t, target in enumerate(row) if target < 0]
+    for tab in outsiders:
+        assert tab not in expected
+        assert fam.basis_index(tab) is None and tab not in fam
+        with pytest.raises(DomainError):
+            crep.index_of(MarkedTableau(tab, frozenset()))
+        with pytest.raises(DomainError):
+            generating_words(rep, tab)
+    return len(outsiders)
+
+
+def test_basis_lookup_matches_basis_dict():
+    built = [
+        fam for fam in (build_family(*inst) for inst in family_instances(5, sigmas=True)) if fam.members
+    ]
+    assert len(built) == 968
+    forced = forced_word_set_families()
+    assert len(forced) == 63
+    swapped_out = sum(assert_lookup_matches_basis_dict(fam) - len(fam) for fam in built + forced)
+    assert swapped_out > 0
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

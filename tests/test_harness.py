@@ -34,9 +34,10 @@ from diagmod.harness import (
     weak_bruhat_interval,
     words_family,
 )
+from diagmod import families
 from diagmod.clifford import build_clifford_module
-from diagmod.families import build_family, family_instances, rect
-from diagmod.tableaux import inversions, swap_values, word_descents
+from diagmod.families import FamilyKind, build_family, family_instances, rect
+from diagmod.tableaux import StandardTableau, inversions, swap_values, word_descents
 
 
 def test_perm_helpers():
@@ -143,6 +144,32 @@ def test_rect_isomorphism(n):
         assert check_rect_isomorphism(lam)
 
 
+def test_rect_isomorphism_builds_no_columnar_member(monkeypatch):
+    """The rect pairing reads the columnar basis indices off entry rows: the
+    only tableaux built on the columnar diagram are the rect images, one per
+    shifted member, so no member of the columnar family is built."""
+    fresh = {}
+
+    def build_fresh(kind, shape):
+        fresh[kind] = families._build_family_cached.__wrapped__(FamilyKind(kind), tuple(shape), None)
+        return fresh[kind]
+
+    built = []
+    post_init = StandardTableau.__post_init__
+
+    def counting(self):
+        built.append(self.diagram)
+        post_init(self)
+
+    monkeypatch.setattr(diagmod.harness, "build_family", build_fresh)
+    monkeypatch.setattr(StandardTableau, "__post_init__", counting)
+    assert check_rect_isomorphism((4, 2, 1))
+    shifted, columnar = fresh[FamilyKind.SSHT], fresh[FamilyKind.SPYCT]
+    assert len(shifted) == len(columnar) == 7
+    assert built.count(shifted.diagram) == built.count(columnar.diagram) == len(shifted)
+    assert len(built) == 2 * len(shifted)
+
+
 def _transpositions(pairing):
     for a, b in itertools.combinations(range(len(pairing)), 2):
         wrong = list(pairing)
@@ -174,7 +201,7 @@ def test_rect_graph_isomorphism_matches_materialised_intertwiner():
         for lam in enumerate_strict_partitions(n):
             shifted = build_clifford_module(build_family("ssht", lam))
             columnar = build_clifford_module(build_family("spyct", lam))
-            pairing = [columnar.tableau_index[rect(t)] for t in shifted.basis_tableaux]
+            pairing = [columnar.family.basis_index(rect(t)) for t in shifted.basis_tableaux]
             assert_isomorphism_verdicts_agree(shifted, columnar, pairing)
             if len(pairing) > 1:
                 wrong = [pairing[-1]] + pairing[1:-1] + [pairing[0]]
@@ -323,7 +350,7 @@ def test_rect_paired_quotients_share_reference_module():
     n = shifted.n
     for k, tab in enumerate(shifted.basis_tableaux, start=1):
         paired = rect(tab)
-        k2 = columnar.tableau_index[paired] + 1
+        k2 = columnar.family.basis_index(paired) + 1
         # same descent composition, hence the same reference module
         assert comp_n(descent_set_tab(tab), n) == comp_n(descent_set_tab(paired), n)
         assert filtration_quotient_check(shifted, k)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -46,7 +47,7 @@ from diagmod.tableaux import (
 def column_action(rep, i, tab):
     """Image of a basis tableau under generator i as a {tableau: coeff} map."""
     target, sign = rep.targets[i - 1], rep.signs[i - 1]
-    col = rep.index[tab]
+    col = rep.family.basis_index(tab)
     return {rep.basis[target[col]]: int(sign[col])} if sign[col] else {}
 
 
@@ -139,8 +140,8 @@ def test_hat_convention_action():
     assert verify_hecke_relations(rep).ok
     for i in range(1, fam.n):
         for tab in rep.basis:
-            col = {rep.index[t]: v for t, v in column_action(rep, i, tab).items()}
-            c = rep.index[tab]
+            col = {fam.basis_index(t): v for t, v in column_action(rep, i, tab).items()}
+            c = fam.basis_index(tab)
             if i not in descent_set_tab(tab):
                 assert col == {c: 1}
             else:
@@ -165,13 +166,14 @@ def test_basis_order_and_triangularity():
                     assert v == 1
 
 
-def direct_ribbon_maps(fam, basis, index):
+def direct_ribbon_maps(fam, basis):
     """Ribbon generator action implemented straight from row comparisons, as
     (targets, signs) per generator: scale by -1 when i sits strictly above
     i+1, kill when they share a row, swap when i sits strictly below i+1.
     A zero image points at the sink column len(basis), fixed with sign 0."""
     from diagmod.tableaux import swap_entries
 
+    index = {t: c for c, t in enumerate(basis)}
     sink = len(basis)
     maps = []
     for i in range(1, fam.n):
@@ -193,7 +195,7 @@ def test_ribbon_action_matches_direct_rule(n):
     for alpha in enumerate_compositions(n):
         fam = build_family("rib", alpha)
         rep = build_hecke_module(fam, "pi")
-        direct = direct_ribbon_maps(fam, rep.basis, rep.index)
+        direct = direct_ribbon_maps(fam, rep.basis)
         assert list(zip(rep.targets.tolist(), rep.signs.tolist())) == direct, alpha
 
 
@@ -265,14 +267,15 @@ def test_generating_words():
     assert set(words) == set(fam.members)
     # replay each word through the maps and confirm the target appears
     for target, word in words.items():
-        assert rep.index[target] in apply_word(rep, word, {rep.index[seed]: 1})
+        start = {fam.basis_index(seed): 1}
+        assert fam.basis_index(target) in apply_word(rep, word, start)
 
 
 def assert_matches_oracle(fam):
     """In both conventions, the gate verdict and witness, the basis, the
     generator triples and the relation report equal the oracle's, building
     by force where the gate rejects; so do the case and swap target of each
-    pi_i on each tableau that the supermodule reads from the word graph.
+    pi_i on each tableau that the supermodule reads from the word set.
     Returns the relation reports by convention."""
     reports = {}
     for convention, gate, mode in (
@@ -297,9 +300,9 @@ def assert_matches_oracle(fam):
                 )
                 for cols in columns
             )
-            graph = build_clifford_module(fam, force=True).family.word_graph
-            cases = np.where(graph.descent, DESCENT, ATTACK).tolist()
-            swaps = swap_targets(graph).tolist()
+            words = build_clifford_module(fam, force=True).family.word_set
+            cases = np.where(words.descent, DESCENT, ATTACK).tolist()
+            swaps = swap_targets(words).tolist()
             assert tuple(tuple(zip(*edges)) for edges in zip(cases, swaps)) == expected
     return reports
 
@@ -327,12 +330,12 @@ def assert_matches_former_paths(fam):
     """The keyed word graph equals the byte-row one, and in both
     conventions, built by force, the one-pass relation check equals the
     grouped one."""
-    graph = fam.word_graph
+    words = fam.word_set
     order, positions, descent, target = oracle.byte_row_word_graph(fam)
-    assert np.array_equal(graph.basis.order, order)
-    assert np.array_equal(graph.positions, positions)
-    assert graph.descent.dtype == bool and np.array_equal(graph.descent, descent)
-    assert graph.target.dtype == np.int32 and np.array_equal(graph.target, target)
+    assert np.array_equal(words.order, order)
+    assert np.array_equal(words.positions, positions)
+    assert words.descent.dtype == bool and np.array_equal(words.descent, descent)
+    assert words.target.dtype == np.int32 and np.array_equal(words.target, target)
     for convention in ("pi", "hat"):
         rep = build_hecke_module(fam, convention, force=True)
         assert verify_hecke_relations(rep) == oracle.grouped_hecke_relations(rep)
@@ -391,10 +394,7 @@ def assert_interning_matches_uncached(families):
             shared = getattr(words, name)
             assert shared.flags.writeable is False
             assert np.array_equal(shared, getattr(fresh, name))
-        graph = fam.word_graph
-        assert graph.positions is words.positions and graph.descent is words.descent
-        assert graph.target is words.target
-        assert graph.basis.order is words.order
+        assert fam.basis.order is words.order
         for mode, gate in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
             verdict = gate(fam)
             scan = tableaux._gate_scan(fresh, mode)
@@ -449,7 +449,7 @@ def test_word_graph_keys_are_exact_at_the_int64_boundary(n):
     for _ in range(2):
         words |= {swap_values(w, i) for w in words for i in range(1, n) if rng.random() < 0.5}
     fam = words_family(sorted(words))
-    assert (fam.word_graph.target >= 0).sum() > len(words)
+    assert (fam.word_set.target >= 0).sum() > len(words)
     assert_matches_former_paths(fam)
 
 
@@ -493,11 +493,15 @@ def test_commutation_square_forced_builds():
 
 @pytest.mark.parametrize("kind, modes", [("syt", {"ascent": 1}), ("sit", {"ascent": 1, "descent": 1})])
 def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
-    """The gate verdict is cached on the family: the module and supermodule
-    builders and the direct gate calls share one scan per mode."""
+    """The gate scan is kept on the word set: the module and supermodule
+    builders, the direct gate calls and a second family with the same words
+    share one scan per word set and mode."""
     calls = []
-    scan = tableaux._compatibility
-    monkeypatch.setattr(tableaux, "_compatibility", lambda fam, mode: calls.append(mode) or scan(fam, mode))
+    scan = tableaux._gate_scan
+    monkeypatch.setattr(tableaux, "_gate_scan", lambda words, mode: calls.append(mode) or scan(words, mode))
+    # a fresh interning table, so the words are scanned here however many
+    # tests read them before
+    monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
     built = build_family(kind, (3, 2))
     fam = tableaux.TableauFamily(built.diagram, built.members, "fresh", kind, built.shape)
     assert check_family(fam).ok
@@ -505,6 +509,11 @@ def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
     check_family(fam)
     assert is_ascent_compatible(fam) is is_ascent_compatible(fam)
     assert Counter(calls) == modes
+    twin = tableaux.TableauFamily(built.diagram, built.members, "twin", kind, built.shape)
+    assert twin.word_set is fam.word_set
+    assert check_family(twin).ok
+    assert is_descent_compatible(twin) == is_descent_compatible(fam)
+    assert Counter(calls) == {"ascent": 1, "descent": 1}
 
 
 # (family kind, shape, convention, generator, basis column holding a swap

@@ -2,9 +2,10 @@
 oracles no test uses, and scipy imports in the library.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
-out of the library and the tests, dead functions and methods out of the
-library, untested oracles out of ``tests/_oracles.py``, and scipy, a
-test-only dependency, out of the library.
+out of the library and the tests, dead functions, methods, classes and
+module-level names out of the library, untested oracles out of
+``tests/_oracles.py``, and scipy, a test-only dependency, out of the
+library.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -42,11 +43,12 @@ def test_no_unused_imports():
 
 
 def referenced_names(paths) -> tuple[set[str], set[str]]:
-    """The names the files use or import, and the attributes they read."""
+    """The names the files use or import, and the attributes they read; a
+    name that is only assigned is not used."""
     names, attributes = set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
                 names.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 names.update(alias.name for alias in node.names)
@@ -55,18 +57,37 @@ def referenced_names(paths) -> tuple[set[str], set[str]]:
     return names, attributes
 
 
+def module_level_names(node: ast.stmt) -> list[str]:
+    """The names a top-level assignment binds, dunders aside."""
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    bound = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+    return [name for name in bound if not (name.startswith("__") and name.endswith("__"))]
+
+
 def unreferenced_definitions() -> list[str]:
-    """``file:line: name`` for every top-level function of the library that
-    no file names or imports, and every method, dunders aside, that no file
-    reads as an attribute."""
+    """``file:line: name`` for every top-level function, class or assigned
+    name of the library that no file names or imports (a class or a name
+    read only as a module attribute counts as read), and every method,
+    dunders aside, that no file reads as an attribute."""
     names, attributes = referenced_names(READERS)
+    read = names | attributes
     dead = []
     for path in LIBRARY:
         rel = path.relative_to(ROOT)
         for node in ast.parse(path.read_text(), filename=str(path)).body:
             if isinstance(node, ast.FunctionDef) and node.name not in names:
                 dead.append(f"{rel}:{node.lineno}: {node.name}")
-            elif isinstance(node, ast.ClassDef):
+            dead.extend(
+                f"{rel}:{node.lineno}: {name}" for name in module_level_names(node) if name not in read
+            )
+            if isinstance(node, ast.ClassDef):
+                if node.name not in read:
+                    dead.append(f"{rel}:{node.lineno}: {node.name}")
                 dead.extend(
                     f"{rel}:{item.lineno}: {node.name}.{item.name}"
                     for item in node.body
