@@ -50,6 +50,7 @@ from .tableaux import (
     WordSet,
     is_ascent_compatible,
     render_tableau,
+    word_set_memo,
 )
 
 
@@ -498,7 +499,7 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     return _word_set_relations(rep.family.word_set)
 
 
-@lru_cache(maxsize=None)
+@word_set_memo
 def _word_set_relations(words: WordSet) -> RelationReport:
     """The supermodule relation report of a word set: a function of n, its
     descents and swap targets, and the 2^n blocks."""

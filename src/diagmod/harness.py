@@ -536,14 +536,14 @@ CHECKS = ("rect", "transition", "positivity", "schurq", "theta", "bruhat", "rela
 def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckRecord]:
     """Run the named theorem checks up to the given size and collect records.
 
-    ``checks`` holds names from ``CHECKS``, or ``"all"`` for every one; an
-    unknown name raises, and so does a ``max_n`` below 1, which would leave
-    nothing to check.  Jobs run one after another in the order of
-    ``CHECKS``, so the report is deterministic.  A job that raises anything
-    but ``TheoremMismatch`` gives an ``ERROR`` record naming the exception,
-    and the run goes on.
+    ``checks`` holds names from ``CHECKS``, or ``"all"`` for every one; a
+    bare string is one name.  An unknown name raises, and so does a
+    ``max_n`` below 1, which would leave nothing to check.  Jobs run one
+    after another in the order of ``CHECKS``, so the report is
+    deterministic.  A job that raises anything but ``TheoremMismatch``
+    gives an ``ERROR`` record naming the exception, and the run goes on.
     """
-    wanted = set(checks)
+    wanted = {checks} if isinstance(checks, str) else set(checks)
     unknown = sorted(wanted - {"all", *CHECKS})
     if unknown:
         raise DomainError(f"unknown harness check(s): {', '.join(unknown)}")

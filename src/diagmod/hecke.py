@@ -20,7 +20,7 @@ breadth-first walk over its generators' entries, :func:`support_walk`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -33,8 +33,10 @@ from .tableaux import (
     StandardTableau,
     TableauFamily,
     Tableaux,
+    WordSet,
     is_ascent_compatible,
     is_descent_compatible,
+    word_set_memo,
 )
 
 PI = "pi"
@@ -50,12 +52,17 @@ class HeckeModuleRep:
     encoding of :func:`sink_maps`: generator i sends basis element c to
     ``signs[i - 1, c]`` times basis element ``targets[i - 1, c]``, and a
     zero image points at the sink column dim with sign 0.
+
+    ``built`` is set only by :func:`build_hecke_module`, on the read-only
+    maps it read off the word set; a rep made by the constructor or by
+    ``dataclasses.replace`` has it False.
     """
 
     family: TableauFamily
     convention: str
     targets: np.ndarray
     signs: np.ndarray
+    built: bool = field(default=False, init=False, compare=False, repr=False)
 
     @property
     def basis(self) -> Tableaux:
@@ -115,10 +122,15 @@ def build_hecke_module(
     diagonal = words.descent if convention == PI else ~words.descent
     targets = np.where(diagonal, np.arange(len(words.order), dtype=np.intp), words.target)
     signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
-    return HeckeModuleRep(family, convention, *sink_maps(targets, signs))
+    targets, signs = sink_maps(targets, signs)
+    targets.flags.writeable = signs.flags.writeable = False
+    rep = HeckeModuleRep(family, convention, targets, signs)
+    object.__setattr__(rep, "built", True)
+    return rep
 
 
-@dataclass(frozen=True)
+# Reports are kept per word set, so they carry no instance dict.
+@dataclass(frozen=True, slots=True)
 class RelationReport:
     checked: int
     violations: tuple[str, ...]
@@ -226,23 +238,44 @@ def _compose_words(targets, signs, words, pads) -> tuple[np.ndarray, np.ndarray]
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
     """Check the quadratic, commutation, and braid relations exactly.
 
+    The maps of a rep made by :func:`build_hecke_module` are a function of
+    its word set and convention, so its report is computed once per word
+    set and convention and shared; any other rep, such as an edited copy,
+    is checked on its own maps.
+    """
+    if rep.built:
+        return _module_relations(rep.family.word_set, rep.convention, maps=(rep.targets, rep.signs))
+    return _relation_report(rep.targets, rep.signs, rep.convention)
+
+
+@word_set_memo
+def _module_relations(words: WordSet, convention: str, *, maps) -> RelationReport:
+    """The relation report of a word set's module in the convention,
+    checked on ``maps``, the module's maps as :func:`build_hecke_module`
+    reads them off the word set."""
+    return _relation_report(*maps, convention)
+
+
+def _relation_report(targets: np.ndarray, signs: np.ndarray, convention: str) -> RelationReport:
+    """The relation report of generator maps in the sink-column encoding.
+
     A product of signed partial maps is one again.  The words of the cached
     :func:`relation_table` are composed together: every left side in one
     batch of gathers, every right side in another, a chunk of relations at
     a time.  A relation holds when both sides send every column to the same
     target with the same sign.
     """
-    k, width = rep.targets.shape
-    table = relation_table(k, rep.convention)
+    k, width = targets.shape
+    table = relation_table(k, convention)
     fails = []
     step = max(1, _RELATION_CELLS // width)
     for first in range(0, len(table.relations), step):
         rows = slice(first, first + step)
         left, left_sign = _compose_words(
-            rep.targets, rep.signs, table.lhs[rows], [max(0, pad - first) for pad in table.lhs_pads]
+            targets, signs, table.lhs[rows], [max(0, pad - first) for pad in table.lhs_pads]
         )
         right, right_sign = _compose_words(
-            rep.targets, rep.signs, table.rhs[rows], [max(0, pad - first) for pad in table.rhs_pads]
+            targets, signs, table.rhs[rows], [max(0, pad - first) for pad in table.rhs_pads]
         )
         right_sign *= table.signs[rows]
         fails.extend(((left != right) | (left_sign != right_sign)).any(axis=1).tolist())

@@ -13,7 +13,9 @@ records the basis order and, for every member and generator, the descent
 and the swap.  It depends only on the set of reading words, so it is built
 once per word set and shared, read-only, by every family with those words,
 together with both gate scans; the module builders and the gate read it,
-and the characteristics read the histogram of descent masks.
+and the characteristics read the histogram of descent masks.  Results that
+depend only on the word set are memoised on it weakly
+(:func:`word_set_memo`).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, wraps
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -206,10 +208,12 @@ class TableauFamily:
 
     Members are kept sorted by reading word, as the rows of the entry array
     ``members.entries``; a member's tableau is built only when it is read.
-    ``members`` may be given as tableaux or as :class:`Tableaux` rows already
-    in that order.  ``descent_masks[k]``, recorded by the enumerator, has
-    bit i-1 set when i is a descent of member k; a family built from
-    tableaux has none, and its descent histogram is read from the entries.
+    ``members`` may be given as tableaux, where one listed twice raises
+    :class:`DomainError`, or as distinct :class:`Tableaux` rows already in
+    that order, as the enumerator gives them.  ``descent_masks[k]``,
+    recorded by the enumerator, has bit i-1 set when i is a descent of
+    member k; a family built from tableaux has none, and its descent
+    histogram is read from the entries.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.
     """
@@ -229,6 +233,9 @@ class TableauFamily:
             for t in members:
                 if t.diagram != self.diagram:
                     raise DomainError("family member on a different diagram")
+            for t, u in zip(members, members[1:]):
+                if t.reading_word == u.reading_word:
+                    raise DomainError(f"repeated family member with reading word {t.reading_word}")
             entries = np.array([t.entries for t in members], dtype=np.min_scalar_type(n))
             rows = Tableaux(self.diagram, entries.reshape(len(members), n), built=dict(enumerate(members)))
             object.__setattr__(self, "members", rows)
@@ -316,6 +323,30 @@ class WordSet:
     @property
     def n(self) -> int:
         return self.positions.shape[1]
+
+
+def word_set_memo(function):
+    """Memoise ``function(words, *key, **given)`` per word set and key,
+    holding each word set weakly: its entries go when the last family
+    holding it does.  The keyword arguments are not part of the key: they
+    may only hand over what the word set and key determine.  As with an
+    ``lru_cache``, ``cache_clear()`` empties the memo and ``__wrapped__``
+    is the plain function."""
+    memo: "dict[tuple, weakref.WeakKeyDictionary[WordSet, object]]" = {}
+
+    @wraps(function)
+    def memoised(words: WordSet, *key, **given):
+        kept = memo.get(key)
+        if kept is None:
+            kept = memo[key] = weakref.WeakKeyDictionary()
+        try:
+            return kept[words]
+        except KeyError:
+            found = kept[words] = function(words, *key, **given)
+            return found
+
+    memoised.cache_clear = memo.clear
+    return memoised
 
 
 # The word sets some family holds, keyed exactly by the reading-word array.

@@ -310,6 +310,16 @@ def test_run_harness_check_names_slice_the_full_run():
     assert start == len(everything)
 
 
+def test_run_harness_reads_a_bare_string_as_one_check():
+    def rows(records):
+        return [{k: v for k, v in r.as_dict().items() if k != "elapsed"} for r in records]
+
+    assert rows(run_harness("theta", 2)) == rows(run_harness(("theta",), 2))
+    assert rows(run_harness("all", 2)) == rows(run_harness(("all",), 2))
+    with pytest.raises(DomainError, match=r"unknown harness check\(s\): nope$"):
+        run_harness("nope")
+
+
 def test_run_harness_isolates_a_raising_job(monkeypatch):
     real = diagmod.harness.check_Q_minus_S_positivity
 

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import itertools
 import random
 import weakref
@@ -9,7 +10,7 @@ import pytest
 
 import _oracles as oracle
 from conftest import apply_word, forced_word_set_families, member_by_word
-from diagmod import clifford, tableaux
+from diagmod import clifford, hecke, tableaux
 from diagmod.clifford import (
     ATTACK,
     DESCENT,
@@ -28,6 +29,7 @@ from diagmod.families import (
 )
 from diagmod.harness import check_family, words_family
 from diagmod.hecke import (
+    HeckeModuleRep,
     build_hecke_module,
     generating_words,
     qsym_characteristic,
@@ -328,8 +330,9 @@ def test_word_graph_matches_oracle_on_forced_word_sets():
 
 def assert_matches_former_paths(fam):
     """The keyed word graph equals the byte-row one, and in both
-    conventions, built by force, the one-pass relation check equals the
-    grouped one."""
+    conventions, built by force, the report shared per word set and
+    convention equals the one-pass check of the rep's own maps, on an
+    unmarked copy, and the grouped check."""
     words = fam.word_set
     order, positions, descent, target = oracle.byte_row_word_graph(fam)
     assert np.array_equal(words.order, order)
@@ -338,7 +341,10 @@ def assert_matches_former_paths(fam):
     assert words.target.dtype == np.int32 and np.array_equal(words.target, target)
     for convention in ("pi", "hat"):
         rep = build_hecke_module(fam, convention, force=True)
-        assert verify_hecke_relations(rep) == oracle.grouped_hecke_relations(rep)
+        copy = dataclasses.replace(rep)
+        assert rep.built and not copy.built
+        report = verify_hecke_relations(rep)
+        assert report == verify_hecke_relations(copy) == oracle.grouped_hecke_relations(rep)
 
 
 SQUARE = ((1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3))
@@ -423,6 +429,18 @@ def test_interned_word_sets_match_uncached():
     assert assert_interning_matches_uncached(forced) == 63 + 15
 
 
+def test_verified_word_sets_are_freed_with_their_families(monkeypatch):
+    """The reports kept per word set hold it weakly."""
+    monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
+    fam = words_family([(1, 2, 3), (2, 1, 3)])
+    assert verify_hecke_relations(build_hecke_module(fam)).ok
+    assert verify_clifford_relations(build_clifford_module(fam)).ok
+    words = weakref.ref(fam.word_set)
+    del fam
+    gc.collect()
+    assert words() is None
+
+
 @pytest.mark.parametrize("kind, shape", [("syt", (3, 2)), ("sit", (2, 2, 1)), ("rib", (2, 1, 2))])
 def test_word_sets_of_wider_entry_arrays(kind, shape):
     """Entries given as int64 rows key a separate word set, whose positions
@@ -491,6 +509,36 @@ def test_commutation_square_forced_builds():
     }
 
 
+def test_module_relations_are_checked_once_per_word_set_and_convention(monkeypatch):
+    """Built modules of two families with the same words share one report
+    per convention; an edited copy is checked on its own maps."""
+    calls = []
+    check = hecke._relation_report
+    monkeypatch.setattr(hecke, "_relation_report", lambda *args: calls.append(args[-1]) or check(*args))
+    monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
+    built = build_family("syt", (3, 2))
+    twins = [tableaux.TableauFamily(built.diagram, built.members, tag, "syt", (3, 2)) for tag in "ab"]
+    assert twins[0].word_set is twins[1].word_set
+    reports = {}
+    for fam in twins * 2:
+        for convention in ("pi", "hat"):
+            report = verify_hecke_relations(build_hecke_module(fam, convention, force=True))
+            assert reports.setdefault(convention, report) is report
+    assert Counter(calls) == {"pi": 1, "hat": 1}
+    rep = build_hecke_module(twins[0], "hat", force=True)
+    assert verify_hecke_relations(dataclasses.replace(rep)) == reports["hat"]
+    assert Counter(calls) == {"pi": 1, "hat": 2}
+
+
+def test_built_maps_are_read_only():
+    rep = build_hecke_module(build_family("syt", (3, 2)))
+    for maps in (rep.targets, rep.signs):
+        with pytest.raises(ValueError):
+            maps[0, 0] = 0
+    with pytest.raises(ValueError):
+        dataclasses.replace(rep, built=True)
+
+
 @pytest.mark.parametrize("kind, modes", [("syt", {"ascent": 1}), ("sit", {"ascent": 1, "descent": 1})])
 def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
     """The gate scan is kept on the word set: the module and supermodule
@@ -556,3 +604,26 @@ def test_signed_map_check_reports_injected_faults(case, fault):
     mats = oracle.materialised(faulty, convention)
     assert report == oracle.product_hecke_relations(mats, convention)
     assert report.violations == expected[fault]
+
+
+@pytest.mark.parametrize("fault", ["sign flip", "dropped target", "moved target"])
+@pytest.mark.parametrize("case", sorted(MAP_FAULTS))
+def test_faults_show_after_the_built_rep_is_verified(case, fault):
+    """The report shared by built reps is not served to an edited copy or a
+    hand-built rep of the same family, whichever is verified first."""
+    kind, shape, convention, gen, col, expected = MAP_FAULTS[case]
+    rep = build_hecke_module(build_family(kind, shape), convention)
+    assert verify_hecke_relations(rep).ok
+    targets, signs = rep.targets.copy(), rep.signs.copy()
+    if fault == "sign flip":
+        signs[gen - 1, col] *= -1
+    elif fault == "dropped target":
+        targets[gen - 1, col], signs[gen - 1, col] = rep.dim, 0
+    else:
+        targets[gen - 1, col] = 0
+    for faulty in (
+        dataclasses.replace(rep, targets=targets, signs=signs),
+        HeckeModuleRep(rep.family, convention, targets, signs),
+    ):
+        assert verify_hecke_relations(faulty).violations == expected[fault]
+    assert verify_hecke_relations(rep).ok

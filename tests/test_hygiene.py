@@ -1,10 +1,12 @@
 """Imported names that a module never uses, library code nothing uses, test
-oracles no test uses, and scipy imports in the library.
+oracles no test uses, scipy imports in the library, and caches that pin
+word sets.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
 out of the library and the tests, dead functions, methods, classes and
 module-level names out of the library, untested oracles out of
-``tests/_oracles.py``, and scipy, a test-only dependency, out of the
+``tests/_oracles.py``, scipy, a test-only dependency, out of the
+library, and strong caches of word sets, families and reps out of the
 library.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
@@ -145,3 +147,49 @@ def test_library_does_not_import_scipy():
     tests' materialised oracles only."""
     found = [entry for path in LIBRARY for entry in scipy_imports(path)]
     assert not found, "scipy imported by the library:\n" + "\n".join(found)
+
+
+PINNED = {"WordSet", "TableauFamily", "HeckeModuleRep", "CliffordModuleRep"}
+
+
+def annotation_names(annotation) -> set[str]:
+    """The names an annotation mentions, string annotations included."""
+    names = set()
+    for node in ast.walk(annotation):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names |= annotation_names(ast.parse(node.value, mode="eval"))
+    return names
+
+
+def pinning_caches(path: Path) -> list[str]:
+    """``file:line: function`` for every ``lru_cache`` or ``cache``
+    decorated function with a parameter annotated by a word set, family or
+    rep type: such a cache keeps every argument alive for good."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        decorators = {
+            getattr(part, "id", None) or getattr(part, "attr", None)
+            for decorator in node.decorator_list
+            for part in ast.walk(decorator)
+        }
+        if not decorators & {"lru_cache", "cache"}:
+            continue
+        args = node.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        if any(p.annotation and annotation_names(p.annotation) & PINNED for p in params):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_no_cache_pins_word_sets():
+    """Word sets are interned weakly; a cache keyed by one, or by a family
+    or rep that holds one, would keep it alive (see
+    ``tableaux.word_set_memo`` for the weak memo)."""
+    found = [entry for path in LIBRARY for entry in pinning_caches(path)]
+    assert not found, "caches that pin word sets:\n" + "\n".join(found)

@@ -4,6 +4,8 @@ import pytest
 
 from conftest import member_by_word
 from diagmod.errors import DomainError
+from diagmod.families import build_family
+from diagmod.harness import words_family
 from diagmod.tableaux import (
     AscentClass,
     Diagram,
@@ -102,6 +104,14 @@ def test_singleton_family_compatible(compatible_family):
     single = TableauFamily(compatible_family.diagram, (tab,), "single")
     assert is_ascent_compatible(single).ok
     assert is_descent_compatible(single).ok
+
+
+def test_a_repeated_member_is_rejected():
+    fam = build_family("syt", (2, 1))
+    with pytest.raises(DomainError, match="repeated family member"):
+        TableauFamily(fam.diagram, list(fam.members) + [fam.members[0]], "twice")
+    with pytest.raises(DomainError, match=r"repeated family member with reading word \(1, 2, 3\)"):
+        words_family([(1, 2, 3), (1, 2, 3), (2, 1, 3)])
 
 
 def test_descent_compatibility_independent_of_ascent(compatible_family):
