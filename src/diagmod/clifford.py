@@ -13,8 +13,8 @@ tableau.
 A family supermodule is thus its word graph (whether i is a descent of
 each tableau, and the swap target) tensored with fixed 2^n blocks that
 depend only on n, i and the case.  It stores only its family and reads the
-graph from the family's word set; the relations and the filtration
-quotients are checked on the cached blocks.  Every block has at most two
+graph from the family's word set; the relation and quotient checks read one
+table per n of what the blocks decide.  Every block has at most two
 signed entries per column, so it is a stack of signed partial maps in the
 sink-column encoding of the module's generators (see
 :func:`~diagmod.hecke.sink_maps` and :func:`~diagmod.hecke.compose_maps`): a
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,10 +78,7 @@ class MarkedTableau:
 
 
 def _mask_of(marks: frozenset[int]) -> int:
-    mask = 0
-    for j in marks:
-        mask |= 1 << (j - 1)
-    return mask
+    return sum(1 << (j - 1) for j in marks)
 
 
 def _marks_of(mask: int) -> frozenset[int]:
@@ -89,11 +87,7 @@ def _marks_of(mask: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
-    size = 1 << n
-    pc = np.zeros(size, dtype=np.int64)
-    for m in range(1, size):
-        pc[m] = pc[m >> 1] + (m & 1)
-    return pc
+    return np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -379,55 +373,6 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
-@lru_cache(maxsize=None)
-def _mark_violations(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """Violations of the relations among the c_j, then of c parity.
-
-    Every c_j is the identity on tableaux tensored with its 2^n block, so on
-    a nonempty family these hold iff they hold for the blocks.
-    """
-    cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
-    relations = [
-        f"c[{j}]^2 != -1"
-        for j, cj in enumerate(cs, start=1)
-        if not _equal(compose_maps(cj, cj), _identity(n), -1)
-    ]
-    for a in range(n):
-        for b in range(a + 1, n):
-            if not _equal(compose_maps(cs[a], cs[b]), compose_maps(cs[b], cs[a]), -1):
-                relations.append(f"c[{a + 1}] and c[{b + 1}] do not anticommute")
-    parity = [
-        f"c[{j}] does not flip parity"
-        for j, cj in enumerate(cs, start=1)
-        if not _keeps_parity(cj, n, flips=True)
-    ]
-    return tuple(relations), tuple(parity)
-
-
-@lru_cache(maxsize=None)
-def _pi_mark_relation_holds(n: int, i: int, j: int, case: int) -> bool:
-    """The pi_i-c_j relation on the case's block of pi_i.
-
-    The descent, attack and swap blocks of pi_i sit at disjoint block
-    positions, while each c_j is block diagonal, so a relation holds for the
-    whole operator iff it holds for each block present; the identity added
-    in the (pi_i + 1) relation lands on the diagonal blocks only.
-    """
-    p = _hecke_mask_blocks(n, i)[case]
-    if j == i:
-        return _equal(compose_maps(p, _mark_blocks(n, i)), compose_maps(_mark_blocks(n, i + 1), p))
-    if j == i + 1:
-        if case != SWAP:
-            p = _stack(p, _identity(n))
-        return _equal(compose_maps(p, _mark_blocks(n, i + 1)), compose_maps(_mark_blocks(n, i), p))
-    return _equal(compose_maps(p, _mark_blocks(n, j)), compose_maps(_mark_blocks(n, j), p))
-
-
-@lru_cache(maxsize=None)
-def _hecke_parity_holds(n: int, i: int, case: int) -> bool:
-    return _keeps_parity(_hecke_mask_blocks(n, i)[case], n, flips=False)
-
-
 def _path_product(n: int, steps):
     """The block product of one path, leftmost factor first."""
     return reduce(compose_maps, (_hecke_mask_blocks(n, step // 3 + 1)[step % 3] for step in steps))
@@ -484,58 +429,101 @@ def _relation_holds(n: int, cases, swaps, lhs, rhs, sign: int) -> bool:
     return True
 
 
+class SupermoduleTable(NamedTuple):
+    """What the 2^n blocks decide for every family supermodule of size n.
+
+    ``suite`` is the relation suite in report order, as (message, check)
+    pairs.  A check is a 0-Hecke relation (left word, right word, sign),
+    decided on the word graph by :func:`_relation_holds`; for a pi-c
+    relation or pi parity, the frozenset of (i, case) pairs, a block case of
+    pi_i, under which it fails; or the verdict of a relation among the c_j.
+    ``quotients[i - 1][descent]`` is whether the diagonal block of pi_i on
+    a tableau with or without a descent at i is the reference module's
+    pi_i, and ``marks`` whether the mark blocks are its c_j.
+    """
+
+    suite: tuple[tuple[str, object], ...]
+    quotients: tuple[tuple[bool, bool], ...]
+    marks: bool
+
+
+@lru_cache(maxsize=None)
+def _supermodule_table(n: int) -> SupermoduleTable:
+    """The table of size n, read off the blocks once.
+
+    Every c_j is the identity on tableaux tensored with its block, so the
+    relations among the c_j hold on a nonempty family iff they hold for the
+    blocks.  The descent, attack and swap blocks of pi_i sit at disjoint
+    block positions, while each c_j is block diagonal, so a pi-c relation
+    or pi parity holds for the whole operator iff it holds for each block
+    present; the identity added in the (pi_i + 1) relation lands on the
+    diagonal blocks only.
+    """
+    cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
+    pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
+    suite = [(message, (lhs, rhs, sign)) for message, lhs, rhs, sign in relation_table(n - 1).relations]
+    suite += [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
+    suite += [
+        (f"c[{a}] and c[{b}] do not anticommute", _equal(compose_maps(c, d), compose_maps(d, c), -1))
+        for a, c in enumerate(cs, 1)
+        for b, d in enumerate(cs[a:], a + 1)
+    ]
+    for i, blocks in enumerate(pis, 1):
+        for j, c in enumerate(cs, 1):
+            if j == i:
+                message, other = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]", cs[i]
+            elif j == i + 1:
+                message, other = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)", cs[i - 1]
+            else:
+                message, other = f"pi[{i}] and c[{j}] do not commute", c
+            fails = set()
+            for case, p in blocks.items():
+                if j == i + 1 and case != SWAP:
+                    p = _stack(p, _identity(n))
+                if not _equal(compose_maps(p, c), compose_maps(other, p)):
+                    fails.add((i, case))
+            suite.append((message, frozenset(fails)))
+    for i, blocks in enumerate(pis, 1):
+        fails = frozenset((i, case) for case, p in blocks.items() if not _keeps_parity(p, n, flips=False))
+        suite.append((f"pi[{i}] does not preserve parity", fails))
+    suite += [(f"c[{j}] does not flip parity", _keeps_parity(c, n, flips=True)) for j, c in enumerate(cs, 1)]
+    quotients = tuple(
+        tuple(_equal(blocks[case], _reference_pi(n, i, case == DESCENT)) for case in (ATTACK, DESCENT))
+        for i, blocks in enumerate(pis, 1)
+    )
+    marks = all(_equal(c, target) for c, target in zip(cs, _reference_marks(n)[0]))
+    return SupermoduleTable(tuple(suite), quotients, marks)
+
+
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     """Exact verification of the full generator relation suite of a family
-    supermodule, on its 2^n blocks rather than its |F| 2^n operators.
-
-    The relations among the c_j are checked once per n, each pi-c relation
-    and pi parity once per block case present, and the 0-Hecke relations by
-    expanding both sides over paths in the word graph (see
-    :func:`_relation_holds`).  The checks, their count and the violation
-    messages are those of the products of the full generator matrices.
-    The report depends only on the family's word set and is computed once
-    per word set.
+    supermodule, on its 2^n blocks rather than its |F| 2^n operators: the
+    table of size n (:func:`_supermodule_table`) read at the family's word
+    graph.  The checks, their count and the violation messages are those of
+    the products of the full generator matrices.  The report depends only
+    on the family's word set and is computed once per word set.
     """
     return _word_set_relations(rep.family.word_set)
 
 
 @word_set_memo
 def _word_set_relations(words: WordSet) -> RelationReport:
-    """The supermodule relation report of a word set: a function of n, its
-    descents and swap targets, and the 2^n blocks."""
+    """The supermodule relation report of a word set: the table of its size
+    read at its descents and swap targets."""
     n = words.n
-    swaps = swap_targets(words)
-    edges = np.where(words.descent, DESCENT, ATTACK).tolist(), swaps.tolist()
-    relations = relation_table(n - 1).relations
-    checked = len(relations)
-    violations = [
-        message
-        for message, lhs, rhs, sign in relations
-        if not _relation_holds(n, *edges, lhs, rhs, sign)
-    ]
-    mark_relations, mark_parity = _mark_violations(n)
-    checked += n + n * (n - 1) // 2
-    violations.extend(mark_relations)
-    cases = [set(row) | ({SWAP} if max(targets) >= 0 else set()) for row, targets in zip(*edges)]
-    for i, present in enumerate(cases, start=1):
-        for j in range(1, n + 1):
-            checked += 1
-            if all(_pi_mark_relation_holds(n, i, j, case) for case in present):
-                continue
-            if j == i:
-                violations.append(f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]")
-            elif j == i + 1:
-                violations.append(f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)")
-            else:
-                violations.append(f"pi[{i}] and c[{j}] do not commute")
-    checked += (n - 1) + n
-    violations.extend(
-        f"pi[{i}] does not preserve parity"
-        for i, present in enumerate(cases, start=1)
-        if not all(_hecke_parity_holds(n, i, case) for case in present)
-    )
-    violations.extend(mark_parity)
-    return RelationReport(checked, tuple(violations))
+    suite = _supermodule_table(n).suite
+    edges = np.where(words.descent, DESCENT, ATTACK).tolist(), swap_targets(words).tolist()
+    present = {(i, case) for i, row in enumerate(edges[0], 1) for case in set(row)}
+    present |= {(i, SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
+
+    def holds(check) -> bool:
+        if isinstance(check, bool):
+            return check
+        if isinstance(check, frozenset):
+            return check.isdisjoint(present)
+        return _relation_holds(n, *edges, *check)
+
+    return RelationReport(len(suite), tuple(message for message, check in suite if not holds(check)))
 
 
 def peak_characteristic(obj) -> FormalSum:
@@ -562,24 +550,11 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     pi_i depends only on whether i is a descent.
     """
     m = len(rep.basis_tableaux)
-    if not 1 <= k <= m:
-        raise DomainError(f"filtration index {k} out of range 1..{m}")
-    return all(
-        _quotient_holds(rep.n, i, descent)
-        for i, descent in enumerate(rep.family.word_set.descent[:, k - 1].tolist(), start=1)
-    ) and _marks_match_reference(rep.n)
-
-
-@lru_cache(maxsize=None)
-def _quotient_holds(n: int, i: int, descent: bool) -> bool:
-    block = _hecke_mask_blocks(n, i)[DESCENT if descent else ATTACK]
-    return _equal(block, _reference_pi(n, i, descent))
-
-
-@lru_cache(maxsize=None)
-def _marks_match_reference(n: int) -> bool:
-    c_ops, _ = _reference_marks(n)
-    return all(_equal(_mark_blocks(n, j), target) for j, target in enumerate(c_ops, start=1))
+    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= m:
+        raise DomainError(f"filtration index {k!r} is not an integer in 1..{m}")
+    table = _supermodule_table(rep.n)
+    descents = rep.family.word_set.descent[:, k - 1].tolist()
+    return table.marks and all(table.quotients[i][descent] for i, descent in enumerate(descents))
 
 
 def _seed_walk(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:

@@ -179,6 +179,8 @@ def words_family(words: Sequence[Perm], tag: str = "words") -> TableauFamily:
     if not words:
         raise DomainError("no words given")
     n = len(words[0])
+    if n == 0:
+        raise DomainError("the empty word gives no family")
     if any(len(w) != n for w in words):
         raise DomainError("words of mixed sizes")
     diagram = single_row_diagram(n)

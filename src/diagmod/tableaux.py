@@ -10,12 +10,12 @@ A family is stored as an integer array, one row of entries per member in
 reading-word order, with one descent mask per member; its tableaux are built
 only when read (for display, ``rect`` and witnesses).  The family's word set
 records the basis order and, for every member and generator, the descent
-and the swap.  It depends only on the set of reading words, so it is built
-once per word set and shared, read-only, by every family with those words,
-together with both gate scans; the module builders and the gate read it,
-and the characteristics read the histogram of descent masks.  Results that
-depend only on the word set are memoised on it weakly
-(:func:`word_set_memo`).
+and the swap, in four read-only arrays.  It depends only on the set of
+reading words, so it is built once per word set and shared by every family
+with those words; the module builders and the gate read it, and the
+characteristics read the histogram of descent masks.  Everything else that
+the word set determines, both gate scans included, is memoised on it
+weakly (:func:`word_set_memo`).
 """
 
 from __future__ import annotations
@@ -208,12 +208,13 @@ class TableauFamily:
 
     Members are kept sorted by reading word, as the rows of the entry array
     ``members.entries``; a member's tableau is built only when it is read.
-    ``members`` may be given as tableaux, where one listed twice raises
-    :class:`DomainError`, or as distinct :class:`Tableaux` rows already in
-    that order, as the enumerator gives them.  ``descent_masks[k]``,
-    recorded by the enumerator, has bit i-1 set when i is a descent of
-    member k; a family built from tableaux has none, and its descent
-    histogram is read from the entries.
+    ``members`` may be given as tableaux or as :class:`Tableaux` rows
+    already in that order; a member listed twice, or rows out of order,
+    raise :class:`DomainError`.  ``descent_masks[k]``, recorded by the
+    enumerator, has bit i-1 set when i is a descent of member k, and comes
+    only with rows, one mask per row; rows with masks are trusted to be
+    distinct and sorted, as the enumerator makes them.  A family without
+    masks reads its descent histogram from the entries.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.
     """
@@ -227,7 +228,15 @@ class TableauFamily:
     descent_masks: Optional[tuple[int, ...]] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if not isinstance(self.members, Tableaux):
+        masks = self.descent_masks
+        if isinstance(self.members, Tableaux):
+            if masks is None:
+                self._check_rows()
+            elif len(masks) != len(self.members):
+                raise DomainError(f"{len(masks)} descent masks for {len(self.members)} members")
+        elif masks is not None:
+            raise DomainError("descent masks come only with Tableaux rows")
+        else:
             n = self.diagram.n
             members = sorted(self.members, key=lambda t: t.reading_word)
             for t in members:
@@ -239,6 +248,19 @@ class TableauFamily:
             entries = np.array([t.entries for t in members], dtype=np.min_scalar_type(n))
             rows = Tableaux(self.diagram, entries.reshape(len(members), n), built=dict(enumerate(members)))
             object.__setattr__(self, "members", rows)
+
+    def _check_rows(self) -> None:
+        """Raise :class:`DomainError` unless the caller's rows are a plain
+        array of this diagram's fillings, distinct and in reading-word
+        order."""
+        rows = self.members
+        if rows.order is not None or rows.diagram != self.diagram:
+            raise DomainError("family rows must be a Tableaux array on the family's diagram")
+        # consecutive rows compared at their first difference; a zero column
+        # closes each row, so equal rows, even empty ones, compare as 0
+        step = np.diff(np.pad(self.words.astype(np.int16), ((0, 0), (0, 1))), axis=0)
+        if np.any(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
+            raise DomainError("family rows must be distinct and in reading-word order")
 
     @property
     def words(self) -> np.ndarray:
@@ -306,19 +328,17 @@ class WordSet:
     v.  For generator i, row i-1 of the (n - 1, members) bool ``descent``
     flags the basis elements with a descent at i, and row i-1 of the int32
     ``target`` holds the basis index of the word with i and i+1 exchanged,
-    or -1 when that word is not in the set.  ``ascent_scan`` and
-    ``descent_scan`` hold the :func:`_gate_scan` of each mode once it is
-    done, else None.  Families with the same reading words share one, so it
-    hashes by identity.
+    or -1 when that word is not in the set.  Families with the same reading
+    words share one, so it hashes by identity; what it determines beyond
+    these arrays is memoised on it weakly (:func:`word_set_memo`).
     """
 
-    __slots__ = ("order", "positions", "descent", "target", "ascent_scan", "descent_scan", "__weakref__")
+    __slots__ = ("order", "positions", "descent", "target", "__weakref__")
 
     def __init__(self, order, positions, descent, target):
         for array in (order, positions, descent, target):
             array.flags.writeable = False
         self.order, self.positions, self.descent, self.target = order, positions, descent, target
-        self.ascent_scan = self.descent_scan = None
 
     @property
     def n(self) -> int:
@@ -455,15 +475,10 @@ def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     """Shared scan for ascent- and descent-compatibility.
 
     The scan reads only the word set and runs once per word set and mode
-    (see :func:`_gate_scan`), its result kept on the word set; the witness
-    tableaux come from this family's basis.
+    (see :func:`_kept_gate_scan`); the witness tableaux come from this
+    family's basis.
     """
-    words, slot = family.word_set, f"{mode}_scan"
-    scan = getattr(words, slot)
-    if scan is None:
-        scan = _gate_scan(words, mode)
-        setattr(words, slot, scan)
-    ok, earlier, later, r, s = scan
+    ok, earlier, later, r, s = _kept_gate_scan(family.word_set, mode)
     if ok:
         return _COMPATIBLE
     basis = family.basis
@@ -499,6 +514,12 @@ def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
     k = conflicts[0]
     r, s = divmod(int(keys[k]), n)
     return False, int(cells[first[keys[k]]] // (n - 1)), int(cells[k] // (n - 1)), r + 1, s + 1
+
+
+@word_set_memo
+def _kept_gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
+    """:func:`_gate_scan`, once per word set and mode."""
+    return _gate_scan(words, mode)
 
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:

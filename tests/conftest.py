@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from diagmod.families import demo_compatible_family, demo_incompatible_family
+from diagmod.harness import words_family
 from diagmod.tableaux import StandardTableau, TableauFamily
 
 
@@ -53,4 +54,17 @@ def forced_word_set_families():
         TableauFamily(diagram, members, f"words{[t.reading_word for t in members]}")
         for size in range(1, len(tableaux) + 1)
         for members in itertools.combinations(tableaux, size)
+    ]
+
+
+SQUARE = ((1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3))
+
+
+def square_families():
+    """Every nonempty subset of the square of words joined by the
+    commuting swaps at 1 and 3, as a family of single-row fillings."""
+    return [
+        words_family(words)
+        for size in range(1, len(SQUARE) + 1)
+        for words in itertools.combinations(SQUARE, size)
     ]

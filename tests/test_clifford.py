@@ -1,9 +1,11 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from conftest import forced_word_set_families, member_by_word
+from conftest import forced_word_set_families, member_by_word, square_families
 from diagmod import clifford
 from diagmod.clifford import (
     MarkedTableau,
@@ -130,6 +132,13 @@ def test_filtration_quotients(compatible_family):
         filtration_quotient_check(rep, 0)
     with pytest.raises(DomainError):
         filtration_quotient_check(rep, 4)
+
+
+@pytest.mark.parametrize("k", [1.5, True, "1", None])
+def test_filtration_index_must_be_an_int(compatible_family, k):
+    rep = build_clifford_module(compatible_family)
+    with pytest.raises(DomainError, match="not an integer in 1..3"):
+        filtration_quotient_check(rep, k)
 
 
 def test_filtration_quotients_spct_and_ssht():
@@ -339,6 +348,30 @@ def test_factored_checks_match_materialised_on_forced_word_sets():
             failing[tuple(t.reading_word for t in fam)] = report.violations
     control = ((1, 2, 3), (2, 1, 3), (3, 1, 2), (3, 2, 1))
     assert "braid fails at pi[1], pi[2]" in failing[control]
+
+
+# sha256 of the supermodule report rows below, computed before the block
+# verdicts were gathered into one table per n
+REPORT_DIGEST = "2f21a7e3003f10016230751efd52616683c6fae95855f4ba9c14939d0900e73c"
+
+
+def test_supermodule_reports_are_pinned():
+    """Every nonempty family with n <= 6 (sigmas included), forced past the
+    gate, then the forced S_3 and commutation-square word sets: the tag,
+    the relation count and violations, and every filtration quotient
+    verdict, one row per family."""
+    families = [
+        fam for fam in (build_family(*inst) for inst in family_instances(6, sigmas=True)) if fam.members
+    ]
+    assert len(families) == 4603
+    families += forced_word_set_families() + square_families()
+    rows = []
+    for fam in families:
+        rep = build_clifford_module(fam, force=True)
+        report = verify_clifford_relations(rep)
+        quotients = tuple(filtration_quotient_check(rep, k) for k in range(1, len(fam) + 1))
+        rows.append(repr((fam.family_tag, report.checked, report.violations, quotients)))
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == REPORT_DIGEST
 
 
 def _corrupted(block, col, row=None):

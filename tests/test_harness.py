@@ -128,6 +128,11 @@ def test_words_family_rejects_garbage():
         words_family([(1, 1, 2)])
 
 
+def test_the_empty_word_gives_no_family():
+    with pytest.raises(DomainError, match="the empty word gives no family"):
+        words_family([()])
+
+
 def test_witness_report():
     report = generalization_witness()
     assert report.size_three_intervals == 4

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import _oracles as oracle
-from conftest import apply_word, forced_word_set_families, member_by_word
+from conftest import apply_word, forced_word_set_families, member_by_word, square_families
 from diagmod import clifford, hecke, tableaux
 from diagmod.clifford import (
     ATTACK,
@@ -347,19 +347,6 @@ def assert_matches_former_paths(fam):
         assert report == verify_hecke_relations(copy) == oracle.grouped_hecke_relations(rep)
 
 
-SQUARE = ((1, 2, 3, 4), (2, 1, 3, 4), (1, 2, 4, 3), (2, 1, 4, 3))
-
-
-def square_families():
-    """Every nonempty subset of the square of words joined by the
-    commuting swaps at 1 and 3, as a family of single-row fillings."""
-    return [
-        words_family(words)
-        for size in range(1, len(SQUARE) + 1)
-        for words in itertools.combinations(SQUARE, size)
-    ]
-
-
 def test_former_paths_agree_on_built_in_families():
     built = 0
     for kind, shape, sigma in family_instances(6, sigmas=True):
@@ -404,7 +391,7 @@ def assert_interning_matches_uncached(families):
         for mode, gate in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
             verdict = gate(fam)
             scan = tableaux._gate_scan(fresh, mode)
-            assert getattr(words, f"{mode}_scan") == scan
+            assert tableaux._kept_gate_scan(words, mode) == scan
             ok, earlier, later, r, s = scan
             basis = fam.members.reordered(fresh.order)
             assert (verdict.ok, verdict.witness) == (ok, None if ok else (basis[earlier], basis[later], r, s))

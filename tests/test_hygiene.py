@@ -1,13 +1,13 @@
 """Imported names that a module never uses, library code nothing uses, test
-oracles no test uses, scipy imports in the library, and caches that pin
-word sets.
+oracles no test uses, scipy imports in the library, caches that pin word
+sets, and relation counts made by hand.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
 out of the library and the tests, dead functions, methods, classes and
 module-level names out of the library, untested oracles out of
 ``tests/_oracles.py``, scipy, a test-only dependency, out of the
-library, and strong caches of word sets, families and reps out of the
-library.
+library, strong caches of word sets, families and reps out of the
+library, and hand-kept relation counts out of the library's reports.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -193,3 +193,29 @@ def test_no_cache_pins_word_sets():
     ``tableaux.word_set_memo`` for the weak memo)."""
     found = [entry for path in LIBRARY for entry in pinning_caches(path)]
     assert not found, "caches that pin word sets:\n" + "\n".join(found)
+
+
+def hand_counted_reports(path: Path) -> list[str]:
+    """``file:line`` for every ``RelationReport(...)`` call whose count, its
+    first argument or ``checked=``, is not a ``len(...)`` call: a report
+    counts the relations of a table, not a running total."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) != "RelationReport":
+            continue
+        counts = node.args[:1] + [kw.value for kw in node.keywords if kw.arg == "checked"]
+        if not (
+            len(counts) == 1
+            and isinstance(counts[0], ast.Call)
+            and isinstance(counts[0].func, ast.Name)
+            and counts[0].func.id == "len"
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    return found
+
+
+def test_relation_counts_come_from_a_table():
+    found = [entry for path in LIBRARY for entry in hand_counted_reports(path)]
+    assert not found, "RelationReport counts not taken with len(...):\n" + "\n".join(found)

@@ -1,16 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from conftest import member_by_word
 from diagmod.errors import DomainError
-from diagmod.families import build_family
+from diagmod.families import build_family, single_row_diagram
 from diagmod.harness import words_family
 from diagmod.tableaux import (
     AscentClass,
     Diagram,
     StandardTableau,
     TableauFamily,
+    Tableaux,
+    WordSet,
     ascent_positions,
     classify_ascent,
     descent_set_tab,
@@ -112,6 +115,37 @@ def test_a_repeated_member_is_rejected():
         TableauFamily(fam.diagram, list(fam.members) + [fam.members[0]], "twice")
     with pytest.raises(DomainError, match=r"repeated family member with reading word \(1, 2, 3\)"):
         words_family([(1, 2, 3), (1, 2, 3), (2, 1, 3)])
+
+
+def test_caller_rows_must_be_distinct_and_in_reading_word_order():
+    fam = build_family("syt", (2, 1))
+    d, entries = fam.diagram, fam.members.entries
+    with pytest.raises(DomainError, match="distinct and in reading-word order"):
+        TableauFamily(d, Tableaux(d, np.concatenate([entries[:1], entries])), "twice")
+    with pytest.raises(DomainError, match="distinct and in reading-word order"):
+        TableauFamily(d, Tableaux(d, entries[::-1]), "reversed")
+    with pytest.raises(DomainError, match="Tableaux array on the family's diagram"):
+        TableauFamily(d, fam.basis, "view")
+    with pytest.raises(DomainError, match="Tableaux array on the family's diagram"):
+        TableauFamily(single_row_diagram(3), fam.members, "moved")
+    rows = TableauFamily(d, Tableaux(d, entries.copy()), "rows")
+    assert rows.word_set is fam.word_set
+    assert list(rows) == list(fam)
+
+
+def test_descent_masks_come_only_with_rows_one_per_member():
+    fam = build_family("syt", (2, 1))
+    with pytest.raises(DomainError, match="only with Tableaux rows"):
+        TableauFamily(fam.diagram, tuple(fam), "hand", descent_masks=(0, 0))
+    with pytest.raises(DomainError, match="1 descent masks for 2 members"):
+        TableauFamily(fam.diagram, fam.members, "rows", descent_masks=(3,))
+    rows = TableauFamily(fam.diagram, fam.members, "rows", descent_masks=fam.descent_masks)
+    assert rows.descent_histogram == fam.descent_histogram
+
+
+def test_a_word_set_holds_only_its_four_arrays():
+    """Everything else a word set determines is memoised on it weakly."""
+    assert WordSet.__slots__ == ("order", "positions", "descent", "target", "__weakref__")
 
 
 def test_descent_compatibility_independent_of_ascent(compatible_family):
