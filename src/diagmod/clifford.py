@@ -41,7 +41,7 @@ from .compositions import (
     descent_set,
     mask_composition,
 )
-from .errors import DomainError, IncompatibleFamilyError
+from .errors import DomainError, IncompatibleFamilyError, integer
 from .hecke import RelationReport, compose_maps, relation_table, sink_maps, support_walk
 from .series import PEAK, FormalSum
 from .tableaux import (
@@ -262,6 +262,7 @@ class CliffordModuleRep:
         return (t << self.n) + _mask_of(element.marks)
 
     def basis_element(self, index: int) -> MarkedTableau:
+        index = integer(index, f"basis index {index!r} is not an integer in 0..{self.dim - 1}", 0, self.dim - 1)
         t, mask = divmod(index, 1 << self.n)
         return MarkedTableau(self.basis_tableaux[t], _marks_of(mask))
 
@@ -550,8 +551,7 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     pi_i depends only on whether i is a descent.
     """
     m = len(rep.basis_tableaux)
-    if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= m:
-        raise DomainError(f"filtration index {k!r} is not an integer in 1..{m}")
+    k = integer(k, f"filtration index {k!r} is not an integer in 1..{m}", 1, m)
     table = _supermodule_table(rep.n)
     descents = rep.family.word_set.descent[:, k - 1].tolist()
     return table.marks and all(table.quotients[i][descent] for i, descent in enumerate(descents))

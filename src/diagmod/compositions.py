@@ -13,17 +13,18 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 Composition = tuple[int, ...]
 
 
 def check_composition(parts: Iterable[int]) -> Composition:
-    """Coerce to a tuple and validate that every part is a positive integer."""
+    """Coerce to a tuple of Python ints, each part a positive integer."""
     alpha = tuple(parts)
     for p in alpha:
-        if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-            raise DomainError(f"composition parts must be positive integers, got {alpha!r}")
+        if type(p) is not int or p < 1:  # exact positive ints pass as they are
+            message = f"composition parts must be positive integers, got {alpha!r}"
+            return tuple(integer(part, message) for part in alpha)
     return alpha
 
 
@@ -57,8 +58,7 @@ def comp_n(xs: Iterable[int], n: int) -> Composition:
     >>> comp_n(set(), 5)
     (5,)
     """
-    if not isinstance(n, int) or n < 1:
-        raise DomainError(f"comp_n needs a positive integer, got {n!r}")
+    n = integer(n, f"comp_n needs a positive integer, got {n!r}")
     xs = sorted(set(xs))
     if xs and (xs[0] < 1 or xs[-1] >= n):
         raise DomainError(f"descent set {xs} is not a subset of [{n - 1}]")

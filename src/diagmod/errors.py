@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types and the one integer input rule, shared across the package."""
+
+import operator
 
 
 class DomainError(ValueError):
@@ -21,3 +23,14 @@ class IncompatibleFamilyError(DomainError):
             f"{''.join(map(str, first.reading_word))} and "
             f"{''.join(map(str, second.reading_word))} disagree at positions ({r}, {s})"
         )
+
+
+def integer(value, message: str, low: int = 1, high: float = float("inf")) -> int:
+    """``operator.index(value)`` as a Python int if it lies in low..high;
+    any other value, a bool included, raises DomainError(message)."""
+    try:
+        if not isinstance(value, bool) and low <= (index := operator.index(value)) <= high:
+            return index
+    except TypeError:
+        pass
+    raise DomainError(message)

@@ -64,7 +64,7 @@ from .compositions import (
     is_peak_composition,
     is_strict_partition,
 )
-from .errors import DomainError
+from .errors import DomainError, integer
 from .hecke import HAT, PI
 from .tableaux import Box, Diagram, StandardTableau, TableauFamily, Tableaux
 
@@ -478,8 +478,10 @@ def build_family(
         sigma = tuple(sigma)
         if kind not in SIGMA_KINDS:
             raise DomainError(f"{kind} does not take a sigma permutation")
+        message = f"sigma {sigma} is not a permutation of 1..{len(shape)}"
+        sigma = tuple(integer(rank, message) for rank in sigma)
         if sorted(sigma) != list(range(1, len(shape) + 1)):
-            raise DomainError(f"sigma {sigma} is not a permutation of 1..{len(shape)}")
+            raise DomainError(message)
     return _build_family_cached(kind, shape, sigma)
 
 

@@ -34,7 +34,7 @@ from .compositions import (
     is_peak_composition,
     is_strict_partition,
 )
-from .errors import DomainError
+from .errors import DomainError, integer
 from .families import (
     FamilyKind,
     NATIVE_CONVENTION,
@@ -286,8 +286,7 @@ def transition_to_peak_basis(n: int) -> tuple[tuple[Composition, ...], list[list
     """Peak-basis coefficients of the columnar peak sums, one row per peak
     composition in descending order; asserts unit diagonal and vanishing
     above it."""
-    if n < 1:
-        raise DomainError("n must be positive")
+    n = integer(n, f"n must be a positive integer, got {n!r}")
     peaks = tuple(enumerate_peak_compositions(n))
     col = {alpha: j for j, alpha in enumerate(peaks)}
     matrix = []
@@ -549,8 +548,7 @@ def run_harness(checks: Iterable[str] = ("all",), max_n: int = 5) -> list[CheckR
     unknown = sorted(wanted - {"all", *CHECKS})
     if unknown:
         raise DomainError(f"unknown harness check(s): {', '.join(unknown)}")
-    if max_n < 1:
-        raise DomainError(f"max_n must be at least 1, got {max_n}")
+    max_n = integer(max_n, f"max_n must be at least 1 and an integer, got {max_n!r}")
     if "all" in wanted:
         wanted = set(CHECKS)
     jobs: list[tuple[str, str, Callable[[], tuple[bool, str]]]] = []

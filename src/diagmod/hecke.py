@@ -20,13 +20,13 @@ breadth-first walk over its generators' entries, :func:`support_walk`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, IncompatibleFamilyError
+from .errors import DomainError, IncompatibleFamilyError, integer
 from .series import FUNDAMENTAL, FormalSum
 from .compositions import mask_composition
 from .tableaux import (
@@ -45,24 +45,22 @@ HAT = "hat"
 
 @dataclass(frozen=True)
 class HeckeModuleRep:
-    """A family's 0-Hecke module: its basis with one signed partial map per
-    generator.
-
-    ``targets`` and ``signs`` are (n - 1, dim + 1) arrays in the sink-column
-    encoding of :func:`sink_maps`: generator i sends basis element c to
-    ``signs[i - 1, c]`` times basis element ``targets[i - 1, c]``, and a
-    zero image points at the sink column dim with sign 0.
-
-    ``built`` is set only by :func:`build_hecke_module`, on the read-only
-    maps it read off the word set; a rep made by the constructor or by
-    ``dataclasses.replace`` has it False.
-    """
+    """A family's 0-Hecke module in a convention, its generators' signed
+    partial maps read off the word set when first read (:func:`hecke_maps`)."""
 
     family: TableauFamily
     convention: str
-    targets: np.ndarray
-    signs: np.ndarray
-    built: bool = field(default=False, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.convention not in (PI, HAT):
+            raise DomainError(f"unknown convention {self.convention!r}")
+
+    @cached_property
+    def _maps(self) -> tuple[np.ndarray, np.ndarray]:
+        return hecke_maps(self.family.word_set, self.convention)
+
+    targets = property(lambda self: self._maps[0])
+    signs = property(lambda self: self._maps[1])
 
     @property
     def basis(self) -> Tableaux:
@@ -100,14 +98,13 @@ def sink_maps(targets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
 def build_hecke_module(
     family: TableauFamily, convention: str = PI, force: bool = False
 ) -> HeckeModuleRep:
-    """Build the generator maps for a family in the given convention.
+    """The module of a family in the given convention.
 
     The compatibility gate rejects families on which the action is not
     guaranteed to satisfy the relations; ``force`` bypasses the gate (it
     exists only so tests can exhibit what the gate protects against).
     """
-    if convention not in (PI, HAT):
-        raise DomainError(f"unknown convention {convention!r}")
+    rep = HeckeModuleRep(family, convention)
     if not family.members:
         raise DomainError(f"family {family.family_tag} is empty")
     if not force:
@@ -115,8 +112,14 @@ def build_hecke_module(
         compat = is_ascent_compatible(family) if convention == PI else is_descent_compatible(family)
         if not compat.ok:
             raise IncompatibleFamilyError(mode, compat.witness)
+    return rep
 
-    words = family.word_set
+
+def hecke_maps(words: WordSet, convention: str) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only generator maps of a word set's module in the
+    convention, as (n - 1, dim + 1) arrays in the sink-column encoding of
+    :func:`sink_maps`: generator i sends basis element c to ``signs[i - 1,
+    c]`` times basis element ``targets[i - 1, c]``."""
     # pi scales descents by -1, hat fixes ascents; the other case swaps
     # inside the family or dies.
     diagonal = words.descent if convention == PI else ~words.descent
@@ -124,9 +127,7 @@ def build_hecke_module(
     signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
     targets, signs = sink_maps(targets, signs)
     targets.flags.writeable = signs.flags.writeable = False
-    rep = HeckeModuleRep(family, convention, targets, signs)
-    object.__setattr__(rep, "built", True)
-    return rep
+    return targets, signs
 
 
 # Reports are kept per word set, so they carry no instance dict.
@@ -236,24 +237,15 @@ def _compose_words(targets, signs, words, pads) -> tuple[np.ndarray, np.ndarray]
 
 
 def verify_hecke_relations(rep: HeckeModuleRep) -> RelationReport:
-    """Check the quadratic, commutation, and braid relations exactly.
-
-    The maps of a rep made by :func:`build_hecke_module` are a function of
-    its word set and convention, so its report is computed once per word
-    set and convention and shared; any other rep, such as an edited copy,
-    is checked on its own maps.
-    """
-    if rep.built:
-        return _module_relations(rep.family.word_set, rep.convention, maps=(rep.targets, rep.signs))
-    return _relation_report(rep.targets, rep.signs, rep.convention)
+    """Check the quadratic, commutation, and braid relations exactly, once
+    per word set and convention, which are all a module depends on."""
+    return _module_relations(rep.family.word_set, rep.convention)
 
 
 @word_set_memo
-def _module_relations(words: WordSet, convention: str, *, maps) -> RelationReport:
-    """The relation report of a word set's module in the convention,
-    checked on ``maps``, the module's maps as :func:`build_hecke_module`
-    reads them off the word set."""
-    return _relation_report(*maps, convention)
+def _module_relations(words: WordSet, convention: str) -> RelationReport:
+    """The relation report of a word set's module in the convention."""
+    return _relation_report(*hecke_maps(words, convention), convention)
 
 
 def _relation_report(targets: np.ndarray, signs: np.ndarray, convention: str) -> RelationReport:
@@ -301,6 +293,7 @@ def support_walk(rep, start: int) -> dict[int, tuple[int, ...]]:
     product has the index in the support of its image of ``start``.  Words
     carry no minimality promise.
     """
+    start = integer(start, f"basis index {start!r} is not an integer in 0..{rep.dim - 1}", 0, rep.dim - 1)
     # out-edges per column: generator position, then row, in triple order
     edges: list[list[tuple[int, int]]] = [[] for _ in range(rep.dim)]
     for p, (_, _, rows, cols, _) in enumerate(rep.generator_triples()):

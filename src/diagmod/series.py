@@ -22,13 +22,10 @@ from .compositions import (
     enumerate_compositions,
     peak_set,
 )
-from .errors import DomainError
+from .errors import DomainError, integer
 
 FUNDAMENTAL = "F"
 PEAK = "K"
-
-
-_INT = frozenset({int})
 
 
 @dataclass(frozen=True)
@@ -48,11 +45,7 @@ class FormalSum:
             raise DomainError(f"unknown basis label {self.basis!r}")
         clean: dict[Composition, Fraction] = {}
         for alpha, coeff in self.terms.items():
-            # A tuple of exact ints, as the library builds, is checked by
-            # builtins; any other index goes through check_composition, which
-            # raises on a float, bool or nonpositive part.
-            if type(alpha) is not tuple or not _INT.issuperset(map(type, alpha)) or min(alpha, default=1) < 1:
-                alpha = check_composition(alpha)
+            alpha = check_composition(alpha)
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if coeff == 0:
@@ -239,8 +232,7 @@ def evaluate_truncated(f: FormalSum, k: int) -> TruncatedPolynomial:
 
     Peak-basis sums are first expanded into the fundamental basis.
     """
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"variable count must be a positive integer, got {k!r}")
+    k = integer(k, f"variable count must be a positive integer, got {k!r}")
     if f.basis == PEAK:
         f = peak_to_fundamental(f)
     out: dict[tuple[int, ...], Fraction] = {}

@@ -346,23 +346,21 @@ class WordSet:
 
 
 def word_set_memo(function):
-    """Memoise ``function(words, *key, **given)`` per word set and key,
-    holding each word set weakly: its entries go when the last family
-    holding it does.  The keyword arguments are not part of the key: they
-    may only hand over what the word set and key determine.  As with an
-    ``lru_cache``, ``cache_clear()`` empties the memo and ``__wrapped__``
-    is the plain function."""
+    """Memoise ``function(words, *key)`` per word set and key, holding each
+    word set weakly: its entries go when the last family holding it does.
+    As with an ``lru_cache``, ``cache_clear()`` empties the memo and
+    ``__wrapped__`` is the plain function."""
     memo: "dict[tuple, weakref.WeakKeyDictionary[WordSet, object]]" = {}
 
     @wraps(function)
-    def memoised(words: WordSet, *key, **given):
+    def memoised(words: WordSet, *key):
         kept = memo.get(key)
         if kept is None:
             kept = memo[key] = weakref.WeakKeyDictionary()
         try:
             return kept[words]
         except KeyError:
-            found = kept[words] = function(words, *key, **given)
+            found = kept[words] = function(words, *key)
             return found
 
     memoised.cache_clear = memo.clear

@@ -472,3 +472,12 @@ def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fre
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     assert expected in verify_clifford_relations(rep).violations
+
+
+def test_basis_element_reads_only_basis_indices():
+    """An index is an integer in 0..dim-1: -1 is not read from the end."""
+    rep = build_clifford_module(build_family("syt", (2, 1)))
+    assert rep.basis_element(np.int64(rep.dim - 1)) == rep.basis_element(rep.dim - 1)
+    for bad in (-1, rep.dim, 1.5, True, np.float64(0), None):
+        with pytest.raises(DomainError, match=rf"is not an integer in 0\.\.{rep.dim - 1}"):
+            rep.basis_element(bad)

@@ -1,9 +1,12 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import _oracles as oracle
+from diagmod.clifford import build_clifford_module, filtration_quotient_check
 from diagmod.compositions import (
+    check_composition,
     comp_n,
     descent_set,
     enumerate_compositions,
@@ -17,6 +20,9 @@ from diagmod.compositions import (
     peak_set,
 )
 from diagmod.errors import DomainError
+from diagmod.families import build_family
+from diagmod.harness import run_harness, transition_to_peak_basis
+from diagmod.series import FormalSum, evaluate_truncated
 
 
 def all_subsets(n):
@@ -135,3 +141,35 @@ def test_shape_enumerators_match_recursive_enumerators():
             list(enumerate_partitions(n)),
         )
         assert filtered == oracle.recursive_shapes(n), n
+
+
+
+# Per size or index the library takes: a call that reads it, and a valid value.
+INTEGER_INPUTS = {
+    "composition part": (lambda v: check_composition((2, v)), 1),
+    "shape part": (lambda v: build_family("syt", (2, v)).shape, 1),
+    "sigma": (lambda v: build_family("srct", (2, 1), sigma=(2, v)).sigma, 1),
+    "filtration index": (
+        lambda v: filtration_quotient_check(build_clifford_module(build_family("syt", (2, 1))), v), 2
+    ),
+    "variable count": (lambda v: evaluate_truncated(FormalSum.fundamental((2, 1)), v), 2),
+    "comp_n size": (lambda v: comp_n({1}, v), 3),
+    "harness max_n": (lambda v: [(r.shape, r.verdict) for r in run_harness("transition", max_n=v)], 1),
+    "transition size": (lambda v: transition_to_peak_basis(v)[1], 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_INPUTS))
+def test_sizes_and_indices_follow_one_integer_rule(name):
+    """An integer of any type, such as a numpy one, is read as the Python
+    int it equals; a bool or any other non-integer raises DomainError."""
+    call, valid = INTEGER_INPUTS[name]
+    expected = call(valid)
+    for same in (np.int64(valid), np.uint8(valid)):
+        got = call(same)
+        assert got == expected
+        if isinstance(got, tuple):
+            assert all(type(part) is int for part in got)
+    for bad in (True, False, np.True_, float(valid), np.float64(valid), str(valid), None):
+        with pytest.raises(DomainError):
+            call(bad)

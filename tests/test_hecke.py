@@ -273,6 +273,17 @@ def test_generating_words():
         assert fam.basis_index(target) in apply_word(rep, word, start)
 
 
+def test_support_walk_starts_only_at_basis_indices():
+    """A start is an integer in 0..dim-1: -1 is not read from the end, and
+    the walk's keys are Python ints."""
+    rep = build_hecke_module(build_family("syt", (2, 1)))
+    assert hecke.support_walk(rep, np.int64(1)) == hecke.support_walk(rep, 1)
+    assert all(type(c) is int for c in hecke.support_walk(rep, np.int64(1)))
+    for bad in (-1, rep.dim, 1.5, True, None):
+        with pytest.raises(DomainError, match=rf"is not an integer in 0\.\.{rep.dim - 1}"):
+            hecke.support_walk(rep, bad)
+
+
 def assert_matches_oracle(fam):
     """In both conventions, the gate verdict and witness, the basis, the
     generator triples and the relation report equal the oracle's, building
@@ -331,20 +342,24 @@ def test_word_graph_matches_oracle_on_forced_word_sets():
 def assert_matches_former_paths(fam):
     """The keyed word graph equals the byte-row one, and in both
     conventions, built by force, the report shared per word set and
-    convention equals the one-pass check of the rep's own maps, on an
-    unmarked copy, and the grouped check."""
+    convention equals the one-pass check of the rep's maps and the grouped
+    check; the rep switched to the other convention reads the maps and the
+    report of that convention's build."""
     words = fam.word_set
     order, positions, descent, target = oracle.byte_row_word_graph(fam)
     assert np.array_equal(words.order, order)
     assert np.array_equal(words.positions, positions)
     assert words.descent.dtype == bool and np.array_equal(words.descent, descent)
     assert words.target.dtype == np.int32 and np.array_equal(words.target, target)
-    for convention in ("pi", "hat"):
+    for convention, other in (("pi", "hat"), ("hat", "pi")):
         rep = build_hecke_module(fam, convention, force=True)
-        copy = dataclasses.replace(rep)
-        assert rep.built and not copy.built
         report = verify_hecke_relations(rep)
-        assert report == verify_hecke_relations(copy) == oracle.grouped_hecke_relations(rep)
+        assert report == hecke._relation_report(rep.targets, rep.signs, convention)
+        assert report == oracle.grouped_hecke_relations(rep)
+        switched = dataclasses.replace(rep, convention=other)
+        built = build_hecke_module(fam, other, force=True)
+        assert np.array_equal(switched.targets, built.targets) and np.array_equal(switched.signs, built.signs)
+        assert verify_hecke_relations(switched) == verify_hecke_relations(built)
 
 
 def test_former_paths_agree_on_built_in_families():
@@ -497,8 +512,8 @@ def test_commutation_square_forced_builds():
 
 
 def test_module_relations_are_checked_once_per_word_set_and_convention(monkeypatch):
-    """Built modules of two families with the same words share one report
-    per convention; an edited copy is checked on its own maps."""
+    """Modules of two families with the same words share one report per
+    convention."""
     calls = []
     check = hecke._relation_report
     monkeypatch.setattr(hecke, "_relation_report", lambda *args: calls.append(args[-1]) or check(*args))
@@ -512,18 +527,22 @@ def test_module_relations_are_checked_once_per_word_set_and_convention(monkeypat
             report = verify_hecke_relations(build_hecke_module(fam, convention, force=True))
             assert reports.setdefault(convention, report) is report
     assert Counter(calls) == {"pi": 1, "hat": 1}
-    rep = build_hecke_module(twins[0], "hat", force=True)
-    assert verify_hecke_relations(dataclasses.replace(rep)) == reports["hat"]
-    assert Counter(calls) == {"pi": 1, "hat": 2}
 
 
 def test_built_maps_are_read_only():
+    """A rep reads its maps once, read-only."""
     rep = build_hecke_module(build_family("syt", (3, 2)))
+    assert rep.targets is rep.targets and rep.signs is rep.signs
     for maps in (rep.targets, rep.signs):
         with pytest.raises(ValueError):
             maps[0, 0] = 0
-    with pytest.raises(ValueError):
-        dataclasses.replace(rep, built=True)
+
+
+def test_constructor_rejects_unknown_conventions():
+    fam = build_family("syt", (3, 2))
+    for make in (lambda: HeckeModuleRep(fam, "foo"), lambda: build_hecke_module(fam, "foo")):
+        with pytest.raises(DomainError, match="unknown convention 'foo'"):
+            make()
 
 
 @pytest.mark.parametrize("kind, modes", [("syt", {"ascent": 1}), ("sit", {"ascent": 1, "descent": 1})])
@@ -572,10 +591,10 @@ MAP_FAULTS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["sign flip", "dropped target", "moved target"])
-@pytest.mark.parametrize("case", sorted(MAP_FAULTS))
-def test_signed_map_check_reports_injected_faults(case, fault):
-    kind, shape, convention, gen, col, expected = MAP_FAULTS[case]
+def faulty_maps(case, fault):
+    """A built rep and copies of its maps with one fault of ``MAP_FAULTS``
+    injected."""
+    kind, shape, convention, gen, col, _ = MAP_FAULTS[case]
     rep = build_hecke_module(build_family(kind, shape), convention)
     targets, signs = rep.targets.copy(), rep.signs.copy()
     target, sign = targets[gen - 1], signs[gen - 1]
@@ -586,31 +605,41 @@ def test_signed_map_check_reports_injected_faults(case, fault):
         target[col], sign[col] = rep.dim, 0
     else:
         target[col] = 0
-    faulty = dataclasses.replace(rep, targets=targets, signs=signs)
-    report = verify_hecke_relations(faulty)
-    mats = oracle.materialised(faulty, convention)
-    assert report == oracle.product_hecke_relations(mats, convention)
+    return rep, targets, signs
+
+
+def map_matrices(targets, signs):
+    """The matrices of signed partial maps in the sink-column encoding."""
+    dim = targets.shape[1] - 1
+    cols = [np.flatnonzero(sign[:dim]) for sign in signs]
+    return [oracle.matrix(dim, t[c], c, s[c]) for t, s, c in zip(targets, signs, cols)]
+
+
+@pytest.mark.parametrize("fault", ["sign flip", "dropped target", "moved target"])
+@pytest.mark.parametrize("case", sorted(MAP_FAULTS))
+def test_signed_map_check_reports_injected_faults(case, fault):
+    convention, expected = MAP_FAULTS[case][2], MAP_FAULTS[case][5]
+    rep, targets, signs = faulty_maps(case, fault)
+    clean = oracle.product_hecke_relations(oracle.materialised(rep, convention), convention)
+    assert clean.ok and verify_hecke_relations(rep) == clean
+    report = hecke._relation_report(targets, signs, convention)
+    assert report == oracle.product_hecke_relations(map_matrices(targets, signs), convention)
     assert report.violations == expected[fault]
 
 
 @pytest.mark.parametrize("fault", ["sign flip", "dropped target", "moved target"])
 @pytest.mark.parametrize("case", sorted(MAP_FAULTS))
 def test_faults_show_after_the_built_rep_is_verified(case, fault):
-    """The report shared by built reps is not served to an edited copy or a
-    hand-built rep of the same family, whichever is verified first."""
-    kind, shape, convention, gen, col, expected = MAP_FAULTS[case]
-    rep = build_hecke_module(build_family(kind, shape), convention)
+    """Faulty maps cannot enter a rep, neither through the constructor nor
+    through ``dataclasses.replace``, so the report shared by reps of the
+    family stays that of its own maps, and checking the faulty maps after it
+    still shows the fault."""
+    convention, expected = MAP_FAULTS[case][2], MAP_FAULTS[case][5]
+    rep, targets, signs = faulty_maps(case, fault)
     assert verify_hecke_relations(rep).ok
-    targets, signs = rep.targets.copy(), rep.signs.copy()
-    if fault == "sign flip":
-        signs[gen - 1, col] *= -1
-    elif fault == "dropped target":
-        targets[gen - 1, col], signs[gen - 1, col] = rep.dim, 0
-    else:
-        targets[gen - 1, col] = 0
-    for faulty in (
-        dataclasses.replace(rep, targets=targets, signs=signs),
-        HeckeModuleRep(rep.family, convention, targets, signs),
-    ):
-        assert verify_hecke_relations(faulty).violations == expected[fault]
+    with pytest.raises(TypeError):
+        HeckeModuleRep(rep.family, convention, targets, signs)
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, targets=targets, signs=signs)
+    assert hecke._relation_report(targets, signs, convention).violations == expected[fault]
     assert verify_hecke_relations(rep).ok

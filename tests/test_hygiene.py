@@ -1,13 +1,16 @@
 """Imported names that a module never uses, library code nothing uses, test
 oracles no test uses, scipy imports in the library, caches that pin word
-sets, and relation counts made by hand.
+sets, relation counts made by hand, and reps that hold more than their
+family and convention.
 
 No linter ships with the toolchain, so these stdlib scans keep dead imports
 out of the library and the tests, dead functions, methods, classes and
 module-level names out of the library, untested oracles out of
 ``tests/_oracles.py``, scipy, a test-only dependency, out of the
 library, strong caches of word sets, families and reps out of the
-library, and hand-kept relation counts out of the library's reports.
+library, hand-kept relation counts out of the library's reports, and
+state that could disagree with a rep's family and convention out of its
+fields.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -219,3 +222,34 @@ def hand_counted_reports(path: Path) -> list[str]:
 def test_relation_counts_come_from_a_table():
     found = [entry for path in LIBRARY for entry in hand_counted_reports(path)]
     assert not found, "RelationReport counts not taken with len(...):\n" + "\n".join(found)
+
+
+def rep_fields(path: Path) -> list[str]:
+    """``file:line: Class.field`` for every field other than ``family`` and
+    ``convention`` of a dataclass with a ``family`` field: a rep is fixed by
+    its family's word set and its convention, and a field beside them, such
+    as stored maps, could disagree with them."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.ClassDef) or not any(
+            "dataclass" in {getattr(part, "id", None) or getattr(part, "attr", None) for part in ast.walk(d)}
+            for d in node.decorator_list
+        ):
+            continue
+        fields = {
+            item.target.id: item.lineno
+            for item in node.body
+            if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        }
+        if "family" in fields:
+            found.extend(
+                f"{path.relative_to(ROOT)}:{line}: {node.name}.{name}"
+                for name, line in fields.items()
+                if name not in ("family", "convention")
+            )
+    return found
+
+
+def test_reps_hold_only_their_family_and_convention():
+    found = [entry for path in LIBRARY for entry in rep_fields(path)]
+    assert not found, "rep fields beside family and convention:\n" + "\n".join(found)
