@@ -14,7 +14,14 @@ A family supermodule is thus its word graph (whether i is a descent of
 each tableau, and the swap target) tensored with fixed 2^n blocks that
 depend only on n, i and the case.  It stores only its family and reads the
 graph from the family's word set; the relation and quotient checks read one
-table per n of what the blocks decide.  Every block has at most two
+table per n of what the blocks decide.  A 0-Hecke relation acts on each
+tableau's marked copies through the paths of its two sides in the graph,
+so its verdict there depends only on the tableau's local code, one digit
+per path-tree node (:func:`_local_codes`).  Each verdict is decided once
+per n, relation class and code from the blocks (:func:`_code_verdict`);
+relations that are shifts of each other form a class where a certificate
+shows that each pi_{i+1} block is pi_i's conjugated by the rotation of the
+mask bits (:func:`_rotation_certificate`).  Every block has at most two
 signed entries per column, so it is a stack of signed partial maps in the
 sink-column encoding of the module's generators (see
 :func:`~diagmod.hecke.sink_maps` and :func:`~diagmod.hecke.compose_maps`): a
@@ -374,60 +381,128 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
-def _path_product(n: int, steps):
-    """The block product of one path, leftmost factor first."""
-    return reduce(compose_maps, (_hecke_mask_blocks(n, step // 3 + 1)[step % 3] for step in steps))
+# The digit that a node of a relation side's path tree adds to a local code:
+# no path reaches the node, or its generator has a descent at the node's
+# tableau, an ascent whose swap leaves the word set, or an ascent with a swap.
+ABSENT, DESCENDS, STAYS, SWAPS = range(4)
+# A side is a padded word of three factors: 1 + 2 + 4 nodes, two bits each.
+_SIDE_BITS = 14
+# Local codes are made for at most this many path-tree nodes at a time.
+_CODE_CELLS = 1 << 16
+
+
+def _local_codes(words: WordSet, swaps: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The (r, m) local codes of r relations, their sides the rows of the
+    padded words ``lhs`` and ``rhs`` (see :func:`~diagmod.hecke.relation_table`),
+    at the m basis tableaux.
+
+    Both sides of every relation are walked together, level by level from
+    the rightmost factor: a node is a tableau, or the sentinel column m when
+    no path reaches it, and it has a stay child and a swap child.  A code
+    holds the left side's seven digits, then the right side's, each in
+    level order; the identity pad reads as absent and has one stay child.
+    Which paths end at the same tableau depends only on the word and the
+    code, since generators act freely on words by exchanging values.
+    """
+    k, m = words.descent.shape
+    digits = np.full((k + 1, m + 1), ABSENT, dtype=np.int64)
+    digits[:k, :m] = np.where(words.descent, DESCENDS, np.where(swaps >= 0, SWAPS, STAYS))
+    moves = np.full((k + 1, m + 1), m, dtype=np.int64)
+    moves[:k, :m] = np.where(swaps >= 0, swaps, m)
+    sides = np.concatenate((lhs, rhs)).T[::-1, :, None, None] * (m + 1)  # applied first, first
+    codes = []
+    step = max(1, _CODE_CELLS // (8 * len(lhs)))
+    for first in range(0, m, step):
+        nodes = np.arange(first, min(m, first + step))[None, None]
+        code = np.zeros((2 * len(lhs), nodes.size), dtype=np.int64)
+        for level, row in enumerate(sides):
+            at = row + nodes
+            for digit in digits.take(at).transpose(1, 0, 2):
+                code = code << 2 | digit
+            if level < 2:
+                nodes = np.concatenate(np.broadcast_arrays(nodes, moves.take(at)), axis=1)
+        codes.append(code[: len(lhs)] << _SIDE_BITS | code[len(lhs) :])
+    return np.concatenate(codes, axis=1)
 
 
 @lru_cache(maxsize=None)
-def _paths_agree(n: int, signature: tuple, sign: int) -> bool:
-    """Whether, at every end tableau of the signature, the left paths' block
-    products sum to ``sign`` times the right paths' ones."""
+def _code_verdict(n: int, relation: tuple, code: int) -> bool:
+    """Whether the 0-Hecke relation (left word, right word, sign) holds on
+    the marked copies of a tableau with this local code (see
+    :func:`_local_codes`): whether, at every end of a path, the left paths'
+    block products sum to ``sign`` times the right paths' ones.  A path's
+    end is the product of its swaps, as a permutation of the values."""
+    lhs, rhs, sign = relation
+    ends: dict[tuple, tuple[list, list]] = {}
+    for side, word in enumerate((lhs, rhs)):
+        bits = code >> _SIDE_BITS if side == 0 else code
+        digits = [bits >> 2 * (6 - p) & 3 for p in range(7)]
+        paths = [(0, tuple(range(n)), ())]  # (node in its level, end, blocks leftmost first)
+        for level, g in enumerate(reversed((None,) * (3 - len(word)) + word)):
+            grown = []
+            for node, end, blocks in paths:
+                digit = digits[(1 << level) - 1 + node]
+                if g is None:
+                    grown.append((node, end, blocks))
+                    continue
+                cases = _hecke_mask_blocks(n, g + 1)
+                grown.append((node, end, (cases[DESCENT if digit == DESCENDS else ATTACK],) + blocks))
+                if digit == SWAPS:
+                    swapped = tuple(g + 1 if v == g else g if v == g + 1 else v for v in end)
+                    grown.append(((1 << level) + node, swapped, (cases[SWAP],) + blocks))
+            paths = grown
+        for _, end, blocks in paths:
+            ends.setdefault(end, ([], []))[side].append(reduce(compose_maps, blocks))
     return all(
-        _is_zero(
-            _stack(
-                *(_path_product(n, steps) for steps in lhs),
-                *(_scaled(_path_product(n, steps), -sign) for steps in rhs),
-            )
-        )
-        for lhs, rhs in signature
+        _is_zero(_stack(*left, *(_scaled(product, -sign) for product in right)))
+        for left, right in ends.values()
     )
 
 
-def _paths(cases, swaps, word, t: int) -> list[tuple[int, tuple]]:
-    """(end tableau, steps) of every path of the generator word from tableau
-    t; a step is 3 * generator + case, leftmost factor first."""
-    paths = [(t, ())]
-    for g in reversed(word):
-        grown = []
-        for u, steps in paths:
-            grown.append((u, (3 * g + cases[g][u],) + steps))
-            if swaps[g][u] >= 0:
-                grown.append((swaps[g][u], (3 * g + SWAP,) + steps))
-        paths = grown
-    return paths
+@lru_cache(maxsize=None)
+def _rotation_certificate(n: int) -> tuple[bool, ...]:
+    """For each i in 1..n-2, whether every case block of pi_{i+1} is pi_i's
+    conjugated by the rotation of the mask bits b -> b + 1 (mod n).
 
-
-def _relation_holds(n: int, cases, swaps, lhs, rhs, sign: int) -> bool:
-    """Whether left word = sign * right word as operators, checked column
-    block by column block.
-
-    ``cases[g][t]`` and ``swaps[g][t]`` are the case of generator g + 1 on
-    tableau t's own block and its swap target, as lists.  Applied to tableau
-    t's marked copies, a word of pi's is the sum over its at most 2^len
-    paths of the path's block product, landing on the path's end tableau.
-    The verdict depends only on the case sequences grouped by end tableau,
-    which is memoised.
+    Conjugating by a permutation of the masks keeps every block product
+    and sum, and whether a sum is zero.  So where the certificate holds
+    from generator g to g + s, a relation and its shift by s have the same
+    verdict at every local code.
     """
-    for t in range(len(cases[0])):
-        ends: dict[int, tuple[list, list]] = {}
-        for side, word in enumerate((lhs, rhs)):
-            for u, steps in _paths(cases, swaps, word, t):
-                ends.setdefault(u, ([], []))[side].append(steps)
-        signature = tuple((tuple(left), tuple(right)) for left, right in ends.values())
-        if not _paths_agree(n, signature, sign):
-            return False
-    return True
+    size = 1 << n
+    masks = np.arange(size, dtype=np.int64)
+    rotate = np.append((masks << 1 | masks >> (n - 1)) & (size - 1), size)  # the sink stays
+
+    def conjugated(block):
+        targets, signs = block
+        out = np.empty_like(targets), np.empty_like(signs)
+        out[0][:, rotate], out[1][:, rotate] = rotate[targets], signs
+        return out
+
+    blocks = [_hecke_mask_blocks(n, i) for i in range(1, n)]
+    return tuple(
+        all(_equal(conjugated(low[case]), high[case]) for case in (DESCENT, ATTACK, SWAP))
+        for low, high in zip(blocks, blocks[1:])
+    )
+
+
+def _relation_classes(n: int, relations) -> np.ndarray:
+    """For each 0-Hecke relation (message, left word, right word, sign), the
+    index of the first relation of its class, read-only: the relations that
+    are shifts of each other through generators the rotation certificate
+    joins."""
+    run = [0]
+    for g, joined in enumerate(_rotation_certificate(n), 1):
+        run.append(run[-1] if joined else g)
+    first: dict[tuple, int] = {}
+    classes = []
+    for index, (_, lhs, rhs, sign) in enumerate(relations):
+        low = min(lhs + rhs)
+        key = (tuple(g - low for g in lhs), tuple(g - low for g in rhs), sign, tuple(run[g] for g in lhs + rhs))
+        classes.append(first.setdefault(key, index))
+    classes = np.array(classes, dtype=np.int64)
+    classes.flags.writeable = False
+    return classes
 
 
 class SupermoduleTable(NamedTuple):
@@ -435,15 +510,19 @@ class SupermoduleTable(NamedTuple):
 
     ``suite`` is the relation suite in report order, as (message, check)
     pairs.  A check is a 0-Hecke relation (left word, right word, sign),
-    decided on the word graph by :func:`_relation_holds`; for a pi-c
-    relation or pi parity, the frozenset of (i, case) pairs, a block case of
-    pi_i, under which it fails; or the verdict of a relation among the c_j.
-    ``quotients[i - 1][descent]`` is whether the diagonal block of pi_i on
-    a tableau with or without a descent at i is the reference module's
-    pi_i, and ``marks`` whether the mark blocks are its c_j.
+    decided at each basis tableau's local code by :func:`_code_verdict`;
+    for a pi-c relation or pi parity, the frozenset of (i, case) pairs, a
+    block case of pi_i, under which it fails; or the verdict of a relation
+    among the c_j.  The 0-Hecke relations come first, and ``classes[r]`` is
+    the suite index of the relation whose verdicts relation r shares
+    (:func:`_relation_classes`).  ``quotients[i - 1][descent]`` is whether
+    the diagonal block of pi_i on a tableau with or without a descent at i
+    is the reference module's pi_i, and ``marks`` whether the mark blocks
+    are its c_j.
     """
 
     suite: tuple[tuple[str, object], ...]
+    classes: np.ndarray
     quotients: tuple[tuple[bool, bool], ...]
     marks: bool
 
@@ -462,7 +541,8 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     """
     cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
-    suite = [(message, (lhs, rhs, sign)) for message, lhs, rhs, sign in relation_table(n - 1).relations]
+    relations = relation_table(n - 1).relations
+    suite = [(message, (lhs, rhs, sign)) for message, lhs, rhs, sign in relations]
     suite += [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
     suite += [
         (f"c[{a}] and c[{b}] do not anticommute", _equal(compose_maps(c, d), compose_maps(d, c), -1))
@@ -493,7 +573,7 @@ def _supermodule_table(n: int) -> SupermoduleTable:
         for i, blocks in enumerate(pis, 1)
     )
     marks = all(_equal(c, target) for c, target in zip(cs, _reference_marks(n)[0]))
-    return SupermoduleTable(tuple(suite), quotients, marks)
+    return SupermoduleTable(tuple(suite), _relation_classes(n, relations), quotients, marks)
 
 
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
@@ -510,21 +590,48 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 @word_set_memo
 def _word_set_relations(words: WordSet) -> RelationReport:
     """The supermodule relation report of a word set: the table of its size
-    read at its descents and swap targets."""
-    n = words.n
-    suite = _supermodule_table(n).suite
-    edges = np.where(words.descent, DESCENT, ATTACK).tolist(), swap_targets(words).tolist()
-    present = {(i, case) for i, row in enumerate(edges[0], 1) for case in set(row)}
-    present |= {(i, SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
+    read at its descents and swap targets.
 
-    def holds(check) -> bool:
+    Each 0-Hecke relation is decided once per local code of its class, and
+    the failing (class, code) keys are found among the relations' keys by
+    one membership test."""
+    n = words.n
+    table = _supermodule_table(n)
+    swaps = swap_targets(words)
+    present = {
+        (i, case)
+        for case, flags in ((DESCENT, words.descent), (ATTACK, ~words.descent), (SWAP, swaps >= 0))
+        for i in (np.flatnonzero(flags.any(axis=1)) + 1).tolist()
+    }
+    relations = relation_table(n - 1)
+    broken = np.zeros(len(relations.relations), dtype=bool)
+    if relations.relations:
+        keys = _local_codes(words, swaps, relations.lhs, relations.rhs)
+        keys |= table.classes[:, None] << 2 * _SIDE_BITS
+        # The distinct keys are gathered in a set, a row at a time: a numpy
+        # sort would run code that adds up to 0.4 MB to the peak resident size.
+        distinct = set()
+        for row in keys:
+            distinct.update(row.tolist())
+        failing = []
+        for key in distinct:
+            index, code = divmod(key, 1 << 2 * _SIDE_BITS)
+            if not _code_verdict(n, table.suite[index][1], code):
+                failing.append(key)
+        if failing:
+            broken = np.isin(keys, failing).any(axis=1)
+
+    def holds(index: int, check) -> bool:
         if isinstance(check, bool):
             return check
         if isinstance(check, frozenset):
             return check.isdisjoint(present)
-        return _relation_holds(n, *edges, *check)
+        return not broken[index]
 
-    return RelationReport(len(suite), tuple(message for message, check in suite if not holds(check)))
+    suite = table.suite
+    return RelationReport(
+        len(suite), tuple(message for index, (message, check) in enumerate(suite) if not holds(index, check))
+    )
 
 
 def peak_characteristic(obj) -> FormalSum:

@@ -117,12 +117,15 @@ def is_partition(lam: Composition) -> bool:
 
 def enumerate_compositions(n: int) -> Iterator[Composition]:
     """All compositions of n, in descending lexicographic order on parts.
+    ``n`` follows the integer rule, here with 0 allowed, when called.
 
     >>> list(enumerate_compositions(3))
     [(3,), (2, 1), (1, 2), (1, 1, 1)]
     """
-    if n < 0:
-        raise DomainError("n must be nonnegative")
+    return _compositions(integer(n, f"n must be a nonnegative integer, got {n!r}", low=0))
+
+
+def _compositions(n: int) -> Iterator[Composition]:
     if n == 0:
         yield ()
         return
@@ -130,7 +133,7 @@ def enumerate_compositions(n: int) -> Iterator[Composition]:
         if first == n:
             yield (n,)
         else:
-            for rest in enumerate_compositions(n - first):
+            for rest in _compositions(n - first):
                 yield (first,) + rest
 
 

@@ -29,8 +29,10 @@ the library now reads from word graphs, is restated on one-line words.
 
 The library's former fast paths stay here as second oracles for the ones
 that replaced them: the word graph that looked up each swapped positions
-row as raw bytes, one sorted search per generator, and the relation check
-that composed the words of each relation kind as a separate batch.
+row as raw bytes, one sorted search per generator, the relation check
+that composed the words of each relation kind as a separate batch, and the
+supermodule's 0-Hecke relation check that expanded both sides of each
+relation over its paths in the word graph at every basis tableau.
 """
 
 import functools
@@ -40,10 +42,10 @@ import operator
 import numpy as np
 from scipy import sparse
 
-from diagmod import families
+from diagmod import clifford, families
 from diagmod.clifford import build_M_alpha
 from diagmod.compositions import comp_n, peak_set
-from diagmod.hecke import RelationReport, zero_hecke_relations
+from diagmod.hecke import RelationReport, compose_maps, zero_hecke_relations
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
 from diagmod.tableaux import (
     Diagram,
@@ -664,3 +666,81 @@ def grouped_hecke_relations(rep):
         fails = (left != right).any(axis=1) | (left_sign != right_sign).any(axis=1)
         violations.extend(message for message, bad in zip(messages, fails) if bad)
     return RelationReport(len(relations), tuple(violations))
+
+
+def _path_product(n, steps):
+    """The block product of one path, leftmost factor first."""
+    return functools.reduce(
+        compose_maps,
+        (clifford._hecke_mask_blocks(n, step // 3 + 1)[step % 3] for step in steps),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _paths_agree(n, signature, sign):
+    """Whether, at every end tableau of the signature, the left paths' block
+    products sum to ``sign`` times the right paths' ones."""
+    return all(
+        clifford._is_zero(
+            clifford._stack(
+                *(_path_product(n, steps) for steps in lhs),
+                *(clifford._scaled(_path_product(n, steps), -sign) for steps in rhs),
+            )
+        )
+        for lhs, rhs in signature
+    )
+
+
+def _paths(cases, swaps, word, t):
+    """(end tableau, steps) of every path of the generator word from tableau
+    t; a step is 3 * generator + case, leftmost factor first."""
+    paths = [(t, ())]
+    for g in reversed(word):
+        grown = []
+        for u, steps in paths:
+            grown.append((u, (3 * g + cases[g][u],) + steps))
+            if swaps[g][u] >= 0:
+                grown.append((swaps[g][u], (3 * g + clifford.SWAP,) + steps))
+        paths = grown
+    return paths
+
+
+def _relation_holds(n, cases, swaps, lhs, rhs, sign):
+    """Whether left word = sign * right word as operators, checked column
+    block by column block: applied to tableau t's marked copies, a word of
+    pi's is the sum over its at most 2^len paths of the path's block
+    product, landing on the path's end tableau."""
+    for t in range(len(cases[0])):
+        ends = {}
+        for side, word in enumerate((lhs, rhs)):
+            for u, steps in _paths(cases, swaps, word, t):
+                ends.setdefault(u, ([], []))[side].append(steps)
+        signature = tuple((tuple(left), tuple(right)) for left, right in ends.values())
+        if not _paths_agree(n, signature, sign):
+            return False
+    return True
+
+
+def path_expanded_clifford_relations(rep):
+    """The supermodule relation report of the library's table of size n,
+    with every 0-Hecke relation decided by expanding both sides over their
+    paths in the word graph at each basis tableau; the library's former
+    check.  The path verdicts are memoised on the unfaulted blocks."""
+    words = rep.family.word_set
+    n = words.n
+    edges = (
+        np.where(words.descent, clifford.DESCENT, clifford.ATTACK).tolist(),
+        clifford.swap_targets(words).tolist(),
+    )
+    present = {(i, case) for i, row in enumerate(edges[0], 1) for case in set(row)}
+    present |= {(i, clifford.SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
+
+    def holds(check):
+        if isinstance(check, bool):
+            return check
+        if isinstance(check, frozenset):
+            return check.isdisjoint(present)
+        return _relation_holds(n, *edges, *check)
+
+    suite = clifford._supermodule_table(n).suite
+    return RelationReport(len(suite), tuple(message for message, check in suite if not holds(check)))

@@ -28,12 +28,14 @@ from diagmod.families import (
     family_instances,
     source_tableau,
 )
+from diagmod.harness import words_family
 from diagmod.series import FormalSum, theta
 from diagmod.hecke import (
     build_hecke_module,
     compose_maps,
     qsym_characteristic,
     reachability_closure,
+    relation_table,
 )
 from diagmod.tableaux import TableauFamily
 
@@ -481,3 +483,123 @@ def test_basis_element_reads_only_basis_indices():
     for bad in (-1, rep.dim, 1.5, True, np.float64(0), None):
         with pytest.raises(DomainError, match=rf"is not an integer in 0\.\.{rep.dim - 1}"):
             rep.basis_element(bad)
+
+
+def assert_matches_path_expansion(fam):
+    """The report read off local codes equals the former path expansion's,
+    force-built past the gate."""
+    rep = build_clifford_module(fam, force=True)
+    report = verify_clifford_relations(rep)
+    assert report == oracle.path_expanded_clifford_relations(rep), fam.family_tag
+    return report
+
+
+def test_local_codes_match_path_expansion():
+    """Every nonempty family with n <= 5 (sigmas included), every forced S_3
+    and commutation-square word set, and two families with n = 9."""
+    families = [
+        fam for fam in (build_family(*inst) for inst in family_instances(5, sigmas=True)) if fam.members
+    ]
+    assert len(families) == 968
+    forced = forced_word_set_families() + square_families()
+    assert len(forced) == 78
+    failing = [assert_matches_path_expansion(fam).violations for fam in families + forced]
+    assert sum(map(bool, failing)) >= 8
+    for kind, shape in (("syt", (4, 3, 2)), ("spct", (3, 3, 3))):
+        assert assert_matches_path_expansion(build_family(kind, shape)).ok
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.sets(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=40)
+    )
+)
+def test_local_codes_match_path_expansion_on_word_sets(words):
+    assert_matches_path_expansion(words_family(sorted(words)))
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_rotation_certificate_holds_without_faults(n):
+    assert clifford._rotation_certificate(n) == (True,) * max(0, n - 2)
+
+
+# (generator, case, column of the corrupted entry): each fault flips the
+# sign of one entry of a pi_i block at n = 5, the attack one on a mask that
+# holds mark i + 1, where that block has entries
+DEEP_FAULTS = [
+    (2, clifford.SWAP, 0),
+    (2, clifford.ATTACK, 1 << 2),
+    (4, clifford.SWAP, 0),
+    (4, clifford.ATTACK, 1 << 4),
+]
+
+
+@pytest.mark.parametrize("i, case, col", DEEP_FAULTS)
+def test_faults_at_depth_break_the_certificate(i, case, col, monkeypatch, fresh_block_caches):
+    """A fault in one block of pi_i at n = 5 breaks the certificate on
+    both sides of generator i and nowhere else, and every n = 5 family
+    whose word graph uses the block reports what its materialised matrices
+    do.  The reports are compared once per word set, which is all that
+    either side reads, and every family reads its word set's report."""
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        return {**blocks, case: _corrupted(blocks[case], col)} if (m, g) == (5, i) else blocks
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    links = clifford._rotation_certificate(5)
+    assert [g for g, joined in enumerate(links, 1) if not joined] == [g for g in (i - 1, i) if g <= 3]
+    by_word_set = {}
+    for inst in family_instances(5, sigmas=True):
+        fam = build_family(*inst)
+        if fam.n != 5 or not fam.members:
+            continue
+        words = fam.word_set
+        flags = {clifford.ATTACK: ~words.descent, clifford.SWAP: clifford.swap_targets(words) >= 0}[case]
+        if flags[i - 1].any():
+            by_word_set.setdefault(id(words), []).append(fam)
+    hecke_faults = set()
+    for fams in by_word_set.values():
+        report = verify_clifford_relations(build_clifford_module(fams[0]))
+        expected = oracle.materialised_clifford_relations(build_clifford_module(fams[0]))
+        assert (report.checked, report.violations) == (expected.checked, expected.violations)
+        assert all(verify_clifford_relations(build_clifford_module(fam)) == report for fam in fams)
+        hecke_faults.update(v for v in report.violations if "c[" not in v and "parity" not in v)
+    assert len(by_word_set) >= 20
+    assert any(f"pi[{i}]" in v for v in hecke_faults), hecke_faults
+
+
+def test_local_codes_read_absent_nodes_as_absent():
+    """On the word set {12}, 1 is an ascent whose swap leaves the set.  The
+    left side pi_1 pi_1 has two present nodes, the tableau at both levels,
+    and the right side pi_1 one; every other node, the identity pads' and
+    the missing swaps' included, reads as absent."""
+    words = words_family([(1, 2)]).word_set
+    table = relation_table(1)
+    codes = clifford._local_codes(words, clifford.swap_targets(words), table.lhs, table.rhs)
+    digits = [int(codes[0, 0]) >> 2 * (13 - p) & 3 for p in range(14)]
+    stays = clifford.STAYS
+    assert digits == [stays, stays] + [clifford.ABSENT] * 5 + [stays] + [clifford.ABSENT] * 6
+
+
+def test_verdicts_compare_path_sums_end_by_end(monkeypatch, fresh_block_caches):
+    """With pi_1's attack block the identity, its swap block minus the
+    identity and its descent block zero, pi_1^2 + pi_1 is twice the identity
+    on the marked copies of 12 and minus that on those of 21: the relation
+    fails, though the sum over both ends is zero."""
+    size = 4
+    identity = (np.array([list(range(size)) + [size]]), np.array([[1] * size + [0]]))
+    blocks = {
+        clifford.DESCENT: (identity[0], 0 * identity[1]),
+        clifford.ATTACK: identity,
+        clifford.SWAP: (identity[0], -identity[1]),
+    }
+    original = clifford._hecke_mask_blocks
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", lambda m, g: blocks if (m, g) == (2, 1) else original(m, g))
+    rep = build_clifford_module(words_family([(1, 2), (2, 1)]), force=True)
+    report = verify_clifford_relations(rep)
+    expected = oracle.materialised_clifford_relations(rep)
+    assert (report.checked, report.violations) == (expected.checked, expected.violations)
+    assert "pi[1]^2 != -1*pi[1]" in report.violations

@@ -144,6 +144,19 @@ def test_shape_enumerators_match_recursive_enumerators():
 
 
 
+
+def test_enumerate_compositions_follows_the_integer_rule():
+    """n is checked when the enumerator is called, before anything is
+    yielded, and so for every enumerator that filters it."""
+    assert list(enumerate_compositions(np.int64(4))) == list(enumerate_compositions(4))
+    assert all(type(p) is int for alpha in enumerate_compositions(np.int64(4)) for p in alpha)
+    assert list(enumerate_compositions(0)) == [()]
+    for bad in (True, 2.0, -1):
+        for enumerate_ in (enumerate_compositions, enumerate_peak_compositions, enumerate_partitions):
+            with pytest.raises(DomainError, match="n must be a nonnegative integer"):
+                enumerate_(bad)
+
+
 # Per size or index the library takes: a call that reads it, and a valid value.
 INTEGER_INPUTS = {
     "composition part": (lambda v: check_composition((2, v)), 1),
