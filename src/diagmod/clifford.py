@@ -655,13 +655,30 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     block: the descent or attack block of each pi_i, and the mark blocks.
     The mark coordinate map is then an intertwiner iff these blocks equal the
     reference module built from the tableau's descent composition, whose
-    pi_i depends only on whether i is a descent.
+    pi_i depends only on whether i is a descent.  The verdicts of every
+    basis tableau are read once per word set (:func:`_word_set_quotients`).
     """
     m = len(rep.basis_tableaux)
     k = integer(k, f"filtration index {k!r} is not an integer in 1..{m}", 1, m)
-    table = _supermodule_table(rep.n)
-    descents = rep.family.word_set.descent[:, k - 1].tolist()
-    return table.marks and all(table.quotients[i][descent] for i, descent in enumerate(descents))
+    return bool(_word_set_quotients(rep.family.word_set)[k - 1])
+
+
+def failing_quotients(rep: CliffordModuleRep) -> tuple[int, ...]:
+    """The indices k in 1..m whose filtration quotient fails
+    :func:`filtration_quotient_check`, read from the same verdicts."""
+    return tuple((np.flatnonzero(~_word_set_quotients(rep.family.word_set)) + 1).tolist())
+
+
+@word_set_memo
+def _word_set_quotients(words: WordSet) -> np.ndarray:
+    """Each basis tableau's quotient verdict, in basis order, read-only: the
+    table's verdict of the diagonal block of every pi_i at the tableau's
+    descent flag, and the mark blocks' verdict."""
+    table = _supermodule_table(words.n)
+    blocks = np.array(table.quotients, dtype=bool).reshape(-1, 2)
+    verdicts = table.marks & np.where(words.descent, blocks[:, 1:], blocks[:, :1]).all(axis=0)
+    verdicts.flags.writeable = False
+    return verdicts
 
 
 def _seed_walk(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:

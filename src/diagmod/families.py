@@ -3,11 +3,13 @@
 Each family kind bundles a diagram builder, a reading order, and a
 membership rule: a box precedence order plus, for some kinds, the triple
 or prefix-shape rules, compiled once per (kind, shape, sigma) to bit masks
-over the boxes.  Enumeration is a depth-first search that places the
-entries 1..n one at a time over the mask of filled boxes, so only legal
-fillings are ever generated, and it records each member's descent mask as
-it goes.  A family comes out as an entry array sorted by reading word with
-its descent masks; tableau objects are built only when a member is read.
+over the boxes.  Enumeration places the entries 1..n one level at a time
+over the mask of filled boxes, so only legal fillings are ever generated.
+The partial fillings that reach the same search state are merged and
+extended together, as integers that carry each member's reading word and
+descent mask.  A family comes out as an entry array sorted by reading word
+with its descent masks; tableau objects are built only when a member is
+read.
 
 Row 1 is the bottom row throughout.  Kinds:
 
@@ -259,7 +261,11 @@ class _Rules(NamedTuple):
       exist and have been filled after it (it precedes b in its row);
     - ``rows[b]`` (prefix-peak rule) is the masks of b's row and the row
       below it;
-    - ``reading_pos[b]`` is the reading position of b.
+    - ``reading_pos[b]`` is the reading position of b;
+    - ``lates[b]`` (reversed triple rule) holds, for each box a whose
+      ``lower`` mask holds b and whose right box exists, the bits of a's
+      right box and of a: filling b after a's right box sets a's bit in the
+      ``late`` mask of the search, and a may not be filled after that.
 
     Rules a kind does not use are None.
     """
@@ -270,6 +276,7 @@ class _Rules(NamedTuple):
     order_pairs: tuple[Optional[tuple[int, int]], ...]
     rows: tuple[Optional[tuple[int, int]], ...]
     reading_pos: tuple[int, ...]
+    lates: tuple[Optional[tuple[tuple[int, int], ...]], ...]
 
 
 def _compile_rules(diagram: Diagram, edges, rules) -> _Rules:
@@ -285,16 +292,17 @@ def _compile_rules(diagram: Diagram, edges, rules) -> _Rules:
     reading_pos = [0] * diagram.n
     for p, b in enumerate(diagram.reading_positions):
         reading_pos[b] = p
+    triples, order_pairs, rows, lates = _box_rules(diagram.boxes, rules)
     return _Rules(
-        start, tuple(map(tuple, unlocks)), *_box_rules(diagram.boxes, rules), tuple(reading_pos)
+        start, tuple(map(tuple, unlocks)), triples, order_pairs, rows, tuple(reading_pos), lates
     )
 
 
 @lru_cache(maxsize=None)
 def _box_rules(boxes: tuple[Box, ...], rules: tuple[str, ...]):
-    """The triples, order pairs and rows of :class:`_Rules`, which depend
-    on the boxes (in ``Diagram.boxes`` order) and not on the reading order or
-    the first-column permutation."""
+    """The triples, order pairs, rows and lates of :class:`_Rules`, which
+    depend on the boxes (in ``Diagram.boxes`` order) and not on the reading
+    order or the first-column permutation."""
     n = len(boxes)
     index = {b: k for k, b in enumerate(boxes)}
     col: dict[int, int] = {}
@@ -305,16 +313,37 @@ def _box_rules(boxes: tuple[Box, ...], rules: tuple[str, ...]):
     full = (1 << n) - 1
     # the boxes in rows above r: every index past the last box of row r
     above = {r: full >> mask.bit_length() << mask.bit_length() for r, mask in row.items()}
-    triples = order_pairs = rows = (None,) * n
+    triples = order_pairs = rows = lates = (None,) * n
     if TRIPLE in rules:
         triples = tuple((col.get(c - 1, 0) & above[r], col[c] & above[r]) for c, r in boxes)
     if REVERSED_TRIPLE in rules:
         order_pairs = tuple(
             (col.get(c + 1, 0) & above[r], index.get((c + 1, r), -1)) for c, r in boxes
         )
+        late_pairs: list[list[tuple[int, int]]] = [[] for _ in boxes]
+        for a, (lower, right) in enumerate(order_pairs):
+            if right >= 0:
+                for b in range(n):
+                    if lower >> b & 1:
+                        late_pairs[b].append((1 << right, 1 << a))
+        lates = tuple(map(tuple, late_pairs))
     if PREFIX_PEAK in rules:
         rows = tuple((row[r], row.get(r - 1, 0)) for c, r in boxes)
-    return triples, order_pairs, rows
+    return triples, order_pairs, rows, lates
+
+
+@lru_cache(maxsize=None)
+def _row_layout(n: int) -> tuple[np.dtype, np.dtype, int, tuple[int, ...], int]:
+    """How :func:`_enumerate` packs a member of size n into one integer: the
+    reading word in fields of the entry dtype's width, first position most
+    significant, above the descent mask, which fills whole fields.  Return
+    the entry dtype, its big-endian form, the number of fields, the shift
+    of each reading position's field, and the descent-mask bits."""
+    dtype = np.min_scalar_type(n)
+    width = 8 * dtype.itemsize
+    low = -(-(n - 1) // width) * width
+    shifts = tuple(range(low + width * (n - 1), low - 1, -width))
+    return dtype, dtype.newbyteorder(">"), n + low // width, shifts, (1 << low) - 1
 
 
 def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -322,54 +351,74 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
     ``diagram.boxes`` and sorted by reading word, with each member's descent
     mask (bit i-1 set when i is a descent).
 
-    A depth-first search places the entries 1..n one at a time over the mask
-    of filled boxes, trying the boxes whose predecessors are all filled.
-    Placing k at reading position p makes k-1 a descent when p comes before
-    the position of k-1.
+    The entries 1..n are placed one level at a time, each in a box whose
+    predecessors are all filled.  What a partial filling of 1..k may become
+    depends only on its search state: the mask of filled boxes, the reading
+    position of the box holding k, and the ``late`` mask of the reversed
+    triple rule.  The partial fillings that reach one state are merged into
+    one list of rows and extended together.  A row is an integer laid out
+    by :func:`_row_layout`.  Placing k at reading position p adds k to p's
+    field, and makes k-1 a descent when p comes before the position of k-1:
+    one constant per (state, box), or-ed into every row of the state.  The
+    last level keys every state by the full mask alone, so all rows end in
+    one list, whose sorted order is reading-word order.
     """
     n = diagram.n
-    full = (1 << n) - 1
-    boxes = tuple(zip(range(n), *rules[1:]))
-    entry = [0] * n
-    before = [0] * n  # the filled mask just before each box was filled
-    found: list[list[int]] = []
-    masks: list[int] = []
-
-    def place(k: int, filled: int, ready: int, last: int, mask: int) -> None:
-        if filled == full:
-            found.append(entry[:])
-            masks.append(mask)
-            return
-        todo = ready
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            b, unlocked, triple, order_pair, rows, p = boxes[bit.bit_length() - 1]
-            if triple:
-                trigger, required = triple
-                if (filled & trigger) << 1 & ~(filled & required):
-                    continue
-            if order_pair:
-                lower, right = order_pair
-                if filled & lower and (right < 0 or filled & lower & ~before[right]):
-                    continue
-            if rows:
-                own, below = rows
-                if below and not filled & own and (filled & below).bit_count() < 2:
-                    continue
-            entry[b], before[b] = k, filled
-            now, after = filled | bit, ready ^ bit
-            for later, preds in unlocked:
-                if preds & now == preds:
-                    after |= later
-            place(k + 1, now, after, p, mask | 1 << (k - 2) if p < last else mask)
-
-    place(1, 0, rules.start, -1, 0)
-    entries = np.array(found, dtype=np.min_scalar_type(n)).reshape(len(found), n)
-    if len(found) < 2:
-        return entries, tuple(masks)
-    order = np.lexsort(entries[:, diagram.reading_positions].T[::-1])
-    return entries[order], tuple(masks[k] for k in order.tolist())
+    dtype, big_endian, fields, shifts, descents = _row_layout(n)
+    boxes = tuple(zip(*rules[1:]))
+    # key -> [filled mask, ready mask, position of k, late mask, rows, add]:
+    # the state's rows are those of ``rows`` or-ed with ``add``, a list its
+    # parent state may share; a merged state owns its rows, with add 0
+    states = {0: [0, rules.start, -1, 0, [0], 0]}
+    for k in range(1, n + 1):
+        reached: dict[int, list] = {}
+        for filled, ready, last, late, rows, add in states.values():
+            todo = ready
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                unlocked, triple, order_pair, own_rows, p, lates = boxes[bit.bit_length() - 1]
+                if triple:
+                    trigger, required = triple
+                    if (filled & trigger) << 1 & ~(filled & required):
+                        continue
+                if own_rows:
+                    own, below = own_rows
+                    if below and not filled & own and (filled & below).bit_count() < 2:
+                        continue
+                now, late_after = filled | bit, late
+                if order_pair:
+                    lower, right = order_pair
+                    if filled & lower and (right < 0 or late & bit):
+                        continue
+                    for right_bit, late_bit in lates:
+                        if filled & right_bit:
+                            late_after |= late_bit
+                    # a filled box's late bit is never read again
+                    late_after &= ~now
+                key = now | p << n | late_after << 2 * n if k < n else now
+                constant = add | k << shifts[p]
+                if p < last:
+                    constant |= 1 << (k - 2)
+                state = reached.get(key)
+                if state is None:
+                    after = ready ^ bit
+                    for later, preds in unlocked:
+                        if preds & now == preds:
+                            after |= later
+                    reached[key] = [now, after, p, late_after, rows, constant]
+                else:
+                    if state[5]:
+                        state[4], state[5] = list(map(state[5].__or__, state[4])), 0
+                    state[4] += map(constant.__or__, rows)
+        states = reached
+    rows = []
+    for *_, kept, add in states.values():  # the one state of the full mask
+        rows = sorted(map(add.__or__, kept))
+    size = fields * dtype.itemsize
+    buffer = b"".join([row.to_bytes(size, "big") for row in rows])
+    entries = np.ndarray((len(rows), fields), big_endian, buffer).take(rules.reading_pos, axis=1)
+    return entries.astype(dtype, copy=False), tuple(map(descents.__and__, rows))
 
 
 # ---------------------------------------------------------------------------

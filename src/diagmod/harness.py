@@ -20,7 +20,7 @@ import numpy as np
 
 from .clifford import (
     build_clifford_module,
-    filtration_quotient_check,
+    failing_quotients,
     peak_characteristic,
     swap_targets,
     verify_clifford_relations,
@@ -388,9 +388,7 @@ def check_family(
         dim = crep.dim
         supermodule_s = time.perf_counter() - start
         start = time.perf_counter()
-        failing = tuple(
-            k for k in range(1, len(family.members) + 1) if not filtration_quotient_check(crep, k)
-        )
+        failing = failing_quotients(crep)
         quotients_s = time.perf_counter() - start
     return FamilyCheck(
         tag=family.family_tag, size=len(family.members), convention=convention,

@@ -6,10 +6,13 @@ one-shot predicates over complete fillings and filtered over all n!
 assignments.  Nothing is shared with the library's enumerator or its
 reading-word machinery.
 
-The library's former enumerator, a backtracking insertion over the kind
+The library's first enumerator, a backtracking insertion over the kind
 recipes with the triple and prefix-peak rules as checks on a box -> entry
 map, is kept here as a second oracle for the bitmask search that replaced
-it, together with the former per-tableau characteristics.  The former
+it, together with the former per-tableau characteristics.  That bitmask
+search, a recursive depth-first search over the compiled rules, is kept as
+``depth_first_enumerate``, the oracle for the level-by-level enumerator that
+replaced it.  The former
 recursive enumerators of peak compositions and of strict and weak partitions,
 which the library replaced by filters of the composition enumerator, are
 kept as ``recursive_shapes``.
@@ -331,6 +334,63 @@ def backtracking_family(kind, shape, sigma=None):
         StandardTableau.from_box_map(diagram, m) for m in _enumerate_fillings(boxes, edges, checks)
     )
     return TableauFamily(diagram, members, "backtracking", kind.value, shape, sigma)
+
+
+def depth_first_enumerate(diagram, rules):
+    """The library's former enumerator: every legal filling as a row of an
+    (m, n) entry array, indexed like ``diagram.boxes`` and sorted by reading
+    word, with each member's descent mask (bit i-1 set when i is a descent).
+    It reads the six fields of ``families._Rules`` that it knew, and keeps
+    the reversed triple rule's history as the filled mask before each box.
+
+    A depth-first search places the entries 1..n one at a time over the mask
+    of filled boxes, trying the boxes whose predecessors are all filled.
+    Placing k at reading position p makes k-1 a descent when p comes before
+    the position of k-1.
+    """
+    n = diagram.n
+    full = (1 << n) - 1
+    boxes = tuple(zip(range(n), *rules[1:6]))
+    entry = [0] * n
+    before = [0] * n  # the filled mask just before each box was filled
+    found: list[list[int]] = []
+    masks: list[int] = []
+
+    def place(k: int, filled: int, ready: int, last: int, mask: int) -> None:
+        if filled == full:
+            found.append(entry[:])
+            masks.append(mask)
+            return
+        todo = ready
+        while todo:
+            bit = todo & -todo
+            todo ^= bit
+            b, unlocked, triple, order_pair, rows, p = boxes[bit.bit_length() - 1]
+            if triple:
+                trigger, required = triple
+                if (filled & trigger) << 1 & ~(filled & required):
+                    continue
+            if order_pair:
+                lower, right = order_pair
+                if filled & lower and (right < 0 or filled & lower & ~before[right]):
+                    continue
+            if rows:
+                own, below = rows
+                if below and not filled & own and (filled & below).bit_count() < 2:
+                    continue
+            entry[b], before[b] = k, filled
+            now, after = filled | bit, ready ^ bit
+            for later, preds in unlocked:
+                if preds & now == preds:
+                    after |= later
+            place(k + 1, now, after, p, mask | 1 << (k - 2) if p < last else mask)
+
+    place(1, 0, rules.start, -1, 0)
+    entries = np.array(found, dtype=np.min_scalar_type(n)).reshape(len(found), n)
+    if len(found) < 2:
+        return entries, tuple(masks)
+    order = np.lexsort(entries[:, diagram.reading_positions].T[::-1])
+    return entries[order], tuple(masks[k] for k in order.tolist())
 
 
 def tableau_characteristics(family):

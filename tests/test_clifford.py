@@ -12,6 +12,7 @@ from diagmod.clifford import (
     build_clifford_module,
     build_M_alpha,
     clifford_reachability,
+    failing_quotients,
     filtration_quotient_check,
     is_tableau_cyclic,
     peak_characteristic,
@@ -28,7 +29,7 @@ from diagmod.families import (
     family_instances,
     source_tableau,
 )
-from diagmod.harness import words_family
+from diagmod.harness import check_family, words_family
 from diagmod.series import FormalSum, theta
 from diagmod.hecke import (
     build_hecke_module,
@@ -37,7 +38,7 @@ from diagmod.hecke import (
     reachability_closure,
     relation_table,
 )
-from diagmod.tableaux import TableauFamily
+from diagmod.tableaux import TableauFamily, descent_set_tab
 
 
 def image(rep, label, index, elt):
@@ -452,6 +453,31 @@ def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_
     assert expected in report.violations, report.violations
     k = [t.reading_word for t in rep.basis_tableaux].index((2, 1, 3)) + 1
     assert filtration_quotient_check(rep, k) is quotient_holds
+
+
+def test_failing_quotients_read_the_table_at_each_descent(monkeypatch, fresh_block_caches):
+    """The quotient verdicts of a word set are read once from the table of
+    its size: with the verdict of pi_1's descent block turned false, exactly
+    the basis tableaux with a descent at 1 fail, per index, as one tuple and
+    in ``check_family``; with the mark blocks' verdict false, all fail."""
+    fam = build_family("syt", (3, 2))
+    rep = build_clifford_module(fam)
+    assert failing_quotients(rep) == check_family(fam).failing_quotients == ()
+    table = clifford._supermodule_table(fam.n)
+    with_descent_at_1 = tuple(
+        k for k, tab in enumerate(rep.basis_tableaux, start=1) if 1 in descent_set_tab(tab)
+    )
+    assert 0 < len(with_descent_at_1) < len(fam)
+    every = tuple(range(1, len(fam) + 1))
+    for broken, expected in [
+        (table._replace(quotients=((True, False),) + table.quotients[1:]), with_descent_at_1),
+        (table._replace(marks=False), every),
+    ]:
+        monkeypatch.setattr(clifford, "_supermodule_table", lambda n: broken)
+        clifford._word_set_quotients.cache_clear()
+        assert failing_quotients(rep) == expected
+        assert tuple(k for k in every if not filtration_quotient_check(rep, k)) == expected
+        assert check_family(fam).failing_quotients == expected
 
 
 def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fresh_block_caches):

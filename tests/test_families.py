@@ -160,6 +160,61 @@ def test_search_matches_backtracking_enumerator(kind):
         assert_same_family(fam, oracle.backtracking_family(kind_, shape, sigma))
 
 
+def compiled_rules(kind, shape, sigma=None):
+    """The diagram and compiled rules that ``build_family`` enumerates."""
+    effective = sigma if sigma is not None else tuple(range(1, len(shape) + 1))
+    boxes, reading, edges, rules = families._kind_recipe(FamilyKind(kind), shape, effective)
+    diagram = Diagram(boxes, reading)
+    return diagram, families._compile_rules(diagram, edges, rules)
+
+
+def assert_same_search(diagram, rules):
+    """The level enumerator's entries, dtype and descent masks equal those
+    of the former depth-first search."""
+    entries, masks = families._enumerate(diagram, rules)
+    old_entries, old_masks = oracle.depth_first_enumerate(diagram, rules)
+    assert entries.dtype == old_entries.dtype
+    assert entries.shape == old_entries.shape and np.array_equal(entries, old_entries)
+    assert masks == old_masks
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_level_enumerator_matches_depth_first_search(kind):
+    """Every (kind, shape, sigma) with n <= 6, and every shape with n = 7, 8."""
+    instances = [
+        (k, shape, sigma) for k, shape, sigma in family_instances(6, sigmas=True) if k.value == kind
+    ] + [(kind, shape, None) for n in (7, 8) for shape in shapes_for(kind, n)]
+    for instance in instances:
+        assert_same_search(*compiled_rules(*instance))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_level_enumerator_matches_depth_first_search_on_random_posets(data):
+    """Acyclic precedence edges, drawn along a random order of the boxes of
+    a composition diagram, with a random reading order and no further rules."""
+    n = data.draw(st.integers(1, 7))
+    boxes = families.composition_diagram(data.draw(st.sampled_from(list(enumerate_compositions(n)))))
+    order = data.draw(st.permutations(boxes))
+    pairs = [(a, b) for i, a in enumerate(order) for b in order[i + 1:]]
+    edges = data.draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    diagram = Diagram(boxes, tuple(data.draw(st.permutations(boxes))))
+    assert_same_search(diagram, families._compile_rules(diagram, edges, ()))
+
+
+def test_long_one_row_shapes_enumerate():
+    """One box per level, so no recursion depth limit applies; entries past
+    255 take uint16 fields."""
+    row = build_family("syt", (1000,))
+    assert row.members.entries.dtype == np.uint16
+    assert row.members.entries.tolist() == [list(range(1, 1001))]
+    assert row.descent_masks == (0,)
+    column = build_family("rib", (1,) * 300)
+    assert column.members.entries.dtype == np.uint16
+    assert column.words.tolist() == [list(range(300, 0, -1))]
+    assert column.descent_masks == (2 ** 299 - 1,)
+
+
 def assert_histogram_matches_tableaux(fam):
     assert fam.descent_histogram == Counter(map(descent_mask, fam))
     assert (qsym_characteristic(fam), peak_characteristic(fam)) == oracle.tableau_characteristics(fam)
