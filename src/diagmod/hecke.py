@@ -83,16 +83,25 @@ class HeckeModuleRep:
         return len(self.basis)
 
 
+def _sink_arrays(k: int, d: int, target_dtype, sign_dtype) -> tuple[np.ndarray, np.ndarray]:
+    """Uninitialised (k, d + 1) target and sign arrays whose column d is
+    already the sink."""
+    targets = np.empty((k, d + 1), dtype=target_dtype)
+    signs = np.empty((k, d + 1), dtype=sign_dtype)
+    targets[:, d] = d
+    signs[:, d] = 0
+    return targets, signs
+
+
 def sink_maps(targets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Signed partial maps on d columns, given as (k, d) arrays with sign 0
     for a zero image, in the sink-column encoding: (k, d + 1) arrays in which
     every zero image points at column d, a sink fixed with sign 0."""
     k, d = targets.shape
-    sink = np.full((k, 1), d, dtype=targets.dtype)
-    return (
-        np.concatenate((np.where(signs == 0, d, targets), sink), axis=1),
-        np.concatenate((signs, np.zeros((k, 1), dtype=signs.dtype)), axis=1),
-    )
+    sunk_targets, sunk_signs = _sink_arrays(k, d, targets.dtype, signs.dtype)
+    sunk_targets[:, :d] = np.where(signs == 0, d, targets)
+    sunk_signs[:, :d] = signs
+    return sunk_targets, sunk_signs
 
 
 def build_hecke_module(
@@ -120,12 +129,14 @@ def hecke_maps(words: WordSet, convention: str) -> tuple[np.ndarray, np.ndarray]
     convention, as (n - 1, dim + 1) arrays in the sink-column encoding of
     :func:`sink_maps`: generator i sends basis element c to ``signs[i - 1,
     c]`` times basis element ``targets[i - 1, c]``."""
+    k, d = words.target.shape
+    targets, signs = _sink_arrays(k, d, np.intp, np.int8)
     # pi scales descents by -1, hat fixes ascents; the other case swaps
-    # inside the family or dies.
+    # inside the family or dies, pointing at the sink.
     diagonal = words.descent if convention == PI else ~words.descent
-    targets = np.where(diagonal, np.arange(len(words.order), dtype=np.intp), words.target)
-    signs = np.where(diagonal, -1 if convention == PI else 1, targets >= 0).astype(np.int8)
-    targets, signs = sink_maps(targets, signs)
+    alive = words.target >= 0
+    targets[:, :d] = np.where(diagonal, np.arange(d), np.where(alive, words.target, d))
+    signs[:, :d] = np.where(diagonal, -1 if convention == PI else 1, alive)
     targets.flags.writeable = signs.flags.writeable = False
     return targets, signs
 

@@ -16,10 +16,10 @@ from typing import Iterable, Iterator, Mapping
 from .compositions import (
     Composition,
     check_composition,
-    comp_n,
     composition_size,
     descent_set,
     enumerate_compositions,
+    mask_composition,
     peak_set,
 )
 from .errors import DomainError, integer
@@ -28,12 +28,22 @@ FUNDAMENTAL = "F"
 PEAK = "K"
 
 
+# The indices already checked, per (basis, degree): each maps to itself, so
+# an index that is that very object needs no second check.
+_checked: dict[tuple[str, int], dict[Composition, Composition]] = {}
+
+
 @dataclass(frozen=True)
 class FormalSum:
     """A formal linear combination of basis elements of one degree.
 
     ``terms`` maps index compositions to nonzero Fractions.  The zero sum of
-    any degree is represented by an empty term map.
+    any degree is represented by an empty term map.  The degree is an
+    integer, at least 0.  Each index is checked once per basis and degree:
+    an index that is the very tuple a check of that basis and degree
+    passed, as the library's cached compositions are, is not checked again,
+    while an equal index of other parts or another type is.  A term with
+    coefficient zero is dropped before its index's size is checked.
     """
 
     basis: str
@@ -43,22 +53,29 @@ class FormalSum:
     def __post_init__(self):
         if self.basis not in (FUNDAMENTAL, PEAK):
             raise DomainError(f"unknown basis label {self.basis!r}")
+        n = integer(self.n, f"degree must be an integer >= 0, got {self.n!r}", low=0)
+        known = _checked.get((self.basis, n))
+        if known is None:
+            known = _checked[self.basis, n] = {}
         clean: dict[Composition, Fraction] = {}
         for alpha, coeff in self.terms.items():
-            alpha = check_composition(alpha)
+            checked = known.get(alpha) is alpha
+            if not checked:
+                alpha = check_composition(alpha)
             if type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
-            if composition_size(alpha) != self.n:
-                raise DomainError(
-                    f"index {alpha} is not a composition of {self.n}"
-                )
-            # is_peak_composition, on an index already checked
-            if self.basis == PEAK and min(alpha[:-1], default=2) < 2:
-                raise DomainError(f"peak-basis index {alpha} is not a peak composition")
+            if not checked:
+                if composition_size(alpha) != n:
+                    raise DomainError(f"index {alpha} is not a composition of {n}")
+                # is_peak_composition, on an index already checked
+                if self.basis == PEAK and min(alpha[:-1], default=2) < 2:
+                    raise DomainError(f"peak-basis index {alpha} is not a peak composition")
+                known[alpha] = alpha
             clean[alpha] = clean[alpha] + coeff if alpha in clean else coeff
-        clean = {a: c for a, c in clean.items() if c != 0}
+        clean = {a: c for a, c in clean.items() if c}
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
@@ -166,29 +183,37 @@ def theta(f: FormalSum) -> FormalSum:
 
 @lru_cache(maxsize=None)
 def _peak_index(alpha: Composition) -> Composition:
-    """comp_n of the peak set of alpha's descent set."""
-    return comp_n(peak_set(descent_set(alpha)), composition_size(alpha))
+    """comp_n of the peak set of alpha's descent set, read from the cache of
+    :func:`mask_composition`, as the peak characteristics read theirs, so
+    that both name each peak index by one tuple."""
+    peaks = peak_set(descent_set(alpha))
+    return mask_composition(sum(1 << (i - 1) for i in peaks), composition_size(alpha))
 
 
 @dataclass(frozen=True)
 class TruncatedPolynomial:
     """A polynomial in k commuting variables with exact rational coefficients.
 
-    Terms map exponent vectors (length k) to coefficients.
+    Terms map exponent vectors (length k) to coefficients.  The variable
+    count and every exponent are integers, at least 0, and the vectors are
+    stored as tuples of Python ints.
     """
 
     k: int
     terms: Mapping[tuple[int, ...], Fraction] = field(default_factory=dict)
 
     def __post_init__(self):
+        k = integer(self.k, f"variable count must be an integer >= 0, got {self.k!r}", low=0)
         clean = {}
         for exps, coeff in self.terms.items():
             coeff = Fraction(coeff)
-            if coeff == 0:
+            if not coeff:
                 continue
-            if len(exps) != self.k or any(e < 0 for e in exps):
-                raise DomainError(f"bad exponent vector {exps!r} for {self.k} variables")
-            clean[tuple(exps)] = coeff
+            message = f"bad exponent vector {exps!r} for {k} variables"
+            if len(exps) != k:
+                raise DomainError(message)
+            clean[tuple(integer(e, message, low=0) for e in exps)] = coeff
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "terms", clean)
 
     def permute_variables(self, perm: tuple[int, ...]) -> "TruncatedPolynomial":

@@ -25,7 +25,7 @@ import weakref
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, wraps
+from functools import cached_property, lru_cache, wraps
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Optional
 
@@ -380,9 +380,32 @@ def _interned_word_set(words: np.ndarray) -> WordSet:
     return found
 
 
-# Swap targets are searched a block of generators at a time, each block of
-# at most this many cells (but at least one generator).
+# Swap targets are searched a block of generators at a time, and reading
+# positions compared a block of position pairs at a time, each block of at
+# most this many cells (but at least one generator or pair).
 _SEARCH_CELLS = 1 << 15
+
+
+@lru_cache(maxsize=None)
+def _position_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The reading positions p < q of every pair, as two read-only index
+    arrays."""
+    pairs = np.triu_indices(n, 1)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
+
+
+@lru_cache(maxsize=None)
+def _key_radix(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The base-n key digits ``radix[j] = n^j`` and the swap key deltas
+    ``n^(i-1) - n^i`` as an (n - 1, 1) column, read-only; int64 while n^n
+    fits, Python integers above."""
+    dtype = np.int64 if n**n < 2**63 else object
+    radix = np.array([n**j for j in range(n)], dtype=dtype)
+    deltas = (radix[:-1] - radix[1:])[:, None]
+    radix.flags.writeable = deltas.flags.writeable = False
+    return radix, deltas
 
 
 def _word_set(words: np.ndarray) -> WordSet:
@@ -390,34 +413,41 @@ def _word_set(words: np.ndarray) -> WordSet:
     order, the descents, and every swap target, found by a sorted search
     over exact integer keys.
 
-    The words are permutations of one length n, so their entry positions
-    name them, and exchanging the entries i and i+1 exchanges two columns of
-    positions.  Row t of positions is keyed by the integer whose base-n
-    digit j is ``positions[t, j]``, so the swap at i adds the key delta
-    ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is looked up
-    among the sorted keys.  A key is below n^n, so it is an int64 when
-    that fits and a Python integer otherwise: never rounded or hashed.
-    The positions are kept in the words' dtype, which holds 0..n-1: the
-    word set's key already costs a copy of the words.
+    The basis order sorts by inversion count, descending, and the counts
+    come from one comparison of the transposed words at the position pairs
+    p < q of :func:`_position_pairs`, reduced in int32, a block of pairs at
+    a time.  The words are permutations of one length n, so their entry
+    positions name them, and exchanging the entries i and i+1 exchanges two
+    columns of positions.  Row t of positions is keyed by the integer whose
+    base-n digit j is ``positions[t, j]``, so the swap at i adds the key
+    delta ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is looked
+    up among the sorted keys.  A key is below n^n, so it is an int64 when
+    that fits and a Python integer otherwise: never rounded or hashed.  The
+    pairs, digits and deltas are kept per n.  The positions are kept in the
+    words' dtype, which holds 0..n-1: the word set's key already costs a
+    copy of the words.
     """
-    kept = words.dtype
-    words = words.astype(np.int16)
     m, n = words.shape
     # Module-basis order: inversion count of the reading word descending,
     # ties by the word itself, which is the order of the rows.
-    inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
+    columns = np.ascontiguousarray(words.T)
+    earlier, later = _position_pairs(n)
+    inversion_counts = np.zeros(m, dtype=np.int32)
+    block = max(1, _SEARCH_CELLS // max(m, 1))
+    for first in range(0, len(earlier), block):
+        pairs = slice(first, first + block)
+        inversion_counts += (columns[earlier[pairs]] > columns[later[pairs]]).sum(axis=0, dtype=np.int32)
     order = np.argsort(-inversion_counts, kind="stable")
     positions = _positions(words[order])
-    dtype = np.int64 if n**n < 2**63 else object
-    radix = np.array([n**j for j in range(n)], dtype=dtype)
+    radix, deltas = _key_radix(n)
+    dtype = radix.dtype
     keys = positions.astype(dtype) @ radix
     key_order = keys.argsort()
     sorted_keys = keys[key_order]
     rank = key_order.astype(np.int32)
-    deltas = (radix[:-1] - radix[1:])[:, None]
-    steps = np.ascontiguousarray(np.diff(positions, axis=1).T)  # (n - 1, m): p[i] - p[i-1]
+    steps = np.ascontiguousarray(positions.T)
+    steps = steps[1:] - steps[:-1]  # (n - 1, m): p[i] - p[i-1]
     target = np.empty((n - 1, m), dtype=np.int32)
-    block = max(1, _SEARCH_CELLS // max(m, 1))
     for first in range(0, n - 1, block):
         rows = slice(first, first + block)
         probes = steps[rows].astype(dtype)
@@ -427,7 +457,7 @@ def _word_set(words: np.ndarray) -> WordSet:
         np.minimum(at, m - 1, out=at)
         found = sorted_keys[at] == probes
         target[rows] = np.where(found, rank[at], -1)
-    return WordSet(order, positions.astype(kept), steps < 0, target)
+    return WordSet(order, positions.astype(words.dtype), steps < 0, target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:

@@ -32,28 +32,35 @@ the library now reads from word graphs, is restated on one-line words.
 
 The library's former fast paths stay here as second oracles for the ones
 that replaced them: the word graph that looked up each swapped positions
-row as raw bytes, one sorted search per generator, the relation check
-that composed the words of each relation kind as a separate batch, and the
+row as raw bytes, one sorted search per generator, the word set that
+counted inversions one reading position at a time, the relation check
+that composed the words of each relation kind as a separate batch, the
 supermodule's 0-Hecke relation check that expanded both sides of each
-relation over its paths in the word graph at every basis tableau.
+relation over its paths in the word graph at every basis tableau, and the
+formal-sum check that re-checked every index of every sum.
 """
 
 import functools
 import itertools
 import operator
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
 
 from diagmod import clifford, families
 from diagmod.clifford import build_M_alpha
-from diagmod.compositions import comp_n, peak_set
+from diagmod.compositions import check_composition, comp_n, composition_size, peak_set
+from diagmod.errors import DomainError
 from diagmod.hecke import RelationReport, compose_maps, zero_hecke_relations
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
 from diagmod.tableaux import (
+    _SEARCH_CELLS,
     Diagram,
     StandardTableau,
     TableauFamily,
+    WordSet,
+    _positions,
     descent_set_tab,
     inversions,
     swap_entries,
@@ -700,6 +707,66 @@ def byte_row_word_graph(family):
         at = np.searchsorted(rows, probe).clip(max=m - 1)
         target[i - 1] = np.where(rows[at] == probe, row_order[at], -1)
     return order, positions, descent, target
+
+
+def per_position_word_set(words):
+    """Read a set of words, one per row in increasing order, once: the basis
+    order, the descents, and every swap target, found by a sorted search
+    over exact integer keys; the library's former word set, which counted
+    inversions with one comparison per reading position and built the key
+    digits and deltas per call."""
+    kept = words.dtype
+    words = words.astype(np.int16)
+    m, n = words.shape
+    # Module-basis order: inversion count of the reading word descending,
+    # ties by the word itself, which is the order of the rows.
+    inversion_counts = sum((words[:, p, None] > words[:, p + 1 :]).sum(axis=1) for p in range(n))
+    order = np.argsort(-inversion_counts, kind="stable")
+    positions = _positions(words[order])
+    dtype = np.int64 if n**n < 2**63 else object
+    radix = np.array([n**j for j in range(n)], dtype=dtype)
+    keys = positions.astype(dtype) @ radix
+    key_order = keys.argsort()
+    sorted_keys = keys[key_order]
+    rank = key_order.astype(np.int32)
+    deltas = (radix[:-1] - radix[1:])[:, None]
+    steps = np.ascontiguousarray(np.diff(positions, axis=1).T)  # (n - 1, m): p[i] - p[i-1]
+    target = np.empty((n - 1, m), dtype=np.int32)
+    block = max(1, _SEARCH_CELLS // max(m, 1))
+    for first in range(0, n - 1, block):
+        rows = slice(first, first + block)
+        probes = steps[rows].astype(dtype)
+        probes *= deltas[rows]
+        probes += keys
+        at = np.searchsorted(sorted_keys, probes)
+        np.minimum(at, m - 1, out=at)
+        found = sorted_keys[at] == probes
+        target[rows] = np.where(found, rank[at], -1)
+    return WordSet(order, positions.astype(kept), steps < 0, target)
+
+
+def rechecked_terms(basis, n, terms):
+    """The term map ``FormalSum(basis, n, terms)`` keeps, every index
+    checked afresh; the library's former check, which kept the degree as
+    given."""
+    if basis not in (FUNDAMENTAL, PEAK):
+        raise DomainError(f"unknown basis label {basis!r}")
+    clean = {}
+    for alpha, coeff in terms.items():
+        alpha = check_composition(alpha)
+        if type(coeff) is not Fraction:
+            coeff = Fraction(coeff)
+        if coeff == 0:
+            continue
+        if composition_size(alpha) != n:
+            raise DomainError(
+                f"index {alpha} is not a composition of {n}"
+            )
+        # is_peak_composition, on an index already checked
+        if basis == PEAK and min(alpha[:-1], default=2) < 2:
+            raise DomainError(f"peak-basis index {alpha} is not a peak composition")
+        clean[alpha] = clean[alpha] + coeff if alpha in clean else coeff
+    return {a: c for a, c in clean.items() if c != 0}
 
 
 def grouped_hecke_relations(rep):

@@ -1,8 +1,11 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import _oracles as oracle
 from diagmod.compositions import (
     descent_set,
     enumerate_compositions,
@@ -13,6 +16,7 @@ from diagmod.compositions import (
 from diagmod.errors import DomainError
 from diagmod.series import (
     FormalSum,
+    TruncatedPolynomial,
     add,
     evaluate_truncated,
     from_term_records,
@@ -82,14 +86,100 @@ def test_formal_sum_rejects_bad_indices_after_equal_valid_ones(basis, n, index, 
     assert str(err.value) == message
 
 
+class Parts(tuple):
+    pass
+
+
 def test_formal_sum_keys_keep_their_type():
     """A tuple-subclass index is stored as a plain tuple, and a term with
     coefficient zero is dropped before its size is checked."""
-    class Parts(tuple):
-        pass
-
     f = FormalSum("F", 3, {Parts((1, 2)): 1, (1, 1, 1): 0, (5,): 0})
     assert list(f.terms) == [(1, 2)] and type(next(iter(f.terms))) is tuple
+
+
+# how an index part is written; bool only for the values 0 and 1
+INT_FORMS = (int, np.int64, np.uint8)
+
+
+@st.composite
+def _sum_inputs(draw):
+    """(basis, n, warm-up indices, terms) of a formal sum whose indices mix
+    exact ints, numpy ints and bools, some as a tuple subclass, of every
+    size, zero coefficients included."""
+    basis, n = draw(st.sampled_from("FK")), draw(st.integers(0, 5))
+    terms, warm = {}, []
+    for _ in range(draw(st.integers(0, 6))):
+        values = draw(st.lists(st.integers(0, 4), max_size=5))
+        forms = [draw(st.sampled_from(INT_FORMS + (bool,) if v in (0, 1) else INT_FORMS)) for v in values]
+        index = tuple(form(v) for form, v in zip(forms, values))
+        if draw(st.booleans()):
+            index = Parts(index)
+        plain = tuple(values)
+        # warm the memo with this very index, or with an equal plain tuple
+        warm.append(index if draw(st.booleans()) and all(f is int for f in forms) else plain)
+        terms[index] = draw(st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(0))))
+    return basis, n, warm, terms
+
+
+def _outcome(make):
+    try:
+        return make()
+    except DomainError as err:
+        return DomainError, str(err)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_sum_inputs())
+def test_formal_sum_matches_the_recheck_of_every_index(inputs):
+    """After indices equal to the drawn ones have been checked, a sum keeps
+    exactly the terms, or raises exactly the error, of checking every index
+    afresh, and its keys are plain tuples of ints."""
+    basis, n, warm, terms = inputs
+    for index in warm:
+        _outcome(lambda: FormalSum(basis, n, {index: 1}))
+        _outcome(lambda: FormalSum(basis, n, {index: 0}))
+    expected = _outcome(lambda: oracle.rechecked_terms(basis, n, terms))
+    found = _outcome(lambda: FormalSum(basis, n, terms).terms)
+    assert found == expected
+    if isinstance(found, dict):
+        assert list(found.items()) == list(expected.items())
+        assert all(type(a) is tuple and all(type(p) is int for p in a) for a in found)
+
+
+@pytest.mark.parametrize("n", [True, False, 2.0, -1, "2", None])
+def test_formal_sum_degree_follows_the_integer_rule(n):
+    with pytest.raises(DomainError, match="degree must be an integer >= 0"):
+        FormalSum("F", n, {})
+
+
+def test_formal_sum_degree_is_stored_as_an_int():
+    f = FormalSum("F", np.int64(2), {(1, 1): 1})
+    assert type(f.n) is int and f == FormalSum("F", 2, {(1, 1): 1})
+    assert FormalSum("K", 0, {}).n == 0
+    assert peak_to_fundamental(FormalSum("K", 0, {(): 2})) == FormalSum("F", 0, {(): 2})
+
+
+@pytest.mark.parametrize("k, terms", [
+    (2, {(1.5, 0): 1}),
+    (2, {(True, 0): 1}),
+    (2, {(0, -1): 1}),
+    (2, {(1,): 1}),
+    (True, {}),
+    (2.0, {}),
+    (-1, {}),
+    ("2", {}),
+])
+def test_truncated_polynomial_follows_the_integer_rule(k, terms):
+    with pytest.raises(DomainError):
+        TruncatedPolynomial(k, terms)
+
+
+def test_truncated_polynomial_stores_plain_ints():
+    poly = TruncatedPolynomial(np.int64(2), {(np.int64(1), np.uint8(0)): 3, (2.5, 1): 0})
+    assert type(poly.k) is int and poly.k == 2
+    assert poly.terms == {(1, 0): 3}
+    assert all(type(e) is int for exps in poly.terms for e in exps)
+    assert TruncatedPolynomial(0, {(): 1}).terms == {(): 1}
 
 
 def test_peak_to_fundamental_single_row():

@@ -2,11 +2,14 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import member_by_word
+import _oracles as oracle
+from conftest import forced_word_set_families, member_by_word, square_families
+from diagmod import tableaux
 from diagmod.errors import DomainError
-from diagmod.families import build_family, single_row_diagram
-from diagmod.harness import words_family
+from diagmod.families import build_family, family_instances, single_row_diagram
+from diagmod.harness import all_intervals, words_family
 from diagmod.tableaux import (
     AscentClass,
     Diagram,
@@ -146,6 +149,50 @@ def test_descent_masks_come_only_with_rows_one_per_member():
 def test_a_word_set_holds_only_its_four_arrays():
     """Everything else a word set determines is memoised on it weakly."""
     assert WordSet.__slots__ == ("order", "positions", "descent", "target", "__weakref__")
+
+
+def assert_word_set_matches_per_position(words):
+    """The word set read with one comparison for all inversion counts has
+    the four arrays, values and dtypes, of the per-position oracle."""
+    fast, slow = tableaux._word_set(words), oracle.per_position_word_set(words)
+    for name in ("order", "positions", "descent", "target"):
+        a, b = getattr(fast, name), getattr(slow, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+
+
+def test_word_sets_match_per_position_oracle_on_built_in_families():
+    built = 0
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.members:
+            assert_word_set_matches_per_position(fam.words)
+            built += 1
+    assert built == 4603
+
+
+def test_word_sets_match_per_position_oracle_on_large_families():
+    for kind, shape in [("syt", (5, 4, 3, 1)), ("rib", (3, 4, 4)), ("sit", (4, 4, 4)),
+                        ("srit", (4, 4, 3)), ("syt", (4, 3, 2)), ("spct", (3, 3, 3))]:
+        assert_word_set_matches_per_position(build_family(kind, shape).words)
+
+
+def test_word_sets_match_per_position_oracle_on_intervals_and_forced_sets():
+    intervals = [interval for n in range(1, 5) for interval in all_intervals(n)]
+    families = [words_family(interval.members) for interval in intervals]
+    families += forced_word_set_families() + square_families()
+    assert len(families) > 63 + 15
+    for fam in families:
+        assert_word_set_matches_per_position(fam.words)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda n: st.sets(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=60)
+    )
+)
+def test_word_sets_match_per_position_oracle_on_random_word_sets(words):
+    assert_word_set_matches_per_position(words_family(sorted(words)).words)
 
 
 def test_descent_compatibility_independent_of_ascent(compatible_family):
