@@ -639,12 +639,12 @@ def peak_characteristic(obj) -> FormalSum:
     the family's distinct descent masks."""
     family = obj if isinstance(obj, TableauFamily) else obj.family
     n = family.n
-    terms: dict[Composition, int] = {}
+    peaks: dict[int, int] = {}
     for mask, count in family.descent_histogram.items():
         # the peaks: descents i > 1 with i - 1 not a descent
-        alpha = mask_composition(mask & ~(mask << 1) & ~1, n)
-        terms[alpha] = terms.get(alpha, 0) + count
-    return FormalSum(PEAK, n, terms)
+        peak = mask & ~(mask << 1) & ~1
+        peaks[peak] = peaks.get(peak, 0) + count
+    return FormalSum(PEAK, n, {mask_composition(peak, n): count for peak, count in peaks.items()})
 
 
 def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:

@@ -51,7 +51,8 @@ def descent_set(alpha: Composition) -> frozenset[int]:
 
 
 def comp_n(xs: Iterable[int], n: int) -> Composition:
-    """The unique composition of n whose descent set is ``xs``.
+    """The unique composition of n whose descent set is ``xs``, whose
+    elements follow the integer rule in 1..n-1.
 
     >>> comp_n({1, 2, 5}, 8)
     (1, 1, 3, 3)
@@ -59,35 +60,50 @@ def comp_n(xs: Iterable[int], n: int) -> Composition:
     (5,)
     """
     n = integer(n, f"comp_n needs a positive integer, got {n!r}")
-    xs = sorted(set(xs))
-    if xs and (xs[0] < 1 or xs[-1] >= n):
-        raise DomainError(f"descent set {xs} is not a subset of [{n - 1}]")
+    xs = set(xs)
+    message = f"descent set {xs} is not a set of integers in 1..{n - 1}"
     parts, prev = [], 0
-    for x in xs:
+    for x in sorted({integer(x, message, 1, n - 1) for x in xs}):
         parts.append(x - prev)
         prev = x
     parts.append(n - prev)
     return tuple(parts)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mask_composition(mask: int, n: int) -> Composition:
     """The composition of n whose descent set holds i exactly when bit i-1
-    of the mask is set.
+    of the mask is set.  Both follow the integer rule, the mask in
+    0..2^(n-1)-1; an integer of another type, a bool aside, is read as the
+    Python int it equals, and gets the tuple cached for that int.
 
     >>> mask_composition(0b10011, 8)
     (1, 1, 3, 3)
     """
-    return comp_n((i for i in range(1, n) if mask >> (i - 1) & 1), n)
+    if type(mask) is not int or type(n) is not int or not (0 < n and 0 <= mask < 1 << (n - 1)):
+        n = integer(n, f"mask_composition needs a positive integer, got {n!r}")
+        message = f"descent mask {mask!r} is not an integer in 0..{(1 << (n - 1)) - 1}"
+        return mask_composition(integer(mask, message, 0, (1 << (n - 1)) - 1), n)
+    parts, prev = [], 0
+    while mask:
+        i = (mask & -mask).bit_length()  # the least descent left
+        mask &= mask - 1
+        parts.append(i - prev)
+        prev = i
+    parts.append(n - prev)
+    return tuple(parts)
 
 
 def peak_set(xs: Iterable[int]) -> frozenset[int]:
-    """Elements i of the set with i > 1 and i-1 not in the set.
+    """Elements i of the set with i > 1 and i-1 not in the set; the
+    elements follow the integer rule, at least 1.
 
     >>> sorted(peak_set({1, 3, 5, 6}))
     [3, 5]
     """
-    s = frozenset(xs)
+    xs = set(xs)
+    message = f"peak_set needs positive integers, got {xs}"
+    s = {integer(x, message) for x in xs}
     return frozenset(i for i in s if i > 1 and i - 1 not in s)
 
 

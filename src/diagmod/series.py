@@ -8,6 +8,7 @@ floating point anywhere in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,9 @@ class FormalSum:
     an index that is the very tuple a check of that basis and degree
     passed, as the library's cached compositions are, is not checked again,
     while an equal index of other parts or another type is.  A term with
-    coefficient zero is dropped before its index's size is checked.
+    coefficient zero is dropped before its index's size is checked.  Int
+    coefficients are summed as ints, and each distinct total is made a
+    Fraction once.
     """
 
     basis: str
@@ -57,12 +60,12 @@ class FormalSum:
         known = _checked.get((self.basis, n))
         if known is None:
             known = _checked[self.basis, n] = {}
-        clean: dict[Composition, Fraction] = {}
+        clean: dict[Composition, Fraction | int] = {}
         for alpha, coeff in self.terms.items():
             checked = known.get(alpha) is alpha
             if not checked:
                 alpha = check_composition(alpha)
-            if type(coeff) is not Fraction:
+            if type(coeff) is not int and type(coeff) is not Fraction:
                 coeff = Fraction(coeff)
             if not coeff:
                 continue
@@ -74,7 +77,13 @@ class FormalSum:
                     raise DomainError(f"peak-basis index {alpha} is not a peak composition")
                 known[alpha] = alpha
             clean[alpha] = clean[alpha] + coeff if alpha in clean else coeff
-        clean = {a: c for a, c in clean.items() if c}
+        # ints are summed as ints, then made one Fraction per distinct total
+        totals: dict[int, Fraction] = {}
+        clean = {
+            a: c if type(c) is Fraction else totals.get(c) or totals.setdefault(c, Fraction(c))
+            for a, c in clean.items()
+            if c
+        }
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -165,7 +174,10 @@ def theta(f: FormalSum) -> FormalSum:
     """Project a fundamental-basis sum onto the peak basis.
 
     F indexed by alpha is sent to K indexed by comp_n(Peak(alpha)), extended
-    linearly with like terms collected.
+    linearly with like terms collected, integral coefficients as Python
+    ints.  Each index is read from the cache of :func:`mask_composition`, as
+    the peak characteristics read theirs, so that both name each index by
+    one tuple.
 
     >>> render_text(theta(FormalSum.fundamental((1, 2, 2, 1, 3))))
     'K[3,2,4]'
@@ -174,20 +186,29 @@ def theta(f: FormalSum) -> FormalSum:
         raise DomainError("theta expects a fundamental-basis sum")
     if f.n == 0:
         return FormalSum(PEAK, 0, dict(f.terms))
-    out: dict[Composition, Fraction] = {}
+    n = f.n
+    out: dict[Composition, Fraction | int] = {}
     for alpha, coeff in f.terms.items():
-        idx = _peak_index(alpha)
+        idx = mask_composition(_peak_mask(alpha), n)
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         out[idx] = out[idx] + coeff if idx in out else coeff
-    return FormalSum(PEAK, f.n, out)
+    return FormalSum(PEAK, n, out)
 
 
 @lru_cache(maxsize=None)
-def _peak_index(alpha: Composition) -> Composition:
-    """comp_n of the peak set of alpha's descent set, read from the cache of
-    :func:`mask_composition`, as the peak characteristics read theirs, so
-    that both name each peak index by one tuple."""
-    peaks = peak_set(descent_set(alpha))
-    return mask_composition(sum(1 << (i - 1) for i in peaks), composition_size(alpha))
+def _peak_mask(alpha: Composition) -> int:
+    """The peak set of alpha's descent set as a bit mask, by the parts rule:
+    the partial sum that ends part j < len(alpha) is a peak exactly when
+    that part exceeds 1.  The peak characteristics find their peaks by a
+    rule on descent masks instead, so theta's identity compares two
+    derivations."""
+    peaks, total = 0, 0
+    for p in alpha[:-1]:
+        total += p
+        if p > 1:
+            peaks |= 1 << (total - 1)
+    return peaks
 
 
 @dataclass(frozen=True)
@@ -345,10 +366,14 @@ def from_term_records(records: Iterable[dict]) -> FormalSum:
     for rec in records:
         if rec["basis"] != basis:
             raise DomainError("mixed bases in term records")
+        numerator, denominator = rec["numerator"], rec["denominator"]
+        message = f"coefficient {numerator!r}/{denominator!r} is not an integer over a nonzero integer"
+        numerator = integer(numerator, message, low=-math.inf)
+        denominator = integer(denominator, message, low=-math.inf)
+        if not denominator:
+            raise DomainError(message)
         alpha = tuple(rec["parts"])
-        terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(
-            rec["numerator"], rec["denominator"]
-        )
+        terms[alpha] = terms.get(alpha, Fraction(0)) + Fraction(numerator, denominator)
     n = composition_size(next(iter(terms)))
     return FormalSum(basis, n, terms)
 

@@ -36,8 +36,11 @@ row as raw bytes, one sorted search per generator, the word set that
 counted inversions one reading position at a time, the relation check
 that composed the words of each relation kind as a separate batch, the
 supermodule's 0-Hecke relation check that expanded both sides of each
-relation over its paths in the word graph at every basis tableau, and the
-formal-sum check that re-checked every index of every sum.
+relation over its paths in the word graph at every basis tableau, the
+formal-sum check that re-checked every index of every sum, and the
+characteristic steps that read every composition through ``comp_n`` and
+every peak index through the set statistics, with theta summing every
+like term as a Fraction.
 """
 
 import functools
@@ -50,7 +53,7 @@ from scipy import sparse
 
 from diagmod import clifford, families
 from diagmod.clifford import build_M_alpha
-from diagmod.compositions import check_composition, comp_n, composition_size, peak_set
+from diagmod.compositions import check_composition, comp_n, composition_size, descent_set, peak_set
 from diagmod.errors import DomainError
 from diagmod.hecke import RelationReport, compose_maps, zero_hecke_relations
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
@@ -871,3 +874,43 @@ def path_expanded_clifford_relations(rep):
 
     suite = clifford._supermodule_table(n).suite
     return RelationReport(len(suite), tuple(message for message, check in suite if not holds(check)))
+
+
+def comp_n_mask_composition(mask, n):
+    """The composition of n whose descent set is the mask's set bits, read
+    through ``comp_n``, uncached; the library's former ``mask_composition``."""
+    return comp_n((i for i in range(1, n) if mask >> (i - 1) & 1), n)
+
+
+def set_peak_index(alpha):
+    """``comp_n`` of the peak set of alpha's descent set, through the set
+    statistics; the library's former peak index of theta."""
+    return comp_n(peak_set(descent_set(alpha)), composition_size(alpha))
+
+
+def fraction_theta(f):
+    """theta with each index's peak index from the set statistics and like
+    terms summed as Fractions; the library's former theta."""
+    if f.basis != FUNDAMENTAL:
+        raise DomainError("theta expects a fundamental-basis sum")
+    if f.n == 0:
+        return FormalSum(PEAK, 0, dict(f.terms))
+    out = {}
+    for alpha, coeff in f.terms.items():
+        idx = set_peak_index(alpha)
+        out[idx] = out.get(idx, Fraction(0)) + coeff
+    return FormalSum(PEAK, f.n, out)
+
+
+def set_characteristics(family):
+    """(fundamental, peak) characteristics from the family's descent
+    histogram through the two former routes above, with no bit formula and
+    no cached composition."""
+    n = family.n
+    fundamental, peak = {}, {}
+    for mask, count in family.descent_histogram.items():
+        alpha = comp_n_mask_composition(mask, n)
+        beta = set_peak_index(alpha)
+        fundamental[alpha] = fundamental.get(alpha, 0) + count
+        peak[beta] = peak.get(beta, 0) + count
+    return FormalSum(FUNDAMENTAL, n, fundamental), FormalSum(PEAK, n, peak)

@@ -16,6 +16,7 @@ from diagmod.compositions import (
     format_composition,
     format_subset,
     is_peak_composition,
+    mask_composition,
     parse_composition,
     peak_set,
 )
@@ -61,6 +62,52 @@ def test_comp_n_rejects_out_of_range():
 def test_descent_comp_round_trip(n):
     for xs in all_subsets(n):
         assert descent_set(comp_n(xs, n)) == frozenset(xs)
+
+
+@pytest.mark.parametrize("call, args", [
+    (comp_n, ({1.5}, 3)),
+    (comp_n, ({1, 2.0}, 3)),
+    (comp_n, ({True}, 3)),
+    (comp_n, ({0}, 3)),
+    (comp_n, ({-1}, 3)),
+    (peak_set, ({2.5},)),
+    (peak_set, ({3, True},)),
+    (peak_set, ({0},)),
+])
+def test_set_elements_follow_the_integer_rule(call, args):
+    with pytest.raises(DomainError):
+        call(*args)
+
+
+def test_set_elements_are_read_as_python_ints():
+    assert comp_n({np.int64(1), np.uint8(2)}, np.int64(4)) == (1, 1, 2)
+    assert all(type(p) is int for p in comp_n({np.int64(2)}, 4))
+    assert peak_set({np.int64(3), 1}) == {3}
+    assert all(type(i) is int for i in peak_set({np.int64(3), np.int8(5)}))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_mask_composition_matches_comp_n(n):
+    """Every mask of every n <= 12 gives comp_n's composition, as one
+    cached tuple of Python ints, whatever integer type names the mask."""
+    for mask in range(1 << (n - 1)):
+        alpha = mask_composition(mask, n)
+        assert alpha == oracle.comp_n_mask_composition(mask, n)
+        assert type(alpha) is tuple and all(type(p) is int for p in alpha)
+        assert mask_composition(mask, n) is alpha
+        assert mask_composition(np.int64(mask), np.uint8(n)) is alpha
+
+
+@pytest.mark.parametrize("mask, n", [
+    (-1, 3), (0b100, 3), (1, 1), (0b10, 2), (0, 0), (0, -1), (True, 3), (False, 1),
+    (np.True_, 3), (1, True), (1.0, 3), (0, 1.0), ("1", 3), (None, 3),
+])
+def test_mask_composition_rejects_masks_out_of_range(mask, n):
+    """A mask must name a subset of 1..n-1; a bool raises even after the
+    int it equals is cached."""
+    assert mask_composition(1, 3) == (1, 2) and mask_composition(0, 1) == (1,)
+    with pytest.raises(DomainError):
+        mask_composition(mask, n)
 
 
 def test_peak_set_examples():
@@ -167,6 +214,10 @@ INTEGER_INPUTS = {
     ),
     "variable count": (lambda v: evaluate_truncated(FormalSum.fundamental((2, 1)), v), 2),
     "comp_n size": (lambda v: comp_n({1}, v), 3),
+    "comp_n element": (lambda v: comp_n({v}, 3), 1),
+    "peak_set element": (lambda v: peak_set({v, 4}), 2),
+    "descent mask": (lambda v: mask_composition(v, 3), 1),
+    "mask_composition size": (lambda v: mask_composition(1, v), 3),
     "harness max_n": (lambda v: [(r.shape, r.verdict) for r in run_harness("transition", max_n=v)], 1),
     "transition size": (lambda v: transition_to_peak_basis(v)[1], 1),
 }

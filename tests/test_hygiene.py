@@ -10,7 +10,8 @@ module-level names out of the library, untested oracles out of
 library, strong caches of word sets, families and reps out of the
 library, hand-kept relation counts out of the library's reports, and
 state that could disagree with a rep's family and convention out of its
-fields.
+fields, and the peak characteristic's bit rule out of ``diagmod.series``,
+whose theta finds peaks by its own rule.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -253,3 +254,38 @@ def rep_fields(path: Path) -> list[str]:
 def test_reps_hold_only_their_family_and_convention():
     found = [entry for path in LIBRARY for entry in rep_fields(path)]
     assert not found, "rep fields beside family and convention:\n" + "\n".join(found)
+
+
+def peak_bit_rule_uses(path: Path) -> list[str]:
+    """``file:line: what`` for every mention of ``peak_characteristic`` and
+    every ``~(x << 1)``, the bit formula by which it finds peaks."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        names = []
+        if isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [name for alias in node.names for name in (alias.name, alias.asname)]
+        if "peak_characteristic" in names:
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: peak_characteristic")
+        if (
+            isinstance(node, ast.UnaryOp)
+            and isinstance(node.op, ast.Invert)
+            and isinstance(node.operand, ast.BinOp)
+            and isinstance(node.operand.op, ast.LShift)
+            and isinstance(node.operand.right, ast.Constant)
+            and node.operand.right.value == 1
+        ):
+            found.append(f"{path.relative_to(ROOT)}:{node.lineno}: ~(x << 1)")
+    return found
+
+
+def test_theta_keeps_its_own_peak_rule():
+    """theta's peak index follows the parts rule; were ``diagmod.series`` to
+    read the peak characteristic or its bit formula, the theta identity
+    would compare a rule with itself."""
+    series = ROOT / "src" / "diagmod" / "series.py"
+    assert not peak_bit_rule_uses(series), "\n".join(peak_bit_rule_uses(series))
+    assert peak_bit_rule_uses(ROOT / "src" / "diagmod" / "clifford.py"), "the scan no longer finds the bit rule"

@@ -6,14 +6,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
+from diagmod.clifford import peak_characteristic
 from diagmod.compositions import (
     descent_set,
     enumerate_compositions,
     enumerate_peak_compositions,
     enumerate_strict_partitions,
+    format_composition,
+    mask_composition,
     peak_set,
 )
 from diagmod.errors import DomainError
+from diagmod.families import SIGMA_KINDS, FamilyKind, build_family, shapes_for
+from diagmod.hecke import qsym_characteristic
 from diagmod.series import (
     FormalSum,
     TruncatedPolynomial,
@@ -217,10 +222,24 @@ def test_theta_examples():
     assert theta(FormalSum.fundamental((1, 2, 2, 1, 3))) == FormalSum.peak((3, 2, 4))
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_theta_peak_index_matches_the_set_statistics(n):
+    """The parts rule names, for every composition of n <= 10, the peak
+    index of comp_n(Peak(alpha)), as the tuple cached for its mask."""
+    for alpha in enumerate_compositions(n):
+        (index,) = theta(FormalSum.fundamental(alpha)).terms
+        assert index == oracle.set_peak_index(alpha)
+        assert index is mask_composition(sum(1 << (s - 1) for s in descent_set(index)), n)
+
+
 def test_theta_linear_collects_terms():
     f = add(FormalSum.fundamental((2, 1)), FormalSum.fundamental((3,)))
     g = theta(f)
     assert g == FormalSum("K", 3, {(2, 1): 1, (3,): 1})
+    # (1, 2) and (3,) both go to K[3]: fractional and mixed like terms
+    halves = FormalSum("F", 3, {(1, 2): Fraction(1, 2), (3,): Fraction(1, 3), (2, 1): Fraction(-3, 2)})
+    assert theta(halves).terms == {(3,): Fraction(5, 6), (2, 1): Fraction(-3, 2)}
+    assert theta(FormalSum("F", 3, {(1, 2): 1, (3,): Fraction(1, 2)})).terms == {(3,): Fraction(3, 2)}
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -265,9 +284,6 @@ def test_evaluate_truncated_additive():
 
 
 def peak_sum_of_family(kind, shape):
-    from diagmod.clifford import peak_characteristic
-    from diagmod.families import build_family
-
     return peak_characteristic(build_family(kind, shape))
 
 
@@ -294,6 +310,106 @@ def test_term_records_round_trip():
     assert from_term_records(to_term_records(f)) == f
     z = FormalSum.zero("F", 5)
     assert from_term_records(to_term_records(z)) == z
+
+
+@pytest.mark.parametrize("numerator, denominator", [
+    (1, 0), (0, 0), (1, 0.0), (1.5, 2), (1, 2.0), (True, 2), (1, False), ("1", 2), (1, None),
+])
+def test_term_records_need_integers_and_a_nonzero_denominator(numerator, denominator):
+    record = {"basis": "F", "parts": [2, 1], "numerator": numerator, "denominator": denominator}
+    with pytest.raises(DomainError, match="is not an integer over a nonzero integer"):
+        from_term_records([record])
+
+
+def test_term_records_read_integers_of_any_type():
+    records = [{"basis": "F", "parts": [2, 1], "numerator": np.int64(3), "denominator": np.uint8(6)},
+               {"basis": "F", "parts": [3], "numerator": 2, "denominator": -4}]
+    assert from_term_records(records) == FormalSum("F", 3, {(2, 1): Fraction(1, 2), (3,): Fraction(-1, 2)})
+
+
+@st.composite
+def _fundamental_sums(draw):
+    """A fundamental-basis sum of degree 0..7 whose indices are written with
+    exact ints, numpy ints or bools, some as a tuple subclass, with zero,
+    negative and fractional coefficients, or with integral ones only."""
+    n = draw(st.integers(0, 7))
+    comps = list(enumerate_compositions(n))
+    values = (0, 1, -1, 2, -3, Fraction(0), Fraction(4, 2))
+    if draw(st.booleans()):
+        values += (Fraction(1, 2), Fraction(-2, 3), Fraction(5, 6))
+    terms = {}
+    for alpha in draw(st.lists(st.sampled_from(comps), max_size=12)):
+        forms = [draw(st.sampled_from(INT_FORMS + (bool,) if p == 1 else INT_FORMS)) for p in alpha]
+        index = tuple(form(p) for form, p in zip(forms, alpha))
+        if draw(st.booleans()):
+            index = Parts(index)
+        terms[index] = draw(st.sampled_from(values))
+    return n, terms
+
+
+@settings(max_examples=400, deadline=None)
+@given(_fundamental_sums())
+def test_theta_matches_the_fraction_theta(inputs):
+    """theta keeps exactly the terms, in the same order, of peak indices
+    from the set statistics and like terms summed as Fractions; its
+    coefficients are Fractions and its indices the cached tuples."""
+    n, terms = inputs
+    f = _outcome(lambda: FormalSum("F", n, terms))
+    if not isinstance(f, FormalSum):
+        assert f == _outcome(lambda: oracle.rechecked_terms("F", n, terms))
+        return
+    got, expected = theta(f), oracle.fraction_theta(f)
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert all(type(c) is Fraction for c in got.terms.values())
+    for alpha in got.terms if n else ():
+        assert mask_composition(sum(1 << (s - 1) for s in descent_set(alpha)), n) is alpha
+
+
+def every_small_family():
+    """Every (kind, shape, sigma) with n <= 6, sigma over the non-identity
+    row permutations of the permuted-variant kinds."""
+    for kind in FamilyKind:
+        for n in range(1, 7):
+            for shape in shapes_for(kind, n):
+                yield build_family(kind, shape)
+                if kind in SIGMA_KINDS:
+                    for sigma in itertools.permutations(range(1, len(shape) + 1)):
+                        if sigma != tuple(range(1, len(shape) + 1)):
+                            yield build_family(kind, shape, sigma)
+
+
+LARGE_FAMILIES = [
+    ("syt", (5, 4, 3, 1)), ("rib", (3, 4, 4)), ("sit", (4, 4, 4)), ("srit", (4, 4, 3)),
+    ("syt", (4, 3, 2)), ("spct", (3, 3, 3)),
+]
+
+
+def assert_characteristics_match_the_set_route(fam):
+    """Both characteristics equal their sums through comp_n and peak_set,
+    theta of the fundamental one equals the Fraction theta and the peak one,
+    and theta names each peak index by the tuple the peak one uses."""
+    fundamental, peak = qsym_characteristic(fam), peak_characteristic(fam)
+    assert (fundamental, peak) == oracle.set_characteristics(fam)
+    image = theta(fundamental)
+    assert image.terms == oracle.fraction_theta(fundamental).terms
+    assert image == peak
+    used = {alpha: alpha for alpha in peak.terms}
+    assert all(used[alpha] is alpha for alpha in image.terms)
+
+
+def test_characteristics_match_the_set_route_on_every_small_family():
+    checked = 0
+    for fam in every_small_family():
+        assert_characteristics_match_the_set_route(fam)
+        checked += 1
+    assert checked > 1000
+
+
+@pytest.mark.parametrize(
+    "kind, shape", LARGE_FAMILIES, ids=[f"{kind}-{format_composition(shape)}" for kind, shape in LARGE_FAMILIES]
+)
+def test_characteristics_match_the_set_route_on_large_families(kind, shape):
+    assert_characteristics_match_the_set_route(build_family(kind, shape))
 
 
 def test_degree_zero_is_representable():
