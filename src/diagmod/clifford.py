@@ -10,23 +10,19 @@ Each 0-Hecke generator acts blockwise per tableau: descent and attacking
 blocks stay on the tableau, nonattacking blocks add terms on the swapped
 tableau.
 
-A family supermodule is thus its word graph (whether i is a descent of
-each tableau, and the swap target) tensored with fixed 2^n blocks that
-depend only on n, i and the case.  It stores only its family and reads the
-graph from the family's word set; the relation and quotient checks read one
-table per n of what the blocks decide.  A 0-Hecke relation acts on each
-tableau's marked copies through the paths of its two sides in the graph,
-so its verdict there depends only on the tableau's local code, one digit
-per path-tree node (:func:`_local_codes`).  Each verdict is decided once
-per n, relation class and code from the blocks (:func:`_code_verdict`);
-relations that are shifts of each other form a class where a certificate
-shows that each pi_{i+1} block is pi_i's conjugated by the rotation of the
-mask bits (:func:`_rotation_certificate`).  Every block has at most two
-signed entries per column, so it is a stack of signed partial maps in the
-sink-column encoding of the module's generators (see
-:func:`~diagmod.hecke.sink_maps` and :func:`~diagmod.hecke.compose_maps`): a
-product is a gather, a sum is a stack, and equality is decided on the
-canonical integer entries.
+A family supermodule is thus its word graph tensored with fixed 2^n blocks
+that depend only on n, i and the case.  It stores only its family and reads
+the graph from the word set; the relation, quotient and reachability
+checks read one table per n of what the blocks decide
+(:func:`_supermodule_table`).  A 0-Hecke relation's verdict on a tableau's
+marked copies depends only on its local code, one digit per path-tree node
+(:func:`_local_codes`), and is decided once per n, relation class and code
+(:func:`_code_verdict`); shifted relations share a class where the rotation
+certificate joins them (:func:`_rotation_certificate`).  Reachability is
+the module's walk with every mark, where the table certifies it
+(:func:`_reached`).  Every block is a stack of signed partial maps in the
+modules' sink-column encoding (:mod:`diagmod.hecke`): a product is a
+gather, a sum is a stack, and equality is decided on canonical entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -48,15 +44,25 @@ from .compositions import (
     descent_set,
     mask_composition,
 )
-from .errors import DomainError, IncompatibleFamilyError, integer
-from .hecke import RelationReport, compose_maps, relation_table, sink_maps, support_walk
+from .errors import DomainError, TheoremMismatch, integer
+from .hecke import (
+    PI,
+    HeckeModuleRep,
+    RelationReport,
+    build_hecke_module,
+    canonical_entries,
+    compose_maps,
+    relation_table,
+    row_major,
+    sink_maps,
+    support_walk,
+)
 from .series import PEAK, FormalSum
 from .tableaux import (
     StandardTableau,
     TableauFamily,
     Tableaux,
     WordSet,
-    is_ascent_compatible,
     render_tableau,
     word_set_memo,
 )
@@ -111,27 +117,8 @@ def _scaled(op, c: int):
     return targets, signs * c
 
 
-def _canonical(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nonzero entries of a stack as int64 arrays ``(rows, cols,
-    values)``, duplicates summed, sorted by column, then row; two stacks are
-    the same operator iff their canonical entries are equal."""
-    targets, signs = op
-    width = targets.shape[1]
-    keys = (np.arange(width, dtype=np.int64) * width + targets).ravel()
-    values = signs.astype(np.int64).ravel()
-    live = values != 0
-    keys, values = keys[live], values[live]
-    order = np.argsort(keys, kind="stable")
-    keys, values = keys[order], values[order]
-    if keys.size:
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        keys, values = keys[starts], np.add.reduceat(values, starts)
-        keys, values = keys[values != 0], values[values != 0]
-    return keys % width, keys // width, values
-
-
 def _is_zero(op) -> bool:
-    return _canonical(op)[2].size == 0
+    return canonical_entries(op)[2].size == 0
 
 
 def _equal(a, b, sign: int = 1) -> bool:
@@ -187,18 +174,10 @@ def _mark_blocks(n: int, j: int):
     return _map(masks ^ bit, signs)
 
 
-def _row_major(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Concatenated ``(rows, cols, values)`` parts sorted by row, then
-    column."""
-    rows, cols, values = (np.concatenate(field) for field in zip(*parts))
-    order = np.lexsort((cols, rows))
-    return rows[order], cols[order], values[order]
-
-
 def _placed(block, n: int, rows_at: np.ndarray, cols_at: np.ndarray):
     """``(rows, cols, values)`` of a 2^n block placed at each pair of row
     and column tableaux."""
-    rows, cols, values = _canonical(block)
+    rows, cols, values = canonical_entries(block)
     return (
         (rows + (rows_at[:, None] << n)).ravel(),
         (cols + (cols_at[:, None] << n)).ravel(),
@@ -256,10 +235,10 @@ class CliffordModuleRep:
                 _placed(blocks[ATTACK], n, at[1], at[1]),
                 _placed(blocks[SWAP], n, swap[at[2]], at[2]),
             ]
-            out.append(("pi", i, *_row_major(parts)))
+            out.append(("pi", i, *row_major(parts)))
         every = np.arange(len(self.basis_tableaux))
         for j in range(1, n + 1):
-            out.append(("c", j, *_row_major([_placed(_mark_blocks(n, j), n, every, every)])))
+            out.append(("c", j, *row_major([_placed(_mark_blocks(n, j), n, every, every)])))
         return out
 
     def index_of(self, element: MarkedTableau) -> int:
@@ -275,14 +254,10 @@ class CliffordModuleRep:
 
 
 def build_clifford_module(family: TableauFamily, force: bool = False) -> CliffordModuleRep:
-    """Induce the supermodule on marked tableaux from the family's action."""
-    if not family.members:
-        raise DomainError(f"family {family.family_tag} is empty")
-    if not force:
-        compat = is_ascent_compatible(family)
-        if not compat.ok:
-            raise IncompatibleFamilyError("ascent", compat.witness)
-    return CliffordModuleRep(family)
+    """Induce the supermodule on marked tableaux from the family's action,
+    behind the pi module's checks: the family is nonempty and, unless
+    ``force``, ascent-compatible."""
+    return CliffordModuleRep(build_hecke_module(family, PI, force).family)
 
 
 @dataclass(frozen=True)
@@ -307,7 +282,7 @@ class MAlphaRep:
         """``("pi", i, rows, cols, values)`` of each pi_i, then ``("c", j,
         ...)`` of each c_j, sorted by row, then column."""
         return [
-            (label, k, *_row_major([_canonical(op)]))
+            (label, k, *row_major([canonical_entries(op)]))
             for label, ops in (("pi", self.pi), ("c", self.c))
             for k, op in enumerate(ops, start=1)
         ]
@@ -377,7 +352,7 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     """Whether every nonzero entry of a 2^n block maps masks of one parity
     to the same parity (``flips`` False) or to the other (``flips`` True)."""
     par = _popcounts(n) & 1
-    rows, cols, _ = _canonical(block)
+    rows, cols, _ = canonical_entries(block)
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
@@ -518,13 +493,16 @@ class SupermoduleTable(NamedTuple):
     (:func:`_relation_classes`).  ``quotients[i - 1][descent]`` is whether
     the diagonal block of pi_i on a tableau with or without a descent at i
     is the reference module's pi_i, and ``marks`` whether the mark blocks
-    are its c_j.
+    are its c_j.  ``reach`` is ``marks`` and no SWAP block column zero: the
+    reference c_j, each toggling one mark with a sign, then join all masks,
+    and a swap from any mask lands on the swapped tableau (:func:`_reached`).
     """
 
     suite: tuple[tuple[str, object], ...]
     classes: np.ndarray
     quotients: tuple[tuple[bool, bool], ...]
     marks: bool
+    reach: bool
 
 
 @lru_cache(maxsize=None)
@@ -573,7 +551,8 @@ def _supermodule_table(n: int) -> SupermoduleTable:
         for i, blocks in enumerate(pis, 1)
     )
     marks = all(_equal(c, target) for c, target in zip(cs, _reference_marks(n)[0]))
-    return SupermoduleTable(tuple(suite), _relation_classes(n, relations), quotients, marks)
+    swaps = all(np.isin(np.arange(1 << n), canonical_entries(blocks[SWAP])[1]).all() for blocks in pis)
+    return SupermoduleTable(tuple(suite), _relation_classes(n, relations), quotients, marks, marks and swaps)
 
 
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
@@ -681,18 +660,25 @@ def _word_set_quotients(words: WordSet) -> np.ndarray:
     return verdicts
 
 
-def _seed_walk(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:
-    """The support walk from a marked tableau, or from a tableau unmarked."""
+def _reached(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:
+    """The basis tableaux with marked copies in the closure of the seed, a
+    marked tableau or a tableau unmarked: the pi module's walk from its
+    tableau, as only SWAP blocks leave a tableau, where pi_i swaps.  Where
+    the ``reach`` certificate holds, the closure holds all their copies."""
     if isinstance(seed, StandardTableau):
         seed = MarkedTableau(seed, frozenset())
-    return support_walk(rep, rep.index_of(seed))
+    start = rep.index_of(seed) >> rep.n
+    if not _supermodule_table(rep.n).reach:
+        raise TheoremMismatch(f"the mark and swap blocks of size {rep.n} do not certify reachability")
+    return support_walk(HeckeModuleRep(rep.family, PI), start)
 
 
 def clifford_reachability(rep: CliffordModuleRep, seed) -> frozenset[MarkedTableau]:
     """Closure of the seed under the supports of all generator images."""
-    return frozenset(map(rep.basis_element, _seed_walk(rep, seed)))
+    n = rep.n
+    return frozenset(rep.basis_element((t << n) + m) for t in _reached(rep, seed) for m in range(1 << n))
 
 
 def is_tableau_cyclic(rep: CliffordModuleRep, seed) -> bool:
     """True iff the closure of the (unmarked) seed is the whole basis."""
-    return len(_seed_walk(rep, seed)) == rep.dim
+    return len(_reached(rep, seed)) == len(rep.basis_tableaux)

@@ -25,6 +25,10 @@ class IncompatibleFamilyError(DomainError):
         )
 
 
+class TheoremMismatch(AssertionError):
+    """An identity the package is supposed to reproduce failed exactly."""
+
+
 def integer(value, message: str, low: int = 1, high: float = float("inf")) -> int:
     """``operator.index(value)`` as a Python int if it lies in low..high;
     any other value, a bool included, raises DomainError(message)."""

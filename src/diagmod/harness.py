@@ -34,7 +34,7 @@ from .compositions import (
     is_peak_composition,
     is_strict_partition,
 )
-from .errors import DomainError, integer
+from .errors import DomainError, TheoremMismatch, integer
 from .families import (
     FamilyKind,
     NATIVE_CONVENTION,
@@ -56,10 +56,6 @@ from .series import theta
 from .tableaux import StandardTableau, TableauFamily, inversions, swap_values, word_descents
 
 
-class TheoremMismatch(AssertionError):
-    """An identity the package is supposed to reproduce failed exactly."""
-
-
 # ---------------------------------------------------------------------------
 # permutations and the left weak order
 
@@ -68,6 +64,8 @@ Perm = tuple[int, ...]
 
 def check_perm(word: Iterable[int]) -> Perm:
     g = tuple(word)
+    if set(map(type, g)) - {int}:  # exact ints pass as they are
+        g = tuple(integer(v, f"{g} is not a permutation of 1..{len(g)}") for v in g)
     if sorted(g) != list(range(1, len(g) + 1)):
         raise DomainError(f"{g} is not a permutation of 1..{len(g)}")
     return g

@@ -14,8 +14,10 @@ and each generator matrix is triangular with diagonal entries in {-1, 0}
 minus one basis element or to zero, so it is stored as a signed partial map
 read off the family's word set, in the sink-column encoding that the
 supermodule blocks share (see :func:`sink_maps`).  A product of such maps is
-a gather, :func:`compose_maps`.  Reachability in either module is one
-breadth-first walk over its generators' entries, :func:`support_walk`.
+a gather, :func:`compose_maps`, and a stack of them lists its entries one
+way, :func:`canonical_entries`.  Reachability is one breadth-first walk
+along the module's maps, :func:`support_walk`, which the supermodule's
+closure reads as well.
 """
 
 from __future__ import annotations
@@ -70,13 +72,10 @@ class HeckeModuleRep:
         """``(convention, i, rows, cols, values)`` of each generator matrix,
         entry (r, c) being the coefficient of basis element r in the image of
         c, sorted by row, then column."""
-        out = []
-        for i, (target, sign) in enumerate(zip(self.targets, self.signs), start=1):
-            cols = np.flatnonzero(sign)
-            order = np.lexsort((cols, target[cols]))
-            cols = cols[order]
-            out.append((self.convention, i, target[cols], cols, sign[cols]))
-        return out
+        return [
+            (self.convention, i, *row_major([canonical_entries((target[None], sign[None]))]))
+            for i, (target, sign) in enumerate(zip(self.targets, self.signs), start=1)
+        ]
 
     @property
     def dim(self) -> int:
@@ -104,9 +103,7 @@ def sink_maps(targets: np.ndarray, signs: np.ndarray) -> tuple[np.ndarray, np.nd
     return sunk_targets, sunk_signs
 
 
-def build_hecke_module(
-    family: TableauFamily, convention: str = PI, force: bool = False
-) -> HeckeModuleRep:
+def build_hecke_module(family: TableauFamily, convention: str = PI, force: bool = False) -> HeckeModuleRep:
     """The module of a family in the given convention.
 
     The compatibility gate rejects families on which the action is not
@@ -192,6 +189,32 @@ def compose_maps(outer, inner) -> tuple[np.ndarray, np.ndarray]:
     width = inner_t.shape[1]
     targets = outer_t.take(inner_t, axis=1).reshape(-1, width)
     return targets, (outer_s.take(inner_t, axis=1) * inner_s).reshape(-1, width)
+
+
+def canonical_entries(op) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nonzero entries of a stack as int64 arrays ``(rows, cols,
+    values)``, duplicates summed, sorted by column, then row; two stacks are
+    the same operator iff their canonical entries are equal."""
+    targets, signs = op
+    width = targets.shape[1]
+    keys = (np.arange(width, dtype=np.int64) * width + targets).ravel()
+    values = signs.astype(np.int64).ravel()
+    live = values != 0
+    keys, values = keys[live], values[live]
+    order = np.argsort(keys, kind="stable")
+    keys, values = keys[order], values[order]
+    if keys.size:
+        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        keys, values = keys[starts], np.add.reduceat(values, starts)
+        keys, values = keys[values != 0], values[values != 0]
+    return keys % width, keys // width, values
+
+
+def row_major(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Concatenated ``(rows, cols, values)`` parts sorted by row, then column."""
+    rows, cols, values = (np.concatenate(field) for field in zip(*parts))
+    order = np.lexsort((cols, rows))
+    return rows[order], cols[order], values[order]
 
 
 class RelationTable(NamedTuple):
@@ -295,43 +318,32 @@ def qsym_characteristic(obj) -> FormalSum:
     return FormalSum(FUNDAMENTAL, n, terms)
 
 
-def support_walk(rep, start: int) -> dict[int, tuple[int, ...]]:
-    """Breadth-first walk from basis index ``start`` along the nonzero
-    entries of a module's or supermodule's generators.
+def support_walk(rep: HeckeModuleRep, start: int) -> dict[int, tuple[int, ...]]:
+    """Breadth-first walk from basis index ``start`` along the module's maps.
 
     Returns, for each basis index reached, one word (p_1, ..., p_r) of
-    positions in ``rep.generator_triples()``, applied right to left, whose
-    product has the index in the support of its image of ``start``.  Words
-    carry no minimality promise.
+    0-based generator positions, applied right to left, whose product has
+    the index in the support of its image of ``start``.  Words carry no
+    minimality promise.
     """
     start = integer(start, f"basis index {start!r} is not an integer in 0..{rep.dim - 1}", 0, rep.dim - 1)
-    # out-edges per column: generator position, then row, in triple order
-    edges: list[list[tuple[int, int]]] = [[] for _ in range(rep.dim)]
-    for p, (_, _, rows, cols, _) in enumerate(rep.generator_triples()):
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            edges[c].append((p, r))
-    words: dict[int, tuple[int, ...]] = {start: ()}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for p, r in edges[c]:
-                if r not in words:
-                    words[r] = (p,) + words[c]
-                    nxt.append(r)
-        frontier = nxt
+    maps = list(enumerate(zip(rep.targets.tolist(), rep.signs.tolist())))
+    words, queue = {start: ()}, [start]
+    for c in queue:  # the queue grows as the walk reaches new indices
+        for p, (targets, signs) in maps:
+            r = targets[c]
+            if signs[c] and r not in words:
+                words[r] = (p,) + words[c]
+                queue.append(r)
     return words
 
 
 def reachability_closure(rep: HeckeModuleRep, seed: StandardTableau) -> frozenset[StandardTableau]:
-    """All basis tableaux in the support of any generator word applied to the
-    seed."""
+    """All basis tableaux in the support of a generator word applied to the seed."""
     return frozenset(generating_words(rep, seed))
 
 
-def generating_words(
-    rep: HeckeModuleRep, seed: StandardTableau
-) -> dict[StandardTableau, tuple[int, ...]]:
+def generating_words(rep: HeckeModuleRep, seed: StandardTableau) -> dict[StandardTableau, tuple[int, ...]]:
     """For each reachable tableau, one generator word taking the seed to it.
 
     The word (i_1, ..., i_r) applies the generators right to left, so the

@@ -31,7 +31,7 @@ from typing import Iterator, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer
 
 Box = tuple[int, int]  # (column, row)
 _row_major = itemgetter(1, 0)  # sort key: row, then column
@@ -74,15 +74,16 @@ class Diagram:
 class StandardTableau:
     """A bijective filling of a diagram with 1..n.
 
-    ``entries[i]`` is the entry of ``diagram.boxes[i]``.
+    ``entries[i]`` is the entry of ``diagram.boxes[i]``, a Python int.
     """
 
     diagram: Diagram
     entries: tuple[int, ...]
 
     def __post_init__(self):
-        entries = tuple(self.entries)
-        n = self.diagram.n
+        entries, n = tuple(self.entries), self.diagram.n
+        if set(map(type, entries)) - {int}:  # exact ints pass as they are
+            entries = tuple(integer(e, f"entries {entries} are not integers in 1..{n}", 1, n) for e in entries)
         if sorted(entries) != list(range(1, n + 1)):
             raise DomainError(f"entries {entries} are not a bijection onto 1..{n}")
         object.__setattr__(self, "entries", entries)
@@ -140,8 +141,7 @@ def swap_values(seq: Sequence[int], i: int) -> tuple[int, ...]:
 def swap_entries(tab: StandardTableau, i: int) -> StandardTableau:
     """Exchange the entries i and i+1."""
     n = tab.diagram.n
-    if not 1 <= i <= n - 1:
-        raise DomainError(f"swap index {i} out of range for n={n}")
+    i = integer(i, f"swap index {i!r} out of range for n={n}", 1, n - 1)
     return StandardTableau(tab.diagram, swap_values(tab.entries, i))
 
 
@@ -467,8 +467,7 @@ def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> Asce
     """
     if tab not in family:
         raise DomainError("tableau is not a member of the family")
-    if not 1 <= i <= tab.diagram.n - 1:
-        raise DomainError(f"index {i} out of range")
+    i = integer(i, f"index {i!r} out of range", 1, tab.diagram.n - 1)
     if i in descent_set_tab(tab):
         return AscentClass.DESCENT
     if swap_entries(tab, i) in family:
@@ -478,6 +477,7 @@ def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> Asce
 
 def ascent_positions(tab: StandardTableau, i: int) -> tuple[int, int]:
     """1-based reading positions (r, s) of i and i+1 for an ascent i."""
+    i = integer(i, f"index {i!r} out of range", 1, tab.diagram.n - 1)
     if i in descent_set_tab(tab):
         raise DomainError(f"{i} is a descent, not an ascent")
     word = tab.reading_word

@@ -22,7 +22,7 @@ from diagmod.compositions import (
     enumerate_compositions,
     enumerate_peak_compositions,
 )
-from diagmod.errors import DomainError, IncompatibleFamilyError
+from diagmod.errors import DomainError, IncompatibleFamilyError, TheoremMismatch
 from diagmod.families import (
     build_family,
     demo_compatible_family,
@@ -33,6 +33,7 @@ from diagmod.harness import check_family, words_family
 from diagmod.series import FormalSum, theta
 from diagmod.hecke import (
     build_hecke_module,
+    canonical_entries,
     compose_maps,
     qsym_characteristic,
     reachability_closure,
@@ -285,7 +286,7 @@ def _scipy_block(block):
 
 
 def _canonical_triples(op):
-    rows, cols, values = clifford._canonical(op)
+    rows, cols, values = canonical_entries(op)
     assert all(a.dtype == np.int64 for a in (rows, cols, values))
     return sorted(zip(rows.tolist(), cols.tolist(), values.tolist()))
 
@@ -389,18 +390,22 @@ def _corrupted(block, col, row=None):
     return targets, signs
 
 
+def clear_clifford_caches():
+    """Empty the cache of every function defined in the clifford module; the
+    functions it imports, such as ``compositions.mask_composition``, keep
+    theirs."""
+    for value in vars(clifford).values():
+        if getattr(value, "__module__", None) == clifford.__name__ and hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
 @pytest.fixture
 def fresh_block_caches():
-    """Empty every cache in the clifford module before and after the test,
-    so blocks built from patched mask arrays do not leak."""
-    def clear():
-        for value in vars(clifford).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-    clear()
+    """Empty the clifford module's caches before and after the test, so
+    blocks built from patched mask arrays do not leak."""
+    clear_clifford_caches()
     yield
-    clear()
+    clear_clifford_caches()
 
 
 # (generator set, key, column, new row or None for a sign flip, a violation
@@ -496,10 +501,52 @@ def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fre
 
     monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
     assert verify_clifford_relations(rep).ok
-    for value in vars(clifford).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+    clear_clifford_caches()
     assert expected in verify_clifford_relations(rep).violations
+
+
+def test_reachability_certificate_holds_for_every_small_n():
+    """Every mark block is the reference c_j and no SWAP column is zero."""
+    assert all(clifford._supermodule_table(n).reach for n in range(1, 8))
+
+
+@pytest.mark.parametrize("fault", ["swap column", "mark sign"])
+def test_reachability_raises_without_its_certificate(fault, monkeypatch, fresh_block_caches):
+    """Reachability answers only under the table's certificate: a zero
+    column in one SWAP block of size 3, or a mark block that is not the
+    reference c_j, makes both reachability functions raise on every family
+    of that size, however the family uses the block."""
+    rep = build_clifford_module(demo_compatible_family())
+    seed = rep.basis_tableaux[-1]  # 123, which swaps to 213 and 132
+    assert is_tableau_cyclic(rep, seed) and len(clifford_reachability(rep, seed)) == rep.dim
+    if fault == "swap column":
+        original = clifford._hecke_mask_blocks
+
+        def patched(m, g):
+            blocks = original(m, g)
+            if (m, g) != (3, 2):
+                return blocks
+            targets, signs = (a.copy() for a in blocks[clifford.SWAP])
+            targets[:, 5], signs[:, 5] = 1 << m, 0  # column 5 sent to the sink
+            return {**blocks, clifford.SWAP: (targets, signs)}
+
+        monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    else:
+        original = clifford._mark_blocks
+
+        def patched(m, j):
+            block = original(m, j)
+            return _corrupted(block, 0) if (m, j) == (3, 2) else block
+
+        monkeypatch.setattr(clifford, "_mark_blocks", patched)
+    clear_clifford_caches()
+    assert not clifford._supermodule_table(3).reach
+    assert clifford._supermodule_table(3).marks is (fault == "swap column")
+    for tab in rep.basis_tableaux:
+        with pytest.raises(TheoremMismatch, match="do not certify reachability"):
+            clifford_reachability(rep, tab)
+        with pytest.raises(TheoremMismatch, match="do not certify reachability"):
+            is_tableau_cyclic(rep, mt(tab, 1))
 
 
 def test_basis_element_reads_only_basis_indices():

@@ -258,6 +258,22 @@ def test_reachability_respects_column_orders():
     assert t1 not in reachability_closure(rep, t2)
 
 
+def test_swaps_are_triangular_on_every_family_up_to_6():
+    """The filtration exists on every nonempty family with n <= 6, sigmas
+    included: in each distinct word set, a swap target at an ascent is an
+    earlier basis index and one at a descent a later one."""
+    word_sets = set()
+    for inst in family_instances(6, sigmas=True):
+        fam = build_family(*inst)
+        if fam.members:
+            word_sets.add(fam.word_set)
+    assert len(word_sets) == 529
+    for words in word_sets:
+        t = np.arange(words.target.shape[1])
+        ordered = np.where(words.descent, words.target > t, words.target < t)
+        assert ordered[words.target >= 0].all()
+
+
 def test_generating_words():
     from diagmod.families import source_tableau
 

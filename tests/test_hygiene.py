@@ -10,8 +10,9 @@ module-level names out of the library, untested oracles out of
 library, strong caches of word sets, families and reps out of the
 library, hand-kept relation counts out of the library's reports, and
 state that could disagree with a rep's family and convention out of its
-fields, and the peak characteristic's bit rule out of ``diagmod.series``,
-whose theta finds peaks by its own rule.
+fields, the peak characteristic's bit rule out of ``diagmod.series``,
+whose theta finds peaks by its own rule, and reads of ``generator_triples``
+out of every library file but the CLI's.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -289,3 +290,21 @@ def test_theta_keeps_its_own_peak_rule():
     series = ROOT / "src" / "diagmod" / "series.py"
     assert not peak_bit_rule_uses(series), "\n".join(peak_bit_rule_uses(series))
     assert peak_bit_rule_uses(ROOT / "src" / "diagmod" / "clifford.py"), "the scan no longer finds the bit rule"
+
+
+def generator_triples_reads(path: Path) -> list[str]:
+    """``file:line`` for every read of the attribute ``generator_triples``."""
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Attribute) and node.attr == "generator_triples"
+    ]
+
+
+def test_only_the_cli_lists_operator_entries():
+    """Library walks and checks read signed partial maps and 2^n blocks; the
+    operator entries, |F| 2^n columns of them in a supermodule, are listed
+    only for ``dump-matrices``."""
+    found = [entry for path in LIBRARY if path.name != "cli.py" for entry in generator_triples_reads(path)]
+    assert not found, "generator_triples read outside the CLI:\n" + "\n".join(found)
+    assert generator_triples_reads(ROOT / "src" / "diagmod" / "cli.py"), "the scan no longer finds the dump"

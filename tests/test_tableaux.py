@@ -9,7 +9,7 @@ from conftest import forced_word_set_families, member_by_word, square_families
 from diagmod import tableaux
 from diagmod.errors import DomainError
 from diagmod.families import build_family, family_instances, single_row_diagram
-from diagmod.harness import all_intervals, words_family
+from diagmod.harness import all_intervals, check_perm, words_family
 from diagmod.tableaux import (
     AscentClass,
     Diagram,
@@ -90,6 +90,42 @@ def test_ascent_positions_identity_reading():
     t = StandardTableau(d, (1, 2, 3))
     for i in (1, 2):
         assert ascent_positions(t, i) == (i, i + 1)
+
+
+@pytest.mark.parametrize("bad", [1.0, True, np.float64(1), "1", None])
+def test_entries_and_permutation_letters_follow_the_integer_rule(bad):
+    """A tableau entry and a permutation letter is an integer: a bool, a
+    float or a string raises DomainError, and numpy ints are kept as Python
+    ints."""
+    d = single_row_diagram(2)
+    with pytest.raises(DomainError):
+        StandardTableau(d, (bad, 2))
+    with pytest.raises(DomainError):
+        check_perm((bad, 2))
+    with pytest.raises(DomainError):
+        words_family([(bad, 2)])
+    for word in ((np.int64(1), np.int8(2)), np.array([1, 2])):
+        assert [type(e) for e in StandardTableau(d, word).entries] == [int, int]
+        assert [type(e) for e in check_perm(word)] == [int, int]
+    assert words_family([(np.int64(2), np.int64(1))]).members[0].entries == (2, 1)
+
+
+def test_generator_indices_follow_the_integer_rule():
+    """i is an integer in 1..n-1 for ascent_positions, classify_ascent and
+    swap_entries: 0, n, -1, a bool and a float raise DomainError, and numpy
+    ints read as their value."""
+    fam = build_family("syt", (2, 1))
+    tab = next(t for t in fam if 1 not in descent_set_tab(t))
+    assert ascent_positions(tab, np.int64(1)) == ascent_positions(tab, 1)
+    assert swap_entries(tab, np.int64(1)) == swap_entries(tab, 1)
+    assert classify_ascent(tab, np.int64(1), fam) is classify_ascent(tab, 1, fam)
+    for bad in (0, 3, -1, True, 1.0, None):
+        with pytest.raises(DomainError, match="out of range"):
+            ascent_positions(tab, bad)
+        with pytest.raises(DomainError, match="out of range"):
+            classify_ascent(tab, bad, fam)
+        with pytest.raises(DomainError, match="out of range"):
+            swap_entries(tab, bad)
 
 
 def test_compatibility_witness(incompatible_family):
