@@ -12,7 +12,13 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .clifford import build_clifford_module, peak_characteristic
+from .clifford import (
+    _reach_certificate,
+    _rotation_certificate,
+    _supermodule_table,
+    build_clifford_module,
+    peak_characteristic,
+)
 from .compositions import format_subset, parse_composition
 from .errors import DomainError
 from .families import (
@@ -181,6 +187,22 @@ def _cmd_harness(args, out) -> int:
     return 1 if failed else 0
 
 
+def _cmd_certify(args, out) -> int:
+    if args.max_n < 1:
+        raise DomainError("--max-n must be at least 1")
+    failed = False
+    for n in range(1, args.max_n + 1):
+        verdicts = {
+            "reach": _reach_certificate(n),
+            "rotation": all(_rotation_certificate(n)),
+            "expansion": _supermodule_table(n).expansion,
+        }
+        row = " ".join(f"{name} {'pass' if ok else 'FAIL'}" for name, ok in verdicts.items())
+        print(f"n={n} {row}", file=out)
+        failed |= not all(verdicts.values())
+    return 1 if failed else 0
+
+
 def _cmd_dump_matrices(args, out) -> int:
     family = _family_from_args(args)
     kind = FamilyKind(args.family)
@@ -264,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, default=5)
     _add_format_arg(p)
     p.set_defaults(fn=_cmd_harness)
+
+    p = sub.add_parser("certify", help="check the per-n supermodule block certificates")
+    p.add_argument("--max-n", type=int, required=True)
+    p.set_defaults(fn=_cmd_certify)
 
     p = sub.add_parser("dump-matrices", help="triplet dump of the generator matrices")
     _add_family_args(p)

@@ -11,18 +11,19 @@ blocks stay on the tableau, nonattacking blocks add terms on the swapped
 tableau.
 
 A family supermodule is thus its word graph tensored with fixed 2^n blocks
-that depend only on n, i and the case.  It stores only its family and reads
-the graph from the word set; the relation, quotient and reachability
-checks read one table per n of what the blocks decide
-(:func:`_supermodule_table`).  A 0-Hecke relation's verdict on a tableau's
-marked copies depends only on its local code, one digit per path-tree node
-(:func:`_local_codes`), and is decided once per n, relation class and code
-(:func:`_code_verdict`); shifted relations share a class where the rotation
-certificate joins them (:func:`_rotation_certificate`).  Reachability is
-the module's walk with every mark, where the table certifies it
-(:func:`_reached`).  Every block is a stack of signed partial maps in the
-modules' sink-column encoding (:mod:`diagmod.hecke`): a product is a
-gather, a sum is a stack, and equality is decided on canonical entries.
+that depend only on n, i and the case: pi~_i = 1 (x) ATTACK + pi_i (x) SWAP,
+with pi_i the pi module's generator, the shape of the module induced from
+the 0-Hecke algebra.  It stores only its family and reads the graph from
+the word set.  The relation and quotient checks read one table per n of
+what the blocks decide (:func:`_supermodule_table`); the 0-Hecke relations
+are the pi module's, under a per-n certificate of that tensor form
+(:func:`_expansion_holds`), checked once per class of relations that the
+rotation certificate joins (:func:`_rotation_certificate`).  Reachability
+is the module's walk with every mark, under its own per-n certificate
+(:func:`_reach_certificate`).  Every block is a stack of signed partial
+maps in the modules' sink-column encoding (:mod:`diagmod.hecke`): a
+product is a gather, a sum is a stack, and equality is decided on
+canonical entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +51,7 @@ from .hecke import (
     PI,
     HeckeModuleRep,
     RelationReport,
+    _module_relations,
     build_hecke_module,
     canonical_entries,
     compose_maps,
@@ -356,84 +359,6 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
-# The digit that a node of a relation side's path tree adds to a local code:
-# no path reaches the node, or its generator has a descent at the node's
-# tableau, an ascent whose swap leaves the word set, or an ascent with a swap.
-ABSENT, DESCENDS, STAYS, SWAPS = range(4)
-# A side is a padded word of three factors: 1 + 2 + 4 nodes, two bits each.
-_SIDE_BITS = 14
-# Local codes are made for at most this many path-tree nodes at a time.
-_CODE_CELLS = 1 << 16
-
-
-def _local_codes(words: WordSet, swaps: np.ndarray, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The (r, m) local codes of r relations, their sides the rows of the
-    padded words ``lhs`` and ``rhs`` (see :func:`~diagmod.hecke.relation_table`),
-    at the m basis tableaux.
-
-    Both sides of every relation are walked together, level by level from
-    the rightmost factor: a node is a tableau, or the sentinel column m when
-    no path reaches it, and it has a stay child and a swap child.  A code
-    holds the left side's seven digits, then the right side's, each in
-    level order; the identity pad reads as absent and has one stay child.
-    Which paths end at the same tableau depends only on the word and the
-    code, since generators act freely on words by exchanging values.
-    """
-    k, m = words.descent.shape
-    digits = np.full((k + 1, m + 1), ABSENT, dtype=np.int64)
-    digits[:k, :m] = np.where(words.descent, DESCENDS, np.where(swaps >= 0, SWAPS, STAYS))
-    moves = np.full((k + 1, m + 1), m, dtype=np.int64)
-    moves[:k, :m] = np.where(swaps >= 0, swaps, m)
-    sides = np.concatenate((lhs, rhs)).T[::-1, :, None, None] * (m + 1)  # applied first, first
-    codes = []
-    step = max(1, _CODE_CELLS // (8 * len(lhs)))
-    for first in range(0, m, step):
-        nodes = np.arange(first, min(m, first + step))[None, None]
-        code = np.zeros((2 * len(lhs), nodes.size), dtype=np.int64)
-        for level, row in enumerate(sides):
-            at = row + nodes
-            for digit in digits.take(at).transpose(1, 0, 2):
-                code = code << 2 | digit
-            if level < 2:
-                nodes = np.concatenate(np.broadcast_arrays(nodes, moves.take(at)), axis=1)
-        codes.append(code[: len(lhs)] << _SIDE_BITS | code[len(lhs) :])
-    return np.concatenate(codes, axis=1)
-
-
-@lru_cache(maxsize=None)
-def _code_verdict(n: int, relation: tuple, code: int) -> bool:
-    """Whether the 0-Hecke relation (left word, right word, sign) holds on
-    the marked copies of a tableau with this local code (see
-    :func:`_local_codes`): whether, at every end of a path, the left paths'
-    block products sum to ``sign`` times the right paths' ones.  A path's
-    end is the product of its swaps, as a permutation of the values."""
-    lhs, rhs, sign = relation
-    ends: dict[tuple, tuple[list, list]] = {}
-    for side, word in enumerate((lhs, rhs)):
-        bits = code >> _SIDE_BITS if side == 0 else code
-        digits = [bits >> 2 * (6 - p) & 3 for p in range(7)]
-        paths = [(0, tuple(range(n)), ())]  # (node in its level, end, blocks leftmost first)
-        for level, g in enumerate(reversed((None,) * (3 - len(word)) + word)):
-            grown = []
-            for node, end, blocks in paths:
-                digit = digits[(1 << level) - 1 + node]
-                if g is None:
-                    grown.append((node, end, blocks))
-                    continue
-                cases = _hecke_mask_blocks(n, g + 1)
-                grown.append((node, end, (cases[DESCENT if digit == DESCENDS else ATTACK],) + blocks))
-                if digit == SWAPS:
-                    swapped = tuple(g + 1 if v == g else g if v == g + 1 else v for v in end)
-                    grown.append(((1 << level) + node, swapped, (cases[SWAP],) + blocks))
-            paths = grown
-        for _, end, blocks in paths:
-            ends.setdefault(end, ([], []))[side].append(reduce(compose_maps, blocks))
-    return all(
-        _is_zero(_stack(*left, *(_scaled(product, -sign) for product in right)))
-        for left, right in ends.values()
-    )
-
-
 @lru_cache(maxsize=None)
 def _rotation_certificate(n: int) -> tuple[bool, ...]:
     """For each i in 1..n-2, whether every case block of pi_{i+1} is pi_i's
@@ -441,8 +366,8 @@ def _rotation_certificate(n: int) -> tuple[bool, ...]:
 
     Conjugating by a permutation of the masks keeps every block product
     and sum, and whether a sum is zero.  So where the certificate holds
-    from generator g to g + s, a relation and its shift by s have the same
-    verdict at every local code.
+    from generator g to g + s, a relation and its shift by s expand alike
+    (:func:`_expansion_holds`).
     """
     size = 1 << n
     masks = np.arange(size, dtype=np.int64)
@@ -461,48 +386,85 @@ def _rotation_certificate(n: int) -> tuple[bool, ...]:
     )
 
 
-def _relation_classes(n: int, relations) -> np.ndarray:
-    """For each 0-Hecke relation (message, left word, right word, sign), the
-    index of the first relation of its class, read-only: the relations that
-    are shifts of each other through generators the rotation certificate
-    joins."""
+def _relation_classes(n: int, relations) -> list[tuple]:
+    """One 0-Hecke relation (message, left word, right word, sign) of each
+    class: the relations that are shifts of each other through generators
+    the rotation certificate joins."""
     run = [0]
     for g, joined in enumerate(_rotation_certificate(n), 1):
         run.append(run[-1] if joined else g)
-    first: dict[tuple, int] = {}
-    classes = []
-    for index, (_, lhs, rhs, sign) in enumerate(relations):
+    first: dict[tuple, tuple] = {}
+    for relation in relations:
+        _, lhs, rhs, sign = relation
         low = min(lhs + rhs)
         key = (tuple(g - low for g in lhs), tuple(g - low for g in rhs), sign, tuple(run[g] for g in lhs + rhs))
-        classes.append(first.setdefault(key, index))
-    classes = np.array(classes, dtype=np.int64)
-    classes.flags.writeable = False
-    return classes
+        first.setdefault(key, relation)
+    return list(first.values())
+
+
+def _expansion(n: int, word: tuple) -> dict[tuple, tuple]:
+    """The product of the pi~_g over a word of 0-based generators, leftmost
+    factor first, expanded over pi~_g = 1 (x) ATTACK + pi_g (x) SWAP: for
+    each monoid word of the module's pi_g, its block coefficient.  Adjacent
+    pi_g pi_g reduce to -pi_g, which holds in the pi module of every word
+    set, as an ascent's swap target has a descent there."""
+    blocks = [_hecke_mask_blocks(n, g + 1) for g in word]
+    terms: dict[tuple, list] = {}
+    for picks in product((ATTACK, SWAP), repeat=len(word)):
+        monoid, sign = (), 1
+        for g, pick in zip(word, picks):
+            if pick == SWAP and monoid[-1:] == (g,):
+                sign = -sign
+            elif pick == SWAP:
+                monoid += (g,)
+        block = reduce(compose_maps, (cases[pick] for cases, pick in zip(blocks, picks)))
+        terms.setdefault(monoid, []).append(_scaled(block, sign))
+    return {monoid: _stack(*ops) for monoid, ops in terms.items()}
+
+
+def _expansion_holds(n: int, lhs: tuple, rhs: tuple, sign: int) -> bool:
+    """Whether the supermodule relation left word = sign * right word fails
+    exactly where the pi module's does.
+
+    Both sides are expanded (:func:`_expansion`).  Every monoid word but the
+    two full words must have the same coefficient on both sides.  The full
+    words of a commutation or braid relation, which do not reduce, must have
+    one coefficient C != 0.  The supermodule's left minus right side is then
+    the module's tensored with C, zero exactly when the module's is.  A
+    quadratic relation's full left word reduces, so all its words agree and
+    it holds wherever the module's does, which is everywhere.
+    """
+    left, right = _expansion(n, lhs), _expansion(n, rhs)
+    if lhs in left and rhs in right:
+        full = left.pop(lhs)
+        if _is_zero(full) or not _equal(full, right.pop(rhs)):
+            return False
+    zero = _scaled(_identity(n), 0)
+    return all(_equal(left.get(w, zero), right.get(w, zero), sign) for w in left.keys() | right.keys())
 
 
 class SupermoduleTable(NamedTuple):
     """What the 2^n blocks decide for every family supermodule of size n.
 
     ``suite`` is the relation suite in report order, as (message, check)
-    pairs.  A check is a 0-Hecke relation (left word, right word, sign),
-    decided at each basis tableau's local code by :func:`_code_verdict`;
-    for a pi-c relation or pi parity, the frozenset of (i, case) pairs, a
-    block case of pi_i, under which it fails; or the verdict of a relation
-    among the c_j.  The 0-Hecke relations come first, and ``classes[r]`` is
-    the suite index of the relation whose verdicts relation r shares
+    pairs.  The 0-Hecke relations come first, their check the relation
+    (left word, right word, sign); where ``expansion`` holds, each fails
+    exactly where the pi module's does (:func:`_expansion_holds`).  For a
+    pi-c relation or pi parity, the check is the frozenset of (i, case)
+    pairs, a block case of pi_i, under which it fails; for a relation among
+    the c_j, its verdict.  ``expansion`` is that DESCENT = ATTACK - SWAP
+    for every pi_i, so pi~_i = 1 (x) ATTACK + pi_i (x) SWAP, and that one
+    relation of each rotation class expands as it should
     (:func:`_relation_classes`).  ``quotients[i - 1][descent]`` is whether
     the diagonal block of pi_i on a tableau with or without a descent at i
     is the reference module's pi_i, and ``marks`` whether the mark blocks
-    are its c_j.  ``reach`` is ``marks`` and no SWAP block column zero: the
-    reference c_j, each toggling one mark with a sign, then join all masks,
-    and a swap from any mask lands on the swapped tableau (:func:`_reached`).
+    are its c_j.
     """
 
     suite: tuple[tuple[str, object], ...]
-    classes: np.ndarray
+    expansion: bool
     quotients: tuple[tuple[bool, bool], ...]
     marks: bool
-    reach: bool
 
 
 @lru_cache(maxsize=None)
@@ -550,9 +512,14 @@ def _supermodule_table(n: int) -> SupermoduleTable:
         tuple(_equal(blocks[case], _reference_pi(n, i, case == DESCENT)) for case in (ATTACK, DESCENT))
         for i, blocks in enumerate(pis, 1)
     )
-    marks = all(_equal(c, target) for c, target in zip(cs, _reference_marks(n)[0]))
-    swaps = all(np.isin(np.arange(1 << n), canonical_entries(blocks[SWAP])[1]).all() for blocks in pis)
-    return SupermoduleTable(tuple(suite), _relation_classes(n, relations), quotients, marks, marks and swaps)
+    descents = all(_equal(b[DESCENT], _stack(b[ATTACK], _scaled(b[SWAP], -1))) for b in pis)
+    expansion = descents and all(_expansion_holds(n, *rel[1:]) for rel in _relation_classes(n, relations))
+    return SupermoduleTable(tuple(suite), expansion, quotients, _marks_are_reference(n))
+
+
+def _marks_are_reference(n: int) -> bool:
+    """Whether every mark block of size n is the reference module's c_j."""
+    return all(_equal(_mark_blocks(n, j), c) for j, c in enumerate(_reference_marks(n)[0], 1))
 
 
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
@@ -568,49 +535,25 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 
 @word_set_memo
 def _word_set_relations(words: WordSet) -> RelationReport:
-    """The supermodule relation report of a word set: the table of its size
-    read at its descents and swap targets.
-
-    Each 0-Hecke relation is decided once per local code of its class, and
-    the failing (class, code) keys are found among the relations' keys by
-    one membership test."""
-    n = words.n
-    table = _supermodule_table(n)
+    """The supermodule relation report of a word set: the pi module's
+    report, which the table's expansion certificate makes the 0-Hecke part,
+    then the table's other entries read at its descents and swap targets."""
+    table = _supermodule_table(words.n)
+    if not table.expansion:
+        raise TheoremMismatch(f"the blocks of size {words.n} do not certify the 0-Hecke relations")
+    module = _module_relations(words, PI)
     swaps = swap_targets(words)
     present = {
         (i, case)
         for case, flags in ((DESCENT, words.descent), (ATTACK, ~words.descent), (SWAP, swaps >= 0))
         for i in (np.flatnonzero(flags.any(axis=1)) + 1).tolist()
     }
-    relations = relation_table(n - 1)
-    broken = np.zeros(len(relations.relations), dtype=bool)
-    if relations.relations:
-        keys = _local_codes(words, swaps, relations.lhs, relations.rhs)
-        keys |= table.classes[:, None] << 2 * _SIDE_BITS
-        # The distinct keys are gathered in a set, a row at a time: a numpy
-        # sort would run code that adds up to 0.4 MB to the peak resident size.
-        distinct = set()
-        for row in keys:
-            distinct.update(row.tolist())
-        failing = []
-        for key in distinct:
-            index, code = divmod(key, 1 << 2 * _SIDE_BITS)
-            if not _code_verdict(n, table.suite[index][1], code):
-                failing.append(key)
-        if failing:
-            broken = np.isin(keys, failing).any(axis=1)
-
-    def holds(index: int, check) -> bool:
-        if isinstance(check, bool):
-            return check
-        if isinstance(check, frozenset):
-            return check.isdisjoint(present)
-        return not broken[index]
-
-    suite = table.suite
-    return RelationReport(
-        len(suite), tuple(message for index, (message, check) in enumerate(suite) if not holds(index, check))
+    fails = tuple(
+        message
+        for message, check in table.suite[module.checked :]
+        if not (check if isinstance(check, bool) else check.isdisjoint(present))
     )
+    return RelationReport(len(table.suite), module.violations + fails)
 
 
 def peak_characteristic(obj) -> FormalSum:
@@ -660,15 +603,25 @@ def _word_set_quotients(words: WordSet) -> np.ndarray:
     return verdicts
 
 
+@lru_cache(maxsize=None)
+def _reach_certificate(n: int) -> bool:
+    """Whether the mark blocks of size n are the reference c_j, each
+    toggling one mark with a sign, so they join all masks, and no SWAP block
+    has a zero column, so a swap from any mask lands on the swapped
+    tableau."""
+    swaps = (canonical_entries(_hecke_mask_blocks(n, i)[SWAP])[1] for i in range(1, n))
+    return _marks_are_reference(n) and all(np.isin(np.arange(1 << n), cols).all() for cols in swaps)
+
+
 def _reached(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:
     """The basis tableaux with marked copies in the closure of the seed, a
     marked tableau or a tableau unmarked: the pi module's walk from its
     tableau, as only SWAP blocks leave a tableau, where pi_i swaps.  Where
-    the ``reach`` certificate holds, the closure holds all their copies."""
+    :func:`_reach_certificate` holds, the closure holds all their copies."""
     if isinstance(seed, StandardTableau):
         seed = MarkedTableau(seed, frozenset())
     start = rep.index_of(seed) >> rep.n
-    if not _supermodule_table(rep.n).reach:
+    if not _reach_certificate(rep.n):
         raise TheoremMismatch(f"the mark and swap blocks of size {rep.n} do not certify reachability")
     return support_walk(HeckeModuleRep(rep.family, PI), start)
 

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from diagmod import clifford
 from diagmod.families import demo_compatible_family, demo_incompatible_family
 from diagmod.harness import words_family
 from diagmod.tableaux import StandardTableau, TableauFamily
@@ -68,3 +69,21 @@ def square_families():
         for size in range(1, len(SQUARE) + 1)
         for words in itertools.combinations(SQUARE, size)
     ]
+
+
+def clear_clifford_caches():
+    """Empty the cache of every function defined in the clifford module; the
+    functions it imports, such as ``compositions.mask_composition``, keep
+    theirs."""
+    for value in vars(clifford).values():
+        if getattr(value, "__module__", None) == clifford.__name__ and hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+@pytest.fixture
+def fresh_block_caches():
+    """Empty the clifford module's caches before and after the test, so
+    blocks built from patched mask arrays do not leak."""
+    clear_clifford_caches()
+    yield
+    clear_clifford_caches()

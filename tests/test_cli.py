@@ -5,6 +5,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from diagmod import clifford
 from diagmod.cli import main
 from diagmod.series import from_term_records
 from diagmod.tableaux import tableau_from_record
@@ -174,6 +175,38 @@ def test_harness_with_nothing_to_check_exits_two(argv, capsys):
     code, out = run_cli("harness", *argv)
     assert code == 2 and out == ""
     assert "max_n must be at least 1" in capsys.readouterr().err
+
+
+def test_certify_passes_to_n_8():
+    code, out = run_cli("certify", "--max-n", "8")
+    assert code == 0
+    assert out.splitlines() == [f"n={n} reach pass rotation pass expansion pass" for n in range(1, 9)]
+
+
+def test_certify_fails_under_a_swap_fault(monkeypatch, fresh_block_caches):
+    """One SWAP entry of pi_2 at n = 5 with its sign flipped breaks the
+    rotation and expansion certificates of n = 5 only."""
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        if (m, g) != (5, 2):
+            return blocks
+        targets, signs = (a.copy() for a in blocks[clifford.SWAP])
+        signs[0, 0] = -signs[0, 0]
+        return {**blocks, clifford.SWAP: (targets, signs)}
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    code, out = run_cli("certify", "--max-n", "6")
+    assert code == 1
+    assert [line for line in out.splitlines() if "FAIL" in line] == [
+        "n=5 reach pass rotation FAIL expansion FAIL"
+    ]
+
+
+def test_certify_needs_a_positive_bound(capsys):
+    assert run_cli("certify", "--max-n", "0") == (2, "")
+    assert "--max-n must be at least 1" in capsys.readouterr().err
 
 
 def test_domain_error_exit_two(capsys):

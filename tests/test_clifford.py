@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
-from conftest import forced_word_set_families, member_by_word, square_families
+from conftest import clear_clifford_caches, forced_word_set_families, member_by_word, square_families
 from diagmod import clifford
 from diagmod.clifford import (
     MarkedTableau,
@@ -38,6 +38,7 @@ from diagmod.hecke import (
     qsym_characteristic,
     reachability_closure,
     relation_table,
+    verify_hecke_relations,
 )
 from diagmod.tableaux import TableauFamily, descent_set_tab
 
@@ -256,6 +257,32 @@ def test_reachability_is_module_reachability_with_every_mark():
     assert seeds == 1631
 
 
+def test_reachability_matches_materialised_support_closure_from_n_5():
+    """The closure from a marked copy of the last basis tableau equals the
+    closure under the materialised generators' column supports, once per
+    word set of the nonempty families with n = 5, and of those with n = 6
+    and at most three members."""
+    word_sets = {}
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        fam = build_family(kind, shape, sigma)
+        if fam.n >= 5 and fam.members and (fam.n == 5 or len(fam) <= 3):
+            word_sets.setdefault(id(fam.word_set), fam)
+    for fam in word_sets.values():
+        rep = build_clifford_module(fam, force=True)
+        seed = mt(rep.basis_tableaux[-1], fam.n)
+        closure = {rep.index_of(m) for m in clifford_reachability(rep, seed)}
+        assert closure == oracle.materialised_reachability(rep, rep.index_of(seed)), fam.family_tag
+    assert len(word_sets) == 274
+
+
+def test_reachability_reads_no_supermodule_table(fresh_block_caches):
+    """The closure reads its own certificate, not the relation table."""
+    rep = build_clifford_module(build_family("spct", (5, 4, 1)))
+    assert is_tableau_cyclic(rep, rep.basis_tableaux[-1])
+    assert clifford._supermodule_table.cache_info().currsize == 0
+    assert clifford._reach_certificate.cache_info().currsize == 1
+
+
 def _blocks(n):
     """Random 2^n blocks as stacks of one or two layers: at most two signed
     entries per column, which may share a row and cancel."""
@@ -390,24 +417,6 @@ def _corrupted(block, col, row=None):
     return targets, signs
 
 
-def clear_clifford_caches():
-    """Empty the cache of every function defined in the clifford module; the
-    functions it imports, such as ``compositions.mask_composition``, keep
-    theirs."""
-    for value in vars(clifford).values():
-        if getattr(value, "__module__", None) == clifford.__name__ and hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
-@pytest.fixture
-def fresh_block_caches():
-    """Empty the clifford module's caches before and after the test, so
-    blocks built from patched mask arrays do not leak."""
-    clear_clifford_caches()
-    yield
-    clear_clifford_caches()
-
-
 # (generator set, key, column, new row or None for a sign flip, a violation
 # the fault must cause in the demo family, whether the quotient of its
 # tableau 213 still holds)
@@ -418,6 +427,23 @@ FAULTS = {
     "attack parity": ("pi", (3, 2, clifford.ATTACK), 4, 5, "pi[2] does not preserve parity", False),
     "mark parity": ("c", (3, 1), 0, 0, "c[1] does not flip parity", False),
 }
+
+
+def assert_reports_fault(rep, gens):
+    """Under a fault in the mark blocks, the report and quotient verdicts
+    equal the materialised ones.  Under a fault in a pi block, DESCENT is no
+    longer ATTACK - SWAP, so the expansion certificate fails and the report
+    raises, while the quotient verdicts still equal the materialised ones.
+    Returns the library's report, or the materialised one where it raises."""
+    if gens == "c":
+        return assert_matches_materialised(rep)
+    with pytest.raises(TheoremMismatch, match="do not certify the 0-Hecke relations"):
+        verify_clifford_relations(rep)
+    quotients = tuple(
+        filtration_quotient_check(rep, k) for k in range(1, len(rep.basis_tableaux) + 1)
+    )
+    assert quotients == oracle.materialised_quotient_checks(rep)
+    return oracle.materialised_clifford_relations(rep)
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -448,13 +474,13 @@ def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_
     for inst in family_instances(3, sigmas=True):
         fam = build_family(*inst)
         if fam.n == 3 and fam.members:
-            assert_matches_materialised(build_clifford_module(fam))
+            assert_reports_fault(build_clifford_module(fam), gens)
     # The demo family uses every block: 123 swaps to 213 at 1, and 213 has a
     # descent at 1 and an ascent at 2, so its quotient reads both corrupted
     # diagonal blocks.  Every quotient reads the mark blocks, none the swap
     # blocks.
     rep = build_clifford_module(demo_compatible_family())
-    report = assert_matches_materialised(rep)
+    report = assert_reports_fault(rep, gens)
     assert expected in report.violations, report.violations
     k = [t.reading_word for t in rep.basis_tableaux].index((2, 1, 3)) + 1
     assert filtration_quotient_check(rep, k) is quotient_holds
@@ -489,10 +515,10 @@ def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fre
     """The supermodule report is memoised per word set in the clifford
     module: a report cached before a block fault is injected is served until
     the fixture's clearing step empties the clifford caches, and then the
-    fault shows."""
+    fault shows: the expansion certificate fails, so the report raises."""
     rep = build_clifford_module(demo_compatible_family())
     assert verify_clifford_relations(rep).ok
-    _, (n, i, case), col, row, expected, _ = FAULTS["attack parity"]
+    _, (n, i, case), col, row, _, _ = FAULTS["attack parity"]
     original = clifford._hecke_mask_blocks
 
     def patched(m, g):
@@ -502,12 +528,13 @@ def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fre
     monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
     assert verify_clifford_relations(rep).ok
     clear_clifford_caches()
-    assert expected in verify_clifford_relations(rep).violations
+    with pytest.raises(TheoremMismatch, match="do not certify the 0-Hecke relations"):
+        verify_clifford_relations(rep)
 
 
 def test_reachability_certificate_holds_for_every_small_n():
     """Every mark block is the reference c_j and no SWAP column is zero."""
-    assert all(clifford._supermodule_table(n).reach for n in range(1, 8))
+    assert all(clifford._reach_certificate(n) for n in range(1, 8))
 
 
 @pytest.mark.parametrize("fault", ["swap column", "mark sign"])
@@ -540,7 +567,7 @@ def test_reachability_raises_without_its_certificate(fault, monkeypatch, fresh_b
 
         monkeypatch.setattr(clifford, "_mark_blocks", patched)
     clear_clifford_caches()
-    assert not clifford._supermodule_table(3).reach
+    assert not clifford._reach_certificate(3)
     assert clifford._supermodule_table(3).marks is (fault == "swap column")
     for tab in rep.basis_tableaux:
         with pytest.raises(TheoremMismatch, match="do not certify reachability"):
@@ -559,15 +586,20 @@ def test_basis_element_reads_only_basis_indices():
 
 
 def assert_matches_path_expansion(fam):
-    """The report read off local codes equals the former path expansion's,
-    force-built past the gate."""
+    """The supermodule report equals the former path expansion's,
+    force-built past the gate, and its quadratic, commutation and braid
+    violations are the pi module's, whose quadratic relations hold."""
     rep = build_clifford_module(fam, force=True)
     report = verify_clifford_relations(rep)
     assert report == oracle.path_expanded_clifford_relations(rep), fam.family_tag
+    module = verify_hecke_relations(build_hecke_module(fam, "pi", force=True)).violations
+    messages = {relation[0] for relation in relation_table(fam.n - 1).relations}
+    assert tuple(v for v in report.violations if v in messages) == module, fam.family_tag
+    assert not any("^2" in v for v in module), fam.family_tag
     return report
 
 
-def test_local_codes_match_path_expansion():
+def test_supermodule_reports_match_path_expansion():
     """Every nonempty family with n <= 5 (sigmas included), every forced S_3
     and commutation-square word set, and two families with n = 9."""
     families = [
@@ -588,8 +620,55 @@ def test_local_codes_match_path_expansion():
         lambda n: st.sets(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=40)
     )
 )
-def test_local_codes_match_path_expansion_on_word_sets(words):
+def test_supermodule_reports_match_path_expansion_on_word_sets(words):
     assert_matches_path_expansion(words_family(sorted(words)))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_expansion_certificate_holds_without_faults(n):
+    assert clifford._supermodule_table(n).expansion
+
+
+# (size, generator, the corrupted SWAP block, the word sets compared): one
+# SWAP entry with its sign flipped, or the whole SWAP block zero, so that a
+# full word's coefficient C is zero
+KEPT_IDENTITY_FAULTS = {
+    "swap sign": (3, 1, lambda swap: _corrupted(swap, 0), forced_word_set_families),
+    "swap zero": (4, 3, lambda swap: clifford._scaled(swap, 0), square_families),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(KEPT_IDENTITY_FAULTS))
+def test_expansion_certificate_refuses_a_fault_that_keeps_the_descent_identity(
+    fault, monkeypatch, fresh_block_caches
+):
+    """With one SWAP block of pi_i corrupted and DESCENT rebuilt as ATTACK -
+    SWAP, the tensor form still holds, but the expanded relations do not:
+    every report raises, though on some word set the pi module's report,
+    which it would otherwise be, differs from the materialised one."""
+    n, i, corrupt, families = KEPT_IDENTITY_FAULTS[fault]
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        if (m, g) != (n, i):
+            return blocks
+        swap = corrupt(blocks[clifford.SWAP])
+        descent = clifford._stack(blocks[clifford.ATTACK], clifford._scaled(swap, -1))
+        return {**blocks, clifford.DESCENT: descent, clifford.SWAP: swap}
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    assert not clifford._supermodule_table(n).expansion
+    messages = {relation[0] for relation in relation_table(n - 1).relations}
+    differs = 0
+    for fam in families():
+        rep = build_clifford_module(fam, force=True)
+        with pytest.raises(TheoremMismatch, match="do not certify the 0-Hecke relations"):
+            verify_clifford_relations(rep)
+        expected = oracle.materialised_clifford_relations(rep).violations
+        module = verify_hecke_relations(build_hecke_module(fam, "pi", force=True)).violations
+        differs += tuple(v for v in expected if v in messages) != module
+    assert differs
 
 
 @pytest.mark.parametrize("n", range(1, 10))
@@ -610,11 +689,11 @@ DEEP_FAULTS = [
 
 @pytest.mark.parametrize("i, case, col", DEEP_FAULTS)
 def test_faults_at_depth_break_the_certificate(i, case, col, monkeypatch, fresh_block_caches):
-    """A fault in one block of pi_i at n = 5 breaks the certificate on
-    both sides of generator i and nowhere else, and every n = 5 family
-    whose word graph uses the block reports what its materialised matrices
-    do.  The reports are compared once per word set, which is all that
-    either side reads, and every family reads its word set's report."""
+    """A fault in one block of pi_i at n = 5 breaks the rotation certificate
+    on both sides of generator i and nowhere else, and the expansion
+    certificate: every n = 5 family's report raises, and the materialised
+    matrices of every word set that uses the block break a relation of
+    pi_i."""
     original = clifford._hecke_mask_blocks
 
     def patched(m, g):
@@ -629,50 +708,15 @@ def test_faults_at_depth_break_the_certificate(i, case, col, monkeypatch, fresh_
         fam = build_family(*inst)
         if fam.n != 5 or not fam.members:
             continue
+        with pytest.raises(TheoremMismatch, match="do not certify the 0-Hecke relations"):
+            verify_clifford_relations(build_clifford_module(fam))
         words = fam.word_set
         flags = {clifford.ATTACK: ~words.descent, clifford.SWAP: clifford.swap_targets(words) >= 0}[case]
         if flags[i - 1].any():
-            by_word_set.setdefault(id(words), []).append(fam)
+            by_word_set.setdefault(id(words), fam)
     hecke_faults = set()
-    for fams in by_word_set.values():
-        report = verify_clifford_relations(build_clifford_module(fams[0]))
-        expected = oracle.materialised_clifford_relations(build_clifford_module(fams[0]))
-        assert (report.checked, report.violations) == (expected.checked, expected.violations)
-        assert all(verify_clifford_relations(build_clifford_module(fam)) == report for fam in fams)
-        hecke_faults.update(v for v in report.violations if "c[" not in v and "parity" not in v)
+    for fam in by_word_set.values():
+        expected = oracle.materialised_clifford_relations(build_clifford_module(fam))
+        hecke_faults.update(v for v in expected.violations if "c[" not in v and "parity" not in v)
     assert len(by_word_set) >= 20
     assert any(f"pi[{i}]" in v for v in hecke_faults), hecke_faults
-
-
-def test_local_codes_read_absent_nodes_as_absent():
-    """On the word set {12}, 1 is an ascent whose swap leaves the set.  The
-    left side pi_1 pi_1 has two present nodes, the tableau at both levels,
-    and the right side pi_1 one; every other node, the identity pads' and
-    the missing swaps' included, reads as absent."""
-    words = words_family([(1, 2)]).word_set
-    table = relation_table(1)
-    codes = clifford._local_codes(words, clifford.swap_targets(words), table.lhs, table.rhs)
-    digits = [int(codes[0, 0]) >> 2 * (13 - p) & 3 for p in range(14)]
-    stays = clifford.STAYS
-    assert digits == [stays, stays] + [clifford.ABSENT] * 5 + [stays] + [clifford.ABSENT] * 6
-
-
-def test_verdicts_compare_path_sums_end_by_end(monkeypatch, fresh_block_caches):
-    """With pi_1's attack block the identity, its swap block minus the
-    identity and its descent block zero, pi_1^2 + pi_1 is twice the identity
-    on the marked copies of 12 and minus that on those of 21: the relation
-    fails, though the sum over both ends is zero."""
-    size = 4
-    identity = (np.array([list(range(size)) + [size]]), np.array([[1] * size + [0]]))
-    blocks = {
-        clifford.DESCENT: (identity[0], 0 * identity[1]),
-        clifford.ATTACK: identity,
-        clifford.SWAP: (identity[0], -identity[1]),
-    }
-    original = clifford._hecke_mask_blocks
-    monkeypatch.setattr(clifford, "_hecke_mask_blocks", lambda m, g: blocks if (m, g) == (2, 1) else original(m, g))
-    rep = build_clifford_module(words_family([(1, 2), (2, 1)]), force=True)
-    report = verify_clifford_relations(rep)
-    expected = oracle.materialised_clifford_relations(rep)
-    assert (report.checked, report.violations) == (expected.checked, expected.violations)
-    assert "pi[1]^2 != -1*pi[1]" in report.violations
