@@ -12,13 +12,7 @@ import json
 import sys
 from typing import Optional, Sequence
 
-from .clifford import (
-    _reach_certificate,
-    _rotation_certificate,
-    _supermodule_table,
-    build_clifford_module,
-    peak_characteristic,
-)
+from .clifford import build_clifford_module, certificates, peak_characteristic
 from .compositions import format_subset, parse_composition
 from .errors import DomainError
 from .families import (
@@ -192,11 +186,7 @@ def _cmd_certify(args, out) -> int:
         raise DomainError("--max-n must be at least 1")
     failed = False
     for n in range(1, args.max_n + 1):
-        verdicts = {
-            "reach": _reach_certificate(n),
-            "rotation": all(_rotation_certificate(n)),
-            "expansion": _supermodule_table(n).expansion,
-        }
+        verdicts = certificates(n)
         row = " ".join(f"{name} {'pass' if ok else 'FAIL'}" for name, ok in verdicts.items())
         print(f"n={n} {row}", file=out)
         failed |= not all(verdicts.values())

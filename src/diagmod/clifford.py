@@ -8,7 +8,8 @@ given by the parity of the smaller marked entries (an extra sign appears
 when the toggled mark was already present, matching an exact square of -1).
 Each 0-Hecke generator acts blockwise per tableau: descent and attacking
 blocks stay on the tableau, nonattacking blocks add terms on the swapped
-tableau.
+tableau.  Each block acts on mask bits i - 1 and i only, as in the
+paper's rule, which reads only the entries i and i + 1 and their marks.
 
 A family supermodule is thus its word graph tensored with fixed 2^n blocks
 that depend only on n, i and the case: pi~_i = 1 (x) ATTACK + pi_i (x) SWAP,
@@ -17,8 +18,8 @@ the 0-Hecke algebra.  It stores only its family and reads the graph from
 the word set.  The relation and quotient checks read one table per n of
 what the blocks decide (:func:`_supermodule_table`); the 0-Hecke relations
 are the pi module's, under a per-n certificate of that tensor form
-(:func:`_expansion_holds`), checked once per class of relations that the
-rotation certificate joins (:func:`_rotation_certificate`).  Reachability
+(:func:`_expansion_holds`), decided on the relations of size at most 4
+where the blocks are local (:func:`_local_certificate`).  Reachability
 is the module's walk with every mark, under its own per-n certificate
 (:func:`_reach_certificate`).  Every block is a stack of signed partial
 maps in the modules' sink-column encoding (:mod:`diagmod.hecke`): a
@@ -359,47 +360,24 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     return bool(np.all((par[rows] != par[cols]) == flips))
 
 
+def _lifted(block, n: int, i: int):
+    """The 2^n block acting as a 2^2 block on mask bits i - 1 and i and
+    keeping the other bits."""
+    targets, signs = block
+    masks = np.arange(1 << n, dtype=np.int64)
+    local = masks >> (i - 1) & 3
+    return sink_maps(targets[:, local] << (i - 1) | masks & ~(3 << (i - 1)), signs[:, local])
+
+
 @lru_cache(maxsize=None)
-def _rotation_certificate(n: int) -> tuple[bool, ...]:
-    """For each i in 1..n-2, whether every case block of pi_{i+1} is pi_i's
-    conjugated by the rotation of the mask bits b -> b + 1 (mod n).
-
-    Conjugating by a permutation of the masks keeps every block product
-    and sum, and whether a sum is zero.  So where the certificate holds
-    from generator g to g + s, a relation and its shift by s expand alike
-    (:func:`_expansion_holds`).
-    """
-    size = 1 << n
-    masks = np.arange(size, dtype=np.int64)
-    rotate = np.append((masks << 1 | masks >> (n - 1)) & (size - 1), size)  # the sink stays
-
-    def conjugated(block):
-        targets, signs = block
-        out = np.empty_like(targets), np.empty_like(signs)
-        out[0][:, rotate], out[1][:, rotate] = rotate[targets], signs
-        return out
-
-    blocks = [_hecke_mask_blocks(n, i) for i in range(1, n)]
-    return tuple(
-        all(_equal(conjugated(low[case]), high[case]) for case in (DESCENT, ATTACK, SWAP))
-        for low, high in zip(blocks, blocks[1:])
-    )
-
-
-def _relation_classes(n: int, relations) -> list[tuple]:
-    """One 0-Hecke relation (message, left word, right word, sign) of each
-    class: the relations that are shifts of each other through generators
-    the rotation certificate joins."""
-    run = [0]
-    for g, joined in enumerate(_rotation_certificate(n), 1):
-        run.append(run[-1] if joined else g)
-    first: dict[tuple, tuple] = {}
-    for relation in relations:
-        _, lhs, rhs, sign = relation
-        low = min(lhs + rhs)
-        key = (tuple(g - low for g in lhs), tuple(g - low for g in rhs), sign, tuple(run[g] for g in lhs + rhs))
-        first.setdefault(key, relation)
-    return list(first.values())
+def _local_certificate(n: int) -> bool:
+    """Whether every case block of each pi_i of size n is pi_1's of size 2
+    lifted to mask bits i - 1 and i (:func:`_lifted`).  A lift keeps
+    products and sums and sends only 0 to 0, so where this holds at n and 4,
+    a relation of size n on i and j, the image of one of size 4 under mask
+    bits 0-3 -> i - 1, i, j - 1, j, expands as that one does."""
+    base = _hecke_mask_blocks(2, 1)
+    return all(_equal(_lifted(base[c], n, i), _hecke_mask_blocks(n, i)[c]) for i in range(1, n) for c in base)
 
 
 def _expansion(n: int, word: tuple) -> dict[tuple, tuple]:
@@ -446,16 +424,15 @@ def _expansion_holds(n: int, lhs: tuple, rhs: tuple, sign: int) -> bool:
 class SupermoduleTable(NamedTuple):
     """What the 2^n blocks decide for every family supermodule of size n.
 
-    ``suite`` is the relation suite in report order, as (message, check)
-    pairs.  The 0-Hecke relations come first, their check the relation
-    (left word, right word, sign); where ``expansion`` holds, each fails
-    exactly where the pi module's does (:func:`_expansion_holds`).  For a
-    pi-c relation or pi parity, the check is the frozenset of (i, case)
-    pairs, a block case of pi_i, under which it fails; for a relation among
-    the c_j, its verdict.  ``expansion`` is that DESCENT = ATTACK - SWAP
-    for every pi_i, so pi~_i = 1 (x) ATTACK + pi_i (x) SWAP, and that one
-    relation of each rotation class expands as it should
-    (:func:`_relation_classes`).  ``quotients[i - 1][descent]`` is whether
+    ``suite`` is the relation suite after the 0-Hecke relations, in report
+    order, as (message, check) pairs: for a pi-c relation or pi parity, the
+    frozenset of (i, case) pairs, a block case of pi_i, under which it
+    fails; for a relation among the c_j, its verdict.  ``expansion`` is
+    that DESCENT = ATTACK - SWAP for every pi_i, so pi~_i = 1 (x) ATTACK +
+    pi_i (x) SWAP, that the blocks are local (:func:`_local_certificate`)
+    and that every relation of size min(n, 4) expands as it should
+    (:func:`_expansion_holds`): each 0-Hecke relation then fails exactly
+    where the pi module's does.  ``quotients[i - 1][descent]`` is whether
     the diagonal block of pi_i on a tableau with or without a descent at i
     is the reference module's pi_i, and ``marks`` whether the mark blocks
     are its c_j.
@@ -481,9 +458,7 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     """
     cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
-    relations = relation_table(n - 1).relations
-    suite = [(message, (lhs, rhs, sign)) for message, lhs, rhs, sign in relations]
-    suite += [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
+    suite = [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
     suite += [
         (f"c[{a}] and c[{b}] do not anticommute", _equal(compose_maps(c, d), compose_maps(d, c), -1))
         for a, c in enumerate(cs, 1)
@@ -513,7 +488,9 @@ def _supermodule_table(n: int) -> SupermoduleTable:
         for i, blocks in enumerate(pis, 1)
     )
     descents = all(_equal(b[DESCENT], _stack(b[ATTACK], _scaled(b[SWAP], -1))) for b in pis)
-    expansion = descents and all(_expansion_holds(n, *rel[1:]) for rel in _relation_classes(n, relations))
+    m = min(n, 4)  # every relation of size n is the image of one of size m
+    local = _local_certificate(n) and _local_certificate(m)
+    expansion = local and descents and all(_expansion_holds(m, *r[1:]) for r in relation_table(m - 1).relations)
     return SupermoduleTable(tuple(suite), expansion, quotients, _marks_are_reference(n))
 
 
@@ -537,7 +514,7 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 def _word_set_relations(words: WordSet) -> RelationReport:
     """The supermodule relation report of a word set: the pi module's
     report, which the table's expansion certificate makes the 0-Hecke part,
-    then the table's other entries read at its descents and swap targets."""
+    then the table's entries read at its descents and swap targets."""
     table = _supermodule_table(words.n)
     if not table.expansion:
         raise TheoremMismatch(f"the blocks of size {words.n} do not certify the 0-Hecke relations")
@@ -550,10 +527,10 @@ def _word_set_relations(words: WordSet) -> RelationReport:
     }
     fails = tuple(
         message
-        for message, check in table.suite[module.checked :]
+        for message, check in table.suite
         if not (check if isinstance(check, bool) else check.isdisjoint(present))
     )
-    return RelationReport(len(table.suite), module.violations + fails)
+    return RelationReport(len(relation_table(words.n - 1).relations + table.suite), module.violations + fails)
 
 
 def peak_characteristic(obj) -> FormalSum:
@@ -611,6 +588,12 @@ def _reach_certificate(n: int) -> bool:
     tableau."""
     swaps = (canonical_entries(_hecke_mask_blocks(n, i)[SWAP])[1] for i in range(1, n))
     return _marks_are_reference(n) and all(np.isin(np.arange(1 << n), cols).all() for cols in swaps)
+
+
+def certificates(n: int) -> dict[str, bool]:
+    """The per-n block certificates the supermodule checks answer under."""
+    table = _supermodule_table(n)
+    return {"reach": _reach_certificate(n), "local": _local_certificate(n), "expansion": table.expansion}
 
 
 def _reached(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:

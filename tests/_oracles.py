@@ -55,7 +55,7 @@ from diagmod import clifford, families
 from diagmod.clifford import build_M_alpha
 from diagmod.compositions import check_composition, comp_n, composition_size, descent_set, peak_set
 from diagmod.errors import DomainError
-from diagmod.hecke import RelationReport, compose_maps, zero_hecke_relations
+from diagmod.hecke import RelationReport, compose_maps, relation_table, zero_hecke_relations
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
 from diagmod.tableaux import (
     _SEARCH_CELLS,
@@ -595,21 +595,28 @@ def materialised_intertwiner(rep_a, rep_b, pairing):
     )
 
 
-def materialised_reachability(rep, start):
-    """Basis indices in the closure of one index under the column supports
-    of every materialised generator."""
-    mats = materialised(rep, "pi") + materialised(rep, "c")
-    seen, frontier = {start}, [start]
-    while frontier:
-        nxt = []
-        for idx in frontier:
-            for mat in mats:
-                for r, _ in column(mat, idx):
+def materialised_reachability(rep, starts):
+    """For each start index, the basis indices in its closure under the
+    column supports of every materialised generator; the generators are
+    materialised once for all the starts, stacked one above the other, so
+    that row r of the stack is row r mod dim of one of them."""
+    dim = rep.dim
+    stack = sparse.vstack(
+        [matrix(dim, rows, cols, values) for _, _, rows, cols, values in rep.generator_triples()]
+    ).tocsc()
+    closures = []
+    for start in starts:
+        seen, frontier = {start}, [start]
+        while frontier:
+            nxt = []
+            for idx in frontier:
+                for r in {r % dim for r, _ in column(stack, idx)}:
                     if r not in seen:
                         seen.add(r)
                         nxt.append(r)
-        frontier = nxt
-    return seen
+            frontier = nxt
+        closures.append(seen)
+    return closures
 
 
 def _basis(family):
@@ -852,10 +859,11 @@ def _relation_holds(n, cases, swaps, lhs, rhs, sign):
 
 
 def path_expanded_clifford_relations(rep):
-    """The supermodule relation report of the library's table of size n,
-    with every 0-Hecke relation decided by expanding both sides over their
-    paths in the word graph at each basis tableau; the library's former
-    check.  The path verdicts are memoised on the unfaulted blocks."""
+    """The supermodule relation report: every 0-Hecke relation of
+    ``relation_table(n - 1)`` decided by expanding both sides over their
+    paths in the word graph at each basis tableau, the library's former
+    check, then the entries of the library's table of size n.  The path
+    verdicts are memoised on the unfaulted blocks."""
     words = rep.family.word_set
     n = words.n
     edges = (
@@ -865,15 +873,15 @@ def path_expanded_clifford_relations(rep):
     present = {(i, case) for i, row in enumerate(edges[0], 1) for case in set(row)}
     present |= {(i, clifford.SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
 
-    def holds(check):
-        if isinstance(check, bool):
-            return check
-        if isinstance(check, frozenset):
-            return check.isdisjoint(present)
-        return _relation_holds(n, *edges, *check)
-
+    relations = relation_table(n - 1).relations
     suite = clifford._supermodule_table(n).suite
-    return RelationReport(len(suite), tuple(message for message, check in suite if not holds(check)))
+    fails = [message for message, *words in relations if not _relation_holds(n, *edges, *words)]
+    fails += [
+        message
+        for message, check in suite
+        if not (check if isinstance(check, bool) else check.isdisjoint(present))
+    ]
+    return RelationReport(len(relations) + len(suite), tuple(fails))
 
 
 def comp_n_mask_composition(mask, n):

@@ -177,15 +177,15 @@ def test_harness_with_nothing_to_check_exits_two(argv, capsys):
     assert "max_n must be at least 1" in capsys.readouterr().err
 
 
-def test_certify_passes_to_n_8():
-    code, out = run_cli("certify", "--max-n", "8")
+def test_certify_passes_to_n_12():
+    code, out = run_cli("certify", "--max-n", "12")
     assert code == 0
-    assert out.splitlines() == [f"n={n} reach pass rotation pass expansion pass" for n in range(1, 9)]
+    assert out.splitlines() == [f"n={n} reach pass local pass expansion pass" for n in range(1, 13)]
 
 
 def test_certify_fails_under_a_swap_fault(monkeypatch, fresh_block_caches):
     """One SWAP entry of pi_2 at n = 5 with its sign flipped breaks the
-    rotation and expansion certificates of n = 5 only."""
+    local and expansion certificates of n = 5 only."""
     original = clifford._hecke_mask_blocks
 
     def patched(m, g):
@@ -200,7 +200,7 @@ def test_certify_fails_under_a_swap_fault(monkeypatch, fresh_block_caches):
     code, out = run_cli("certify", "--max-n", "6")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line] == [
-        "n=5 reach pass rotation FAIL expansion FAIL"
+        "n=5 reach pass local FAIL expansion FAIL"
     ]
 
 

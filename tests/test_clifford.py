@@ -229,9 +229,9 @@ def test_reachability_matches_materialised_support_closure():
         if not fam.members:
             continue
         rep = build_clifford_module(fam)
-        for tab in rep.basis_tableaux:
-            closure = {rep.index_of(m) for m in clifford_reachability(rep, tab)}
-            assert closure == oracle.materialised_reachability(rep, rep.index_of(mt(tab))), tab
+        expected = oracle.materialised_reachability(rep, [rep.index_of(mt(tab)) for tab in rep.basis_tableaux])
+        for tab, closure in zip(rep.basis_tableaux, expected):
+            assert {rep.index_of(m) for m in clifford_reachability(rep, tab)} == closure, tab
             seeds += 1
     assert seeds > 100
 
@@ -271,7 +271,7 @@ def test_reachability_matches_materialised_support_closure_from_n_5():
         rep = build_clifford_module(fam, force=True)
         seed = mt(rep.basis_tableaux[-1], fam.n)
         closure = {rep.index_of(m) for m in clifford_reachability(rep, seed)}
-        assert closure == oracle.materialised_reachability(rep, rep.index_of(seed)), fam.family_tag
+        assert [closure] == oracle.materialised_reachability(rep, [rep.index_of(seed)]), fam.family_tag
     assert len(word_sets) == 274
 
 
@@ -671,9 +671,78 @@ def test_expansion_certificate_refuses_a_fault_that_keeps_the_descent_identity(
     assert differs
 
 
-@pytest.mark.parametrize("n", range(1, 10))
-def test_rotation_certificate_holds_without_faults(n):
-    assert clifford._rotation_certificate(n) == (True,) * max(0, n - 2)
+@pytest.mark.parametrize("n", range(1, 13))
+def test_local_certificate_holds_without_faults(n):
+    assert clifford._local_certificate(n)
+
+
+def _patch_block(monkeypatch, n, i, case, col):
+    """Flip the sign of the first entry in column col of one case block of
+    pi_i of size n."""
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        return {**blocks, case: _corrupted(blocks[case], col)} if (m, g) == (n, i) else blocks
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+
+
+def test_a_fault_at_size_4_breaks_expansion_at_every_larger_size(monkeypatch, fresh_block_caches):
+    """Every relation of size n >= 4 is decided on the blocks of size 4, so
+    a fault in one of them breaks the expansion certificate at every n >= 4
+    and at no n <= 3."""
+    _patch_block(monkeypatch, 4, 2, clifford.SWAP, 0)
+    assert [n for n in range(1, 9) if not clifford._supermodule_table(n).expansion] == list(range(4, 9))
+    assert [n for n in range(1, 9) if not clifford._local_certificate(n)] == [4]
+
+
+@pytest.mark.parametrize("case, col", [(clifford.DESCENT, 0), (clifford.ATTACK, 2), (clifford.SWAP, 0)])
+def test_a_fault_at_size_2_breaks_locality_at_every_larger_size(case, col, monkeypatch, fresh_block_caches):
+    """Each block of size n is checked against pi_1's of size 2, so a fault
+    there breaks the local certificate at every n >= 3, and the expansion
+    certificate at every n >= 2: at n = 2, DESCENT is no longer ATTACK -
+    SWAP, and no relation reads the DESCENT block."""
+    _patch_block(monkeypatch, 2, 1, case, col)
+    assert [n for n in range(1, 9) if not clifford._local_certificate(n)] == list(range(3, 9))
+    assert [n for n in range(1, 9) if not clifford._supermodule_table(n).expansion] == list(range(2, 9))
+
+
+@pytest.mark.parametrize("n, failing", [(4, range(4, 9)), (6, [6])])
+def test_conjugated_blocks_break_expansion_through_locality(n, failing, monkeypatch, fresh_block_caches):
+    """Conjugating every block of size n by the sign change of mask 5 keeps
+    the descent identity and every relation's expansion at that size, but
+    the blocks are no longer lifts of the size-2 ones: the expansion
+    certificate fails at n, and where n = 4, at every larger size, whose
+    relations are decided on the blocks of size 4."""
+    flip = np.ones((1 << n) + 1, dtype=np.int64)
+    flip[5] = -1
+    original = clifford._hecke_mask_blocks
+
+    def patched(m, g):
+        blocks = original(m, g)
+        if m != n:
+            return blocks
+        return {case: (targets, signs * flip[targets] * flip) for case, (targets, signs) in blocks.items()}
+
+    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+    assert all(clifford._expansion_holds(n, *rel[1:]) for rel in relation_table(n - 1).relations)
+    assert [m for m in range(1, 9) if not clifford._supermodule_table(m).expansion] == list(failing)
+
+
+def test_large_tables_expand_relations_only_up_to_size_4(monkeypatch, fresh_block_caches):
+    """Building the tables of sizes 5 to 9 expands relations of size at
+    most 4, each relation of size 4 once per table."""
+    sizes = []
+    original = clifford._expansion_holds
+
+    def recorded(n, *relation):
+        sizes.append(n)
+        return original(n, *relation)
+
+    monkeypatch.setattr(clifford, "_expansion_holds", recorded)
+    assert all(clifford._supermodule_table(n).expansion for n in range(5, 10))
+    assert sizes == [4] * 5 * len(relation_table(3).relations)
 
 
 # (generator, case, column of the corrupted entry): each fault flips the
@@ -689,20 +758,12 @@ DEEP_FAULTS = [
 
 @pytest.mark.parametrize("i, case, col", DEEP_FAULTS)
 def test_faults_at_depth_break_the_certificate(i, case, col, monkeypatch, fresh_block_caches):
-    """A fault in one block of pi_i at n = 5 breaks the rotation certificate
-    on both sides of generator i and nowhere else, and the expansion
-    certificate: every n = 5 family's report raises, and the materialised
-    matrices of every word set that uses the block break a relation of
-    pi_i."""
-    original = clifford._hecke_mask_blocks
-
-    def patched(m, g):
-        blocks = original(m, g)
-        return {**blocks, case: _corrupted(blocks[case], col)} if (m, g) == (5, i) else blocks
-
-    monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
-    links = clifford._rotation_certificate(5)
-    assert [g for g, joined in enumerate(links, 1) if not joined] == [g for g in (i - 1, i) if g <= 3]
+    """A fault in one block of pi_i at n = 5 breaks the local certificate
+    of n = 5 and of no other n <= 8, and the expansion certificate: every
+    n = 5 family's report raises, and the materialised matrices of every
+    word set that uses the block break a relation of pi_i."""
+    _patch_block(monkeypatch, 5, i, case, col)
+    assert [n for n in range(1, 9) if not clifford._local_certificate(n)] == [5]
     by_word_set = {}
     for inst in family_instances(5, sigmas=True):
         fam = build_family(*inst)

@@ -11,8 +11,9 @@ library, strong caches of word sets, families and reps out of the
 library, hand-kept relation counts out of the library's reports, and
 state that could disagree with a rep's family and convention out of its
 fields, the peak characteristic's bit rule out of ``diagmod.series``,
-whose theta finds peaks by its own rule, and reads of ``generator_triples``
-out of every library file but the CLI's.
+whose theta finds peaks by its own rule, reads of ``generator_triples``
+out of every library file but the CLI's, and private names of
+``diagmod.clifford`` out of the CLI's imports.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -308,3 +309,24 @@ def test_only_the_cli_lists_operator_entries():
     found = [entry for path in LIBRARY if path.name != "cli.py" for entry in generator_triples_reads(path)]
     assert not found, "generator_triples read outside the CLI:\n" + "\n".join(found)
     assert generator_triples_reads(ROOT / "src" / "diagmod" / "cli.py"), "the scan no longer finds the dump"
+
+
+def private_clifford_imports(source: str) -> list[str]:
+    """``line: name`` for every underscore name imported from
+    ``diagmod.clifford``, relatively or not."""
+    return [
+        f"{node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module in ("clifford", "diagmod.clifford")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+
+
+def test_the_cli_reads_the_certificates_through_the_public_api():
+    """``diagmod certify`` reads ``clifford.certificates``, the one place
+    that names the per-n block certificates, not the private functions."""
+    found = private_clifford_imports((ROOT / "src" / "diagmod" / "cli.py").read_text())
+    assert not found, "private clifford names imported by the CLI:\n" + "\n".join(found)
+    probe = "from .clifford import _reach_certificate, certificates"
+    assert private_clifford_imports(probe) == ["1: _reach_certificate"], "the scan no longer finds them"
