@@ -81,10 +81,8 @@ class MarkedTableau:
 
     def __post_init__(self):
         n = self.tableau.diagram.n
-        marks = frozenset(self.marks)
-        if any(not 1 <= j <= n for j in marks):
-            raise DomainError(f"marks {sorted(marks)} out of range 1..{n}")
-        object.__setattr__(self, "marks", marks)
+        message = f"marks {set(self.marks)} are not all integers in 1..{n}"
+        object.__setattr__(self, "marks", frozenset(integer(j, message, 1, n) for j in self.marks))
 
     @property
     def parity(self) -> int:
@@ -490,8 +488,15 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     descents = all(_equal(b[DESCENT], _stack(b[ATTACK], _scaled(b[SWAP], -1))) for b in pis)
     m = min(n, 4)  # every relation of size n is the image of one of size m
     local = _local_certificate(n) and _local_certificate(m)
-    expansion = local and descents and all(_expansion_holds(m, *r[1:]) for r in relation_table(m - 1).relations)
+    expansion = local and descents and _relations_expand(m)
     return SupermoduleTable(tuple(suite), expansion, quotients, _marks_are_reference(n))
+
+
+@lru_cache(maxsize=None)
+def _relations_expand(m: int) -> bool:
+    """Whether every 0-Hecke relation of size m expands as it should
+    (:func:`_expansion_holds`); the tables of every n >= 4 share m = 4."""
+    return all(_expansion_holds(m, *r[1:]) for r in relation_table(m - 1).relations)
 
 
 def _marks_are_reference(n: int) -> bool:

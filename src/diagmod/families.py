@@ -1,8 +1,8 @@
 """Constructors for the built-in tableau families.
 
-Each family kind bundles a diagram builder, a reading order, and a
-membership rule: a box precedence order plus, for some kinds, the triple
-or prefix-shape rules, compiled once per (kind, shape, sigma) to bit masks
+Each family kind but srct bundles a diagram builder, a reading order, and
+a membership rule: a box precedence order plus, for some kinds, the triple
+or prefix-peak rules, compiled once per (kind, shape, sigma) to bit masks
 over the boxes.  Enumeration places the entries 1..n one level at a time
 over the mask of filled boxes, so only legal fillings are ever generated.
 The partial fillings that reach the same search state are merged and
@@ -30,11 +30,11 @@ Row 1 is the bottom row throughout.  Kinds:
     srit   same fillings as sit; read rows right-left, bottom row first.
     set    composition rows; rows and all columns increase; read as sit.
     sret   same fillings as set; read as srit.
-    srct   composition rows; rows decrease left-right, first column increases
-           upward, reversed triple rule; read columns bottom-up from the
-           rightmost column leftwards, first column last and top-down.
     syrt   same fillings as syct; read columns top-down from the rightmost
            column leftwards, first column last and bottom-up.
+    srct   the syrt fillings of the reversed shape, entry e made n+1-e and
+           row r made row l+1-r for l rows; read columns bottom-up from the
+           rightmost column leftwards, first column last and top-down.
     rib    ribbon rows (each row starts above the end of the one below);
            rows increase left-right, columns increase downward; read rows
            left-right, bottom row first.
@@ -112,16 +112,19 @@ SIGMA_KINDS = frozenset({FamilyKind.SRCT, FamilyKind.SYRT, FamilyKind.SYCT})
 # diagrams
 
 
+@lru_cache(maxsize=None)
 def composition_diagram(alpha: Composition) -> tuple[Box, ...]:
     """Left-justified rows: row r holds alpha[r-1] boxes starting in column 1."""
     return tuple((c, r) for r, part in enumerate(alpha, start=1) for c in range(1, part + 1))
 
 
+@lru_cache(maxsize=None)
 def shifted_diagram(lam: Composition) -> tuple[Box, ...]:
     """Row r shifted r-1 columns rightwards."""
     return tuple((c, r) for r, part in enumerate(lam, start=1) for c in range(r, r + part))
 
 
+@lru_cache(maxsize=None)
 def ribbon_diagram(alpha: Composition) -> tuple[Box, ...]:
     """Each row starts in the column where the row below ends."""
     boxes = []
@@ -148,13 +151,6 @@ def _sigma_inverse(sigma: tuple[int, ...]) -> list[int]:
     return inv
 
 
-def _first_column_rows(sigma: tuple[int, ...], increasing: bool) -> list[int]:
-    """Rows of the first column visited so entries appear increasing
-    (or decreasing) in value."""
-    inv = _sigma_inverse(sigma)
-    return inv if increasing else inv[::-1]
-
-
 def _read_columns_lr_bottom_up(boxes: Iterable[Box], sigma=None) -> tuple[Box, ...]:
     return tuple(sorted(boxes, key=lambda b: (b[0], b[1])))
 
@@ -171,54 +167,43 @@ def _read_rows_bottom_up_lr(boxes: Iterable[Box], sigma=None) -> tuple[Box, ...]
     return tuple(sorted(boxes, key=lambda b: (b[1], b[0])))
 
 
+def _first_column(boxes: Iterable[Box], sigma: tuple[int, ...]) -> list[Box]:
+    """The first-column boxes in increasing sigma rank, as the objects of
+    ``boxes``, which the families of one shape share."""
+    first = {b[1]: b for b in boxes if b[0] == 1}
+    return [first[r] for r in _sigma_inverse(sigma)]
+
+
 def _read_syct(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
-    first = [(1, r) for r in _first_column_rows(sigma, increasing=False)]
     rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (b[0], b[1]))
-    return tuple(first + rest)
-
-
-def _read_srct(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
-    rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (-b[0], b[1]))
-    first = [(1, r) for r in _first_column_rows(sigma, increasing=False)]
-    return tuple(rest + first)
+    return tuple(_first_column(boxes, sigma)[::-1] + rest)
 
 
 def _read_syrt(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
     rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (-b[0], -b[1]))
-    first = [(1, r) for r in _first_column_rows(sigma, increasing=True)]
-    return tuple(rest + first)
+    return tuple(rest + _first_column(boxes, sigma))
 
 
 # ---------------------------------------------------------------------------
 # membership rules: precedence edges plus the triple and prefix-shape rules
 
 
-def _row_edges(boxset: frozenset[Box], increasing: bool) -> list[tuple[Box, Box]]:
-    edges = []
-    for c, r in boxset:
-        if (c + 1, r) in boxset:
-            left, right = (c, r), (c + 1, r)
-            edges.append((left, right) if increasing else (right, left))
-    return edges
+def _row_edges(boxes: tuple[Box, ...]) -> list[tuple[Box, Box]]:
+    """Entries increase from left to right along each row; ``boxes`` runs
+    through each row left to right."""
+    return [(a, b) for a, b in zip(boxes, boxes[1:]) if a[1] == b[1] and a[0] + 1 == b[0]]
 
 
-def _column_edges_up(boxset: frozenset[Box]) -> list[tuple[Box, Box]]:
+def _column_edges_up(boxes: tuple[Box, ...]) -> list[tuple[Box, Box]]:
     """Entries increase from bottom to top along each column (consecutive
     present boxes; columns may have gaps for general composition shapes)."""
-    by_col: dict[int, list[int]] = {}
-    for c, r in boxset:
-        by_col.setdefault(c, []).append(r)
-    edges = []
-    for c, rows in by_col.items():
-        rows.sort()
-        for lo, hi in zip(rows, rows[1:]):
-            edges.append(((c, lo), (c, hi)))
-    return edges
+    ordered = sorted(boxes)
+    return [(a, b) for a, b in zip(ordered, ordered[1:]) if a[0] == b[0]]
 
 
-def _column_edges_down(boxset: frozenset[Box]) -> list[tuple[Box, Box]]:
+def _column_edges_down(boxes: tuple[Box, ...]) -> list[tuple[Box, Box]]:
     """Entries increase from top to bottom along each column (ribbons)."""
-    return [(b, a) for a, b in _column_edges_up(boxset)]
+    return [(b, a) for a, b in _column_edges_up(boxes)]
 
 
 def _first_column_edges(nrows: int, sigma: tuple[int, ...]) -> list[tuple[Box, Box]]:
@@ -232,10 +217,6 @@ def _first_column_edges(nrows: int, sigma: tuple[int, ...]) -> list[tuple[Box, B
 # a to exist and hold a value below b, so a box (c, r') may be filled only
 # once each filled (c-1, r) with r > r' has (c, r) filled.
 TRIPLE = "triple"
-# reversed triple: an entry a at (c, r) larger than b at (c+1, r') with
-# r' > r forces (c+1, r) to exist and to exceed b; all of it is known when
-# a is placed, b being smaller.
-REVERSED_TRIPLE = "reversed triple"
 # prefix peak: after each placement the occupied row counts form the diagram
 # of a peak composition, so a row may start only on a row below holding at
 # least 2 entries.
@@ -255,17 +236,9 @@ class _Rules(NamedTuple):
     - ``triples[b]`` (triple rule) is the (trigger, required) masks of the
       boxes (c-1, r) and (c, r) with r > r'; b may be filled only if the
       right neighbour of each filled trigger is a filled required box;
-    - ``order_pairs[b]`` (reversed triple rule) is (lower, right), ``lower``
-      masking the boxes (c+1, r) with r > r' and ``right`` the index of
-      (c+1, r'), or -1; once a box of ``lower`` is filled, (c+1, r') must
-      exist and have been filled after it (it precedes b in its row);
     - ``rows[b]`` (prefix-peak rule) is the masks of b's row and the row
       below it;
-    - ``reading_pos[b]`` is the reading position of b;
-    - ``lates[b]`` (reversed triple rule) holds, for each box a whose
-      ``lower`` mask holds b and whose right box exists, the bits of a's
-      right box and of a: filling b after a's right box sets a's bit in the
-      ``late`` mask of the search, and a may not be filled after that.
+    - ``reading_pos[b]`` is the reading position of b.
 
     Rules a kind does not use are None.
     """
@@ -273,10 +246,8 @@ class _Rules(NamedTuple):
     start: int
     unlocks: tuple[tuple[tuple[int, int], ...], ...]
     triples: tuple[Optional[tuple[int, int]], ...]
-    order_pairs: tuple[Optional[tuple[int, int]], ...]
     rows: tuple[Optional[tuple[int, int]], ...]
     reading_pos: tuple[int, ...]
-    lates: tuple[Optional[tuple[tuple[int, int], ...]], ...]
 
 
 def _compile_rules(diagram: Diagram, edges, rules) -> _Rules:
@@ -292,44 +263,30 @@ def _compile_rules(diagram: Diagram, edges, rules) -> _Rules:
     reading_pos = [0] * diagram.n
     for p, b in enumerate(diagram.reading_positions):
         reading_pos[b] = p
-    triples, order_pairs, rows, lates = _box_rules(diagram.boxes, rules)
-    return _Rules(
-        start, tuple(map(tuple, unlocks)), triples, order_pairs, rows, tuple(reading_pos), lates
-    )
+    triples, rows = _box_rules(diagram.boxes, rules)
+    return _Rules(start, tuple(map(tuple, unlocks)), triples, rows, tuple(reading_pos))
 
 
 @lru_cache(maxsize=None)
 def _box_rules(boxes: tuple[Box, ...], rules: tuple[str, ...]):
-    """The triples, order pairs, rows and lates of :class:`_Rules`, which
-    depend on the boxes (in ``Diagram.boxes`` order) and not on the reading
-    order or the first-column permutation."""
+    """The triples and rows of :class:`_Rules`, which depend on the boxes
+    (in ``Diagram.boxes`` order) and not on the reading order or the
+    first-column permutation."""
     n = len(boxes)
-    index = {b: k for k, b in enumerate(boxes)}
     col: dict[int, int] = {}
     row: dict[int, int] = {}
-    for (c, r), k in index.items():
+    for k, (c, r) in enumerate(boxes):
         col[c] = col.get(c, 0) | 1 << k
         row[r] = row.get(r, 0) | 1 << k
     full = (1 << n) - 1
     # the boxes in rows above r: every index past the last box of row r
     above = {r: full >> mask.bit_length() << mask.bit_length() for r, mask in row.items()}
-    triples = order_pairs = rows = lates = (None,) * n
+    triples = rows = (None,) * n
     if TRIPLE in rules:
         triples = tuple((col.get(c - 1, 0) & above[r], col[c] & above[r]) for c, r in boxes)
-    if REVERSED_TRIPLE in rules:
-        order_pairs = tuple(
-            (col.get(c + 1, 0) & above[r], index.get((c + 1, r), -1)) for c, r in boxes
-        )
-        late_pairs: list[list[tuple[int, int]]] = [[] for _ in boxes]
-        for a, (lower, right) in enumerate(order_pairs):
-            if right >= 0:
-                for b in range(n):
-                    if lower >> b & 1:
-                        late_pairs[b].append((1 << right, 1 << a))
-        lates = tuple(map(tuple, late_pairs))
     if PREFIX_PEAK in rules:
         rows = tuple((row[r], row.get(r - 1, 0)) for c, r in boxes)
-    return triples, order_pairs, rows, lates
+    return triples, rows
 
 
 @lru_cache(maxsize=None)
@@ -353,31 +310,31 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
 
     The entries 1..n are placed one level at a time, each in a box whose
     predecessors are all filled.  What a partial filling of 1..k may become
-    depends only on its search state: the mask of filled boxes, the reading
-    position of the box holding k, and the ``late`` mask of the reversed
-    triple rule.  The partial fillings that reach one state are merged into
-    one list of rows and extended together.  A row is an integer laid out
-    by :func:`_row_layout`.  Placing k at reading position p adds k to p's
-    field, and makes k-1 a descent when p comes before the position of k-1:
-    one constant per (state, box), or-ed into every row of the state.  The
-    last level keys every state by the full mask alone, so all rows end in
-    one list, whose sorted order is reading-word order.
+    depends only on its search state: the mask of filled boxes and the
+    reading position of the box holding k.  The partial fillings that reach
+    one state are merged into one list of rows and extended together.  A row
+    is an integer laid out by :func:`_row_layout`.  Placing k at reading
+    position p adds k to p's field, and makes k-1 a descent when p comes
+    before the position of k-1: one constant per (state, box), or-ed into
+    every row of the state.  The last level keys every state by the full
+    mask alone, so all rows end in one list, whose sorted order is
+    reading-word order.
     """
     n = diagram.n
     dtype, big_endian, fields, shifts, descents = _row_layout(n)
     boxes = tuple(zip(*rules[1:]))
-    # key -> [filled mask, ready mask, position of k, late mask, rows, add]:
-    # the state's rows are those of ``rows`` or-ed with ``add``, a list its
+    # key -> [filled mask, ready mask, position of k, rows, add]: the
+    # state's rows are those of ``rows`` or-ed with ``add``, a list its
     # parent state may share; a merged state owns its rows, with add 0
-    states = {0: [0, rules.start, -1, 0, [0], 0]}
+    states = {0: [0, rules.start, -1, [0], 0]}
     for k in range(1, n + 1):
         reached: dict[int, list] = {}
-        for filled, ready, last, late, rows, add in states.values():
+        for filled, ready, last, rows, add in states.values():
             todo = ready
             while todo:
                 bit = todo & -todo
                 todo ^= bit
-                unlocked, triple, order_pair, own_rows, p, lates = boxes[bit.bit_length() - 1]
+                unlocked, triple, own_rows, p = boxes[bit.bit_length() - 1]
                 if triple:
                     trigger, required = triple
                     if (filled & trigger) << 1 & ~(filled & required):
@@ -386,17 +343,8 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
                     own, below = own_rows
                     if below and not filled & own and (filled & below).bit_count() < 2:
                         continue
-                now, late_after = filled | bit, late
-                if order_pair:
-                    lower, right = order_pair
-                    if filled & lower and (right < 0 or late & bit):
-                        continue
-                    for right_bit, late_bit in lates:
-                        if filled & right_bit:
-                            late_after |= late_bit
-                    # a filled box's late bit is never read again
-                    late_after &= ~now
-                key = now | p << n | late_after << 2 * n if k < n else now
+                now = filled | bit
+                key = now | p << n if k < n else now
                 constant = add | k << shifts[p]
                 if p < last:
                     constant |= 1 << (k - 2)
@@ -406,11 +354,11 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
                     for later, preds in unlocked:
                         if preds & now == preds:
                             after |= later
-                    reached[key] = [now, after, p, late_after, rows, constant]
+                    reached[key] = [now, after, p, rows, constant]
                 else:
-                    if state[5]:
-                        state[4], state[5] = list(map(state[5].__or__, state[4])), 0
-                    state[4] += map(constant.__or__, rows)
+                    if state[4]:
+                        state[3], state[4] = list(map(state[4].__or__, state[3])), 0
+                    state[3] += map(constant.__or__, rows)
         states = reached
     rows = []
     for *_, kept, add in states.values():  # the one state of the full mask
@@ -438,46 +386,41 @@ def _validate_shape(kind: FamilyKind, shape: Composition) -> Composition:
     return shape
 
 
-def _identity(nrows: int) -> tuple[int, ...]:
-    return tuple(range(1, nrows + 1))
-
-
-# kind -> (diagram, rows increasing, column order, reading order, further
-# rules); the column order is "first" (the first column in sigma order),
-# "up" or "down" (every column, entries increasing that way).
+# kind -> (diagram, column order, reading order, further rules); rows
+# increase left-right, and the column order is "first" (the first column in
+# sigma order), "up" or "down" (every column, entries increasing that way).
+# srct has no recipe: it is the complement of syrt (:func:`_srct_from_syrt`).
 _RECIPES = {
-    FamilyKind.SPCT: (composition_diagram, True, "first", _read_columns_lr_bottom_up, (PREFIX_PEAK,)),
-    FamilyKind.SYCT: (composition_diagram, True, "first", _read_syct, (TRIPLE,)),
-    FamilyKind.SPYCT: (composition_diagram, True, "first", _read_syct, (TRIPLE, PREFIX_PEAK)),
-    FamilyKind.SSHT: (shifted_diagram, True, "up", _read_rows_top_down, ()),
-    FamilyKind.SYT: (composition_diagram, True, "up", _read_rows_top_down, ()),
-    FamilyKind.SIT: (composition_diagram, True, "first", _read_rows_top_down, ()),
-    FamilyKind.SRIT: (composition_diagram, True, "first", _read_rows_bottom_up_rl, ()),
-    FamilyKind.SET: (composition_diagram, True, "up", _read_rows_top_down, ()),
-    FamilyKind.SRET: (composition_diagram, True, "up", _read_rows_bottom_up_rl, ()),
-    FamilyKind.SRCT: (composition_diagram, False, "first", _read_srct, (REVERSED_TRIPLE,)),
-    FamilyKind.SYRT: (composition_diagram, True, "first", _read_syrt, (TRIPLE,)),
-    FamilyKind.RIB: (ribbon_diagram, True, "down", _read_rows_bottom_up_lr, ()),
+    FamilyKind.SPCT: (composition_diagram, "first", _read_columns_lr_bottom_up, (PREFIX_PEAK,)),
+    FamilyKind.SYCT: (composition_diagram, "first", _read_syct, (TRIPLE,)),
+    FamilyKind.SPYCT: (composition_diagram, "first", _read_syct, (TRIPLE, PREFIX_PEAK)),
+    FamilyKind.SSHT: (shifted_diagram, "up", _read_rows_top_down, ()),
+    FamilyKind.SYT: (composition_diagram, "up", _read_rows_top_down, ()),
+    FamilyKind.SIT: (composition_diagram, "first", _read_rows_top_down, ()),
+    FamilyKind.SRIT: (composition_diagram, "first", _read_rows_bottom_up_rl, ()),
+    FamilyKind.SET: (composition_diagram, "up", _read_rows_top_down, ()),
+    FamilyKind.SRET: (composition_diagram, "up", _read_rows_bottom_up_rl, ()),
+    FamilyKind.SYRT: (composition_diagram, "first", _read_syrt, (TRIPLE,)),
+    FamilyKind.RIB: (ribbon_diagram, "down", _read_rows_bottom_up_lr, ()),
 }
 
 
 @lru_cache(maxsize=None)
 def _shape_recipe(kind: FamilyKind, shape: Composition):
     """The boxes and the precedence edges that do not depend on sigma."""
-    diagram, increasing, columns, _, _ = _RECIPES[kind]
+    diagram, columns, _, _ = _RECIPES[kind]
     boxes = diagram(shape)
-    boxset = frozenset(boxes)
-    edges = _row_edges(boxset, increasing)
+    edges = _row_edges(boxes)
     if columns == "up":
-        edges += _column_edges_up(boxset)
+        edges += _column_edges_up(boxes)
     elif columns == "down":
-        edges += _column_edges_down(boxset)
+        edges += _column_edges_down(boxes)
     return boxes, tuple(edges)
 
 
 def _kind_recipe(kind: FamilyKind, shape: Composition, sigma: tuple[int, ...]):
     """Return (boxes, reading_order, precedence edges, further rules)."""
-    _, _, columns, read, rules = _RECIPES[kind]
+    _, columns, read, rules = _RECIPES[kind]
     boxes, edges = _shape_recipe(kind, shape)
     if columns == "first":
         edges += tuple(_first_column_edges(len(shape), sigma))
@@ -492,13 +435,45 @@ def _family_tag(kind: FamilyKind, shape: Composition, sigma) -> str:
 
 
 @lru_cache(maxsize=None)
+def _complement_layout(shape: Composition) -> tuple[tuple[Box, ...], list[int], tuple[Box, ...]]:
+    """The srct boxes of the shape; for each, the index of its syrt mirror
+    box, row r made row l+1-r; and the srct box of each mirror box."""
+    boxes = composition_diagram(shape)
+    mirror = {b: k for k, b in enumerate(composition_diagram(shape[::-1]))}
+    columns = [mirror[c, len(shape) + 1 - r] for c, r in boxes]
+    return boxes, columns, tuple(boxes[k] for k in np.argsort(columns))
+
+
+def _srct_from_syrt(shape: Composition, sigma: Optional[tuple[int, ...]]):
+    """The diagram, entry array and descent masks of an srct family, read
+    off its syrt mirror, the syrt family of the reversed shape with
+    sigma'(r) = l+1-sigma(l+1-r): entry e becomes n+1-e and row r row
+    l+1-r.  Reading positions correspond, so the words are complemented and
+    come in reverse order.  i is a descent exactly when n-i is not a descent
+    of the mirror word, so a descent mask becomes the bit-reversal, over n-1
+    bits, of its complement."""
+    n = sum(shape)
+    mirror_sigma = sigma and tuple(len(shape) + 1 - rank for rank in reversed(sigma))
+    mirror = _build_family_cached(FamilyKind.SYRT, shape[::-1], mirror_sigma)
+    boxes, columns, images = _complement_layout(shape)
+    diagram = Diagram(boxes, tuple(images[b] for b in mirror.diagram.reading_positions))
+    entries = n - mirror.members.entries[::-1, columns] + 1  # n + 1 may not fit the dtype
+    full = (1 << (n - 1)) - 1
+    masks = tuple(int(f"{full & ~mask:0{n - 1}b}"[::-1], 2) for mask in reversed(mirror.descent_masks))
+    return diagram, entries, masks
+
+
+@lru_cache(maxsize=None)
 def _build_family_cached(
     kind: FamilyKind, shape: Composition, sigma: Optional[tuple[int, ...]]
 ) -> TableauFamily:
-    effective_sigma = sigma if sigma is not None else _identity(len(shape))
-    boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)
-    diagram = Diagram(boxes, reading)
-    entries, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
+    if kind is FamilyKind.SRCT:
+        diagram, entries, masks = _srct_from_syrt(shape, sigma)
+    else:
+        effective_sigma = sigma or tuple(range(1, len(shape) + 1))
+        boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)
+        diagram = Diagram(boxes, reading)
+        entries, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
     return TableauFamily(
         diagram=diagram,
         members=Tableaux(diagram, entries),

@@ -213,7 +213,8 @@ class TableauFamily:
     raise :class:`DomainError`.  ``descent_masks[k]``, recorded by the
     enumerator, has bit i-1 set when i is a descent of member k, and comes
     only with rows, one mask per row; rows with masks are trusted to be
-    distinct and sorted, as the enumerator makes them.  A family without
+    distinct and sorted, as ``build_family`` makes them, by enumeration or,
+    for srct, by complementing a syrt family.  A family without
     masks reads its descent histogram from the entries.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.

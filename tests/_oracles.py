@@ -9,13 +9,15 @@ reading-word machinery.
 The library's first enumerator, a backtracking insertion over the kind
 recipes with the triple and prefix-peak rules as checks on a box -> entry
 map, is kept here as a second oracle for the bitmask search that replaced
-it, together with the former per-tableau characteristics.  That bitmask
-search, a recursive depth-first search over the compiled rules, is kept as
-``depth_first_enumerate``, the oracle for the level-by-level enumerator that
-replaced it.  The former
-recursive enumerators of peak compositions and of strict and weak partitions,
-which the library replaced by filters of the composition enumerator, are
-kept as ``recursive_shapes``.
+it, together with the former per-tableau characteristics.  It keeps srct's
+own recipe (``srct_recipe``): the reversed triple rule, which the library
+replaced by complementing syrt families, now lives only in these oracles.
+That bitmask search, a recursive depth-first search over the compiled
+rules, is kept as ``depth_first_enumerate``, the oracle for the
+level-by-level enumerator that replaced it.  The former recursive
+enumerators of peak compositions and of strict and weak partitions, which
+the library replaced by filters of the composition enumerator, are kept as
+``recursive_shapes``.
 
 The library keeps no matrices, only signed partial maps and 2^n blocks.
 Here its generators are materialised as ``scipy.sparse`` integer matrices
@@ -325,20 +327,36 @@ def _enumerate_fillings(boxes, edges, checks):
     yield from rec(1)
 
 
+def srct_recipe(shape, sigma):
+    """srct's own recipe, which the library replaced by the complement of
+    syrt: rows decrease left-right, the first column follows sigma upward,
+    and the reversed triple rule holds; columns are read bottom-up from the
+    rightmost leftwards, then the first column in decreasing sigma rank."""
+    boxes = families.composition_diagram(shape)
+    boxset = frozenset(boxes)
+    rank_rows = sorted(range(1, len(shape) + 1), key=lambda r: sigma[r - 1])
+    edges = [((c + 1, r), (c, r)) for c, r in boxes if (c + 1, r) in boxset]
+    edges += [((1, lo), (1, hi)) for lo, hi in zip(rank_rows, rank_rows[1:])]
+    rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (-b[0], b[1]))
+    reading = tuple(rest) + tuple((1, r) for r in reversed(rank_rows))
+    return boxes, reading, edges, [_srct_triple_check(boxset)]
+
+
 def backtracking_family(kind, shape, sigma=None):
     """The family as the former backtracking enumerator built it: every
     filling as a tableau, on the library's kind recipe (diagram, reading
-    order, precedence edges and rule names)."""
+    order, precedence edges and rule names), or for srct on its own."""
     kind, shape = families.FamilyKind(kind), tuple(shape)
     effective = sigma if sigma is not None else tuple(range(1, len(shape) + 1))
-    boxes, reading, edges, rules = families._kind_recipe(kind, shape, effective)
-    boxset = frozenset(boxes)
-    factories = {
-        families.TRIPLE: lambda: _syct_triple_check(boxset),
-        families.REVERSED_TRIPLE: lambda: _srct_triple_check(boxset),
-        families.PREFIX_PEAK: lambda: _prefix_peak_check(len(shape)),
-    }
-    checks = [factories[rule]() for rule in rules]
+    if kind is families.FamilyKind.SRCT:
+        boxes, reading, edges, checks = srct_recipe(shape, effective)
+    else:
+        boxes, reading, edges, rules = families._kind_recipe(kind, shape, effective)
+        factories = {
+            families.TRIPLE: lambda: _syct_triple_check(frozenset(boxes)),
+            families.PREFIX_PEAK: lambda: _prefix_peak_check(len(shape)),
+        }
+        checks = [factories[rule]() for rule in rules]
     diagram = Diagram(boxes, reading)
     members = tuple(
         StandardTableau.from_box_map(diagram, m) for m in _enumerate_fillings(boxes, edges, checks)
@@ -350,8 +368,7 @@ def depth_first_enumerate(diagram, rules):
     """The library's former enumerator: every legal filling as a row of an
     (m, n) entry array, indexed like ``diagram.boxes`` and sorted by reading
     word, with each member's descent mask (bit i-1 set when i is a descent).
-    It reads the six fields of ``families._Rules`` that it knew, and keeps
-    the reversed triple rule's history as the filled mask before each box.
+    It reads the fields of ``families._Rules`` by name.
 
     A depth-first search places the entries 1..n one at a time over the mask
     of filled boxes, trying the boxes whose predecessors are all filled.
@@ -360,9 +377,8 @@ def depth_first_enumerate(diagram, rules):
     """
     n = diagram.n
     full = (1 << n) - 1
-    boxes = tuple(zip(range(n), *rules[1:6]))
+    boxes = tuple(zip(range(n), rules.unlocks, rules.triples, rules.rows, rules.reading_pos))
     entry = [0] * n
-    before = [0] * n  # the filled mask just before each box was filled
     found: list[list[int]] = []
     masks: list[int] = []
 
@@ -375,20 +391,16 @@ def depth_first_enumerate(diagram, rules):
         while todo:
             bit = todo & -todo
             todo ^= bit
-            b, unlocked, triple, order_pair, rows, p = boxes[bit.bit_length() - 1]
+            b, unlocked, triple, rows, p = boxes[bit.bit_length() - 1]
             if triple:
                 trigger, required = triple
                 if (filled & trigger) << 1 & ~(filled & required):
-                    continue
-            if order_pair:
-                lower, right = order_pair
-                if filled & lower and (right < 0 or filled & lower & ~before[right]):
                     continue
             if rows:
                 own, below = rows
                 if below and not filled & own and (filled & below).bit_count() < 2:
                     continue
-            entry[b], before[b] = k, filled
+            entry[b] = k
             now, after = filled | bit, ready ^ bit
             for later, preds in unlocked:
                 if preds & now == preds:

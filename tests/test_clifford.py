@@ -346,6 +346,23 @@ def test_marked_rendering(compatible_family):
         MarkedTableau(R, frozenset({4}))
 
 
+@pytest.mark.parametrize("mark", [1.0, 2.5, "a", True, 0, 4, None])
+def test_marks_must_be_integers_in_range(mark, compatible_family):
+    """A mark is read by the one integer rule: a float, a string, a bool or
+    an integer outside 1..n raises DomainError at construction."""
+    R = member_by_word(compatible_family, (2, 1, 3))
+    with pytest.raises(DomainError, match="not all integers in 1..3"):
+        MarkedTableau(R, frozenset({mark, 2}))
+
+
+def test_numpy_marks_are_stored_as_python_ints(compatible_family):
+    R = member_by_word(compatible_family, (2, 1, 3))
+    marked = MarkedTableau(R, frozenset({np.int64(2), np.uint8(3)}))
+    assert marked.marks == {2, 3} and all(type(j) is int for j in marked.marks)
+    rep = build_clifford_module(compatible_family)
+    assert rep.basis_element(rep.index_of(marked)) == marked
+
+
 def assert_matches_materialised(rep):
     """The block-factored relation report and quotient verdicts equal those
     of the materialised matrices."""
@@ -732,7 +749,7 @@ def test_conjugated_blocks_break_expansion_through_locality(n, failing, monkeypa
 
 def test_large_tables_expand_relations_only_up_to_size_4(monkeypatch, fresh_block_caches):
     """Building the tables of sizes 5 to 9 expands relations of size at
-    most 4, each relation of size 4 once per table."""
+    most 4, each relation of size 4 once across all five tables."""
     sizes = []
     original = clifford._expansion_holds
 
@@ -742,7 +759,7 @@ def test_large_tables_expand_relations_only_up_to_size_4(monkeypatch, fresh_bloc
 
     monkeypatch.setattr(clifford, "_expansion_holds", recorded)
     assert all(clifford._supermodule_table(n).expansion for n in range(5, 10))
-    assert sizes == [4] * 5 * len(relation_table(3).relations)
+    assert sizes == [4] * len(relation_table(3).relations)
 
 
 # (generator, case, column of the corrupted entry): each fault flips the

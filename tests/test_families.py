@@ -41,6 +41,7 @@ from diagmod.tableaux import (
     is_ascent_compatible,
     is_descent_compatible,
     swap_entries,
+    word_descents,
 )
 
 ALL_KINDS = [k.value for k in FamilyKind]
@@ -178,14 +179,32 @@ def assert_same_search(diagram, rules):
     assert masks == old_masks
 
 
-@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "srct"])
 def test_level_enumerator_matches_depth_first_search(kind):
-    """Every (kind, shape, sigma) with n <= 6, and every shape with n = 7, 8."""
+    """Every (kind, shape, sigma) with n <= 6, and every shape with n = 7, 8.
+    srct has no search: it is the complement of syrt."""
     instances = [
         (k, shape, sigma) for k, shape, sigma in family_instances(6, sigmas=True) if k.value == kind
     ] + [(kind, shape, None) for n in (7, 8) for shape in shapes_for(kind, n)]
     for instance in instances:
         assert_same_search(*compiled_rules(*instance))
+
+
+def test_srct_masks_and_reading_order_follow_from_the_words():
+    """srct is read off its syrt mirror.  For every (shape, sigma) with
+    n <= 6, its rows are distinct and in reading-word order, each descent
+    mask is the one recomputed from the member's reading word, and the
+    reading order is that of srct's own recipe.  This checks the mask map
+    apart from syrt's masks."""
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        if kind is not FamilyKind.SRCT:
+            continue
+        fam = build_family(kind, shape, sigma)
+        effective = sigma or tuple(range(1, len(shape) + 1))
+        assert fam.diagram.reading_order == oracle.srct_recipe(shape, effective)[1]
+        words = [tuple(word) for word in fam.words.tolist()]
+        assert words == sorted(set(words))
+        assert fam.descent_masks == tuple(sum(1 << (i - 1) for i in word_descents(w)) for w in words)
 
 
 @settings(max_examples=150, deadline=None)
