@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 from .clifford import build_clifford_module, certificates, peak_characteristic
 from .compositions import format_subset, parse_composition
-from .errors import DomainError
+from .errors import DomainError, TheoremMismatch
 from .families import (
     NATIVE_CONVENTION,
     SIGMA_KINDS,
@@ -304,6 +304,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TheoremMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

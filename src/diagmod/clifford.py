@@ -15,16 +15,19 @@ A family supermodule is thus its word graph tensored with fixed 2^n blocks
 that depend only on n, i and the case: pi~_i = 1 (x) ATTACK + pi_i (x) SWAP,
 with pi_i the pi module's generator, the shape of the module induced from
 the 0-Hecke algebra.  It stores only its family and reads the graph from
-the word set.  The relation and quotient checks read one table per n of
-what the blocks decide (:func:`_supermodule_table`); the 0-Hecke relations
-are the pi module's, under a per-n certificate of that tensor form
-(:func:`_expansion_holds`), decided on the relations of size at most 4
-where the blocks are local (:func:`_local_certificate`).  Reachability
-is the module's walk with every mark, under its own per-n certificate
-(:func:`_reach_certificate`).  Every block is a stack of signed partial
-maps in the modules' sink-column encoding (:mod:`diagmod.hecke`): a
-product is a gather, a sum is a stack, and equality is decided on
-canonical entries.
+the word set.  Every supermodule check is the pi module's check under
+per-n certificates of the blocks (:func:`certificates`), and nothing is
+kept per word set.  The relation report is the pi module's, under a
+certificate of that tensor form (:func:`_expansion_holds`), decided on
+the relations of size at most 4 where the blocks are local
+(:func:`_local_certificate`), and one that the rest of the suite holds
+for the blocks (:func:`_supermodule_table`).  Every filtration quotient
+holds where the diagonal blocks are the reference module's, and
+reachability is the module's walk with every mark
+(:func:`_reach_certificate`).  A failing certificate raises
+TheoremMismatch.  Every block is a stack of signed partial maps in the
+modules' sink-column encoding (:mod:`diagmod.hecke`): a product is a
+gather, a sum is a stack, and equality is decided on canonical entries.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -68,7 +71,6 @@ from .tableaux import (
     Tableaux,
     WordSet,
     render_tableau,
-    word_set_memo,
 )
 
 
@@ -423,23 +425,20 @@ class SupermoduleTable(NamedTuple):
     """What the 2^n blocks decide for every family supermodule of size n.
 
     ``suite`` is the relation suite after the 0-Hecke relations, in report
-    order, as (message, check) pairs: for a pi-c relation or pi parity, the
-    frozenset of (i, case) pairs, a block case of pi_i, under which it
-    fails; for a relation among the c_j, its verdict.  ``expansion`` is
+    order, as (message, holds) pairs; a pi-c relation or pi parity holds
+    when it holds for each of pi_i's three case blocks.  ``expansion`` is
     that DESCENT = ATTACK - SWAP for every pi_i, so pi~_i = 1 (x) ATTACK +
     pi_i (x) SWAP, that the blocks are local (:func:`_local_certificate`)
     and that every relation of size min(n, 4) expands as it should
     (:func:`_expansion_holds`): each 0-Hecke relation then fails exactly
-    where the pi module's does.  ``quotients[i - 1][descent]`` is whether
-    the diagonal block of pi_i on a tableau with or without a descent at i
-    is the reference module's pi_i, and ``marks`` whether the mark blocks
-    are its c_j.
+    where the pi module's does.  ``quotients`` is that the DESCENT and
+    ATTACK blocks of every pi_i are the reference module's pi_i with and
+    without a descent at i, and the mark blocks its c_j.
     """
 
-    suite: tuple[tuple[str, object], ...]
+    suite: tuple[tuple[str, bool], ...]
     expansion: bool
-    quotients: tuple[tuple[bool, bool], ...]
-    marks: bool
+    quotients: bool
 
 
 @lru_cache(maxsize=None)
@@ -450,9 +449,11 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     relations among the c_j hold on a nonempty family iff they hold for the
     blocks.  The descent, attack and swap blocks of pi_i sit at disjoint
     block positions, while each c_j is block diagonal, so a pi-c relation
-    or pi parity holds for the whole operator iff it holds for each block
-    present; the identity added in the (pi_i + 1) relation lands on the
-    diagonal blocks only.
+    or pi parity holding for each block holds for the whole operator of
+    every family; the identity added in the (pi_i + 1) relation lands on
+    the diagonal blocks only.  A filtration quotient is its tableau's
+    diagonal blocks, so every quotient of size n is the reference module
+    where these blocks are.
     """
     cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
@@ -470,26 +471,24 @@ def _supermodule_table(n: int) -> SupermoduleTable:
                 message, other = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)", cs[i - 1]
             else:
                 message, other = f"pi[{i}] and c[{j}] do not commute", c
-            fails = set()
-            for case, p in blocks.items():
-                if j == i + 1 and case != SWAP:
-                    p = _stack(p, _identity(n))
-                if not _equal(compose_maps(p, c), compose_maps(other, p)):
-                    fails.add((i, case))
-            suite.append((message, frozenset(fails)))
-    for i, blocks in enumerate(pis, 1):
-        fails = frozenset((i, case) for case, p in blocks.items() if not _keeps_parity(p, n, flips=False))
-        suite.append((f"pi[{i}] does not preserve parity", fails))
-    suite += [(f"c[{j}] does not flip parity", _keeps_parity(c, n, flips=True)) for j, c in enumerate(cs, 1)]
-    quotients = tuple(
-        tuple(_equal(blocks[case], _reference_pi(n, i, case == DESCENT)) for case in (ATTACK, DESCENT))
+            plus = j == i + 1
+            ops = [_stack(p, _identity(n)) if plus and case != SWAP else p for case, p in blocks.items()]
+            suite.append((message, all(_equal(compose_maps(p, c), compose_maps(other, p)) for p in ops)))
+    suite += [
+        (f"pi[{i}] does not preserve parity", all(_keeps_parity(p, n, flips=False) for p in blocks.values()))
         for i, blocks in enumerate(pis, 1)
+    ]
+    suite += [(f"c[{j}] does not flip parity", _keeps_parity(c, n, flips=True)) for j, c in enumerate(cs, 1)]
+    quotients = _marks_are_reference(n) and all(
+        _equal(blocks[case], _reference_pi(n, i, case == DESCENT))
+        for i, blocks in enumerate(pis, 1)
+        for case in (ATTACK, DESCENT)
     )
     descents = all(_equal(b[DESCENT], _stack(b[ATTACK], _scaled(b[SWAP], -1))) for b in pis)
     m = min(n, 4)  # every relation of size n is the image of one of size m
     local = _local_certificate(n) and _local_certificate(m)
     expansion = local and descents and _relations_expand(m)
-    return SupermoduleTable(tuple(suite), expansion, quotients, _marks_are_reference(n))
+    return SupermoduleTable(tuple(suite), expansion, quotients)
 
 
 @lru_cache(maxsize=None)
@@ -506,36 +505,22 @@ def _marks_are_reference(n: int) -> bool:
 
 def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
     """Exact verification of the full generator relation suite of a family
-    supermodule, on its 2^n blocks rather than its |F| 2^n operators: the
-    table of size n (:func:`_supermodule_table`) read at the family's word
-    graph.  The checks, their count and the violation messages are those of
-    the products of the full generator matrices.  The report depends only
-    on the family's word set and is computed once per word set.
+    supermodule: the pi module's report, under the table of size n
+    (:func:`_supermodule_table`).  Its expansion certificate makes the pi
+    module's violations the 0-Hecke ones, and the rest of the suite then
+    holds on every family of that size.  The checks, their count and the
+    violation messages are those of the products of the full generator
+    matrices.  Where the table certifies neither, raises TheoremMismatch.
     """
-    return _word_set_relations(rep.family.word_set)
-
-
-@word_set_memo
-def _word_set_relations(words: WordSet) -> RelationReport:
-    """The supermodule relation report of a word set: the pi module's
-    report, which the table's expansion certificate makes the 0-Hecke part,
-    then the table's entries read at its descents and swap targets."""
-    table = _supermodule_table(words.n)
+    n = rep.n
+    table = _supermodule_table(n)
     if not table.expansion:
-        raise TheoremMismatch(f"the blocks of size {words.n} do not certify the 0-Hecke relations")
-    module = _module_relations(words, PI)
-    swaps = swap_targets(words)
-    present = {
-        (i, case)
-        for case, flags in ((DESCENT, words.descent), (ATTACK, ~words.descent), (SWAP, swaps >= 0))
-        for i in (np.flatnonzero(flags.any(axis=1)) + 1).tolist()
-    }
-    fails = tuple(
-        message
-        for message, check in table.suite
-        if not (check if isinstance(check, bool) else check.isdisjoint(present))
-    )
-    return RelationReport(len(relation_table(words.n - 1).relations + table.suite), module.violations + fails)
+        raise TheoremMismatch(f"the blocks of size {n} do not certify the 0-Hecke relations")
+    failing = [message for message, holds in table.suite if not holds]
+    if failing:
+        raise TheoremMismatch(f"the blocks of size {n} break {'; '.join(failing)}")
+    module = _module_relations(rep.family.word_set, PI)
+    return RelationReport(len(relation_table(n - 1).relations + table.suite), module.violations)
 
 
 def peak_characteristic(obj) -> FormalSum:
@@ -559,30 +544,21 @@ def filtration_quotient_check(rep: CliffordModuleRep, k: int) -> bool:
     block: the descent or attack block of each pi_i, and the mark blocks.
     The mark coordinate map is then an intertwiner iff these blocks equal the
     reference module built from the tableau's descent composition, whose
-    pi_i depends only on whether i is a descent.  The verdicts of every
-    basis tableau are read once per word set (:func:`_word_set_quotients`).
+    pi_i depends only on whether i is a descent: the table's ``quotients``
+    certificate, under which every quotient holds.
     """
     m = len(rep.basis_tableaux)
-    k = integer(k, f"filtration index {k!r} is not an integer in 1..{m}", 1, m)
-    return bool(_word_set_quotients(rep.family.word_set)[k - 1])
+    integer(k, f"filtration index {k!r} is not an integer in 1..{m}", 1, m)
+    return not failing_quotients(rep)
 
 
 def failing_quotients(rep: CliffordModuleRep) -> tuple[int, ...]:
     """The indices k in 1..m whose filtration quotient fails
-    :func:`filtration_quotient_check`, read from the same verdicts."""
-    return tuple((np.flatnonzero(~_word_set_quotients(rep.family.word_set)) + 1).tolist())
-
-
-@word_set_memo
-def _word_set_quotients(words: WordSet) -> np.ndarray:
-    """Each basis tableau's quotient verdict, in basis order, read-only: the
-    table's verdict of the diagonal block of every pi_i at the tableau's
-    descent flag, and the mark blocks' verdict."""
-    table = _supermodule_table(words.n)
-    blocks = np.array(table.quotients, dtype=bool).reshape(-1, 2)
-    verdicts = table.marks & np.where(words.descent, blocks[:, 1:], blocks[:, :1]).all(axis=0)
-    verdicts.flags.writeable = False
-    return verdicts
+    :func:`filtration_quotient_check`: none, where the table of size n
+    certifies the quotients, else TheoremMismatch is raised."""
+    if not _supermodule_table(rep.n).quotients:
+        raise TheoremMismatch(f"the blocks of size {rep.n} do not certify the filtration quotients")
+    return ()
 
 
 @lru_cache(maxsize=None)
@@ -598,7 +574,13 @@ def _reach_certificate(n: int) -> bool:
 def certificates(n: int) -> dict[str, bool]:
     """The per-n block certificates the supermodule checks answer under."""
     table = _supermodule_table(n)
-    return {"reach": _reach_certificate(n), "local": _local_certificate(n), "expansion": table.expansion}
+    return {
+        "reach": _reach_certificate(n),
+        "local": _local_certificate(n),
+        "expansion": table.expansion,
+        "suite": all(holds for _, holds in table.suite),
+        "quotients": table.quotients,
+    }
 
 
 def _reached(rep: CliffordModuleRep, seed) -> dict[int, tuple[int, ...]]:

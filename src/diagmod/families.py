@@ -135,9 +135,16 @@ def ribbon_diagram(alpha: Composition) -> tuple[Box, ...]:
     return tuple(boxes)
 
 
+@lru_cache(maxsize=None)
+def _diagram(boxes: tuple[Box, ...], reading: tuple[Box, ...]) -> Diagram:
+    """The one diagram of its boxes and reading order, shared by every
+    family built on them."""
+    return Diagram(boxes, reading)
+
+
 def single_row_diagram(n: int) -> Diagram:
     boxes = tuple((c, 1) for c in range(1, n + 1))
-    return Diagram(boxes, boxes)
+    return _diagram(boxes, boxes)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +463,7 @@ def _srct_from_syrt(shape: Composition, sigma: Optional[tuple[int, ...]]):
     mirror_sigma = sigma and tuple(len(shape) + 1 - rank for rank in reversed(sigma))
     mirror = _build_family_cached(FamilyKind.SYRT, shape[::-1], mirror_sigma)
     boxes, columns, images = _complement_layout(shape)
-    diagram = Diagram(boxes, tuple(images[b] for b in mirror.diagram.reading_positions))
+    diagram = _diagram(boxes, tuple(images[b] for b in mirror.diagram.reading_positions))
     entries = n - mirror.members.entries[::-1, columns] + 1  # n + 1 may not fit the dtype
     full = (1 << (n - 1)) - 1
     masks = tuple(int(f"{full & ~mask:0{n - 1}b}"[::-1], 2) for mask in reversed(mirror.descent_masks))
@@ -472,7 +479,7 @@ def _build_family_cached(
     else:
         effective_sigma = sigma or tuple(range(1, len(shape) + 1))
         boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)
-        diagram = Diagram(boxes, reading)
+        diagram = _diagram(boxes, reading)
         entries, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
     return TableauFamily(
         diagram=diagram,

@@ -293,47 +293,34 @@ def evaluate_truncated(f: FormalSum, k: int) -> TruncatedPolynomial:
     return TruncatedPolynomial(k, out)
 
 
-def _coeff_str(coeff: Fraction, label: str) -> str:
-    if coeff.denominator == 1 and abs(coeff.numerator) == 1:
-        return label
-    c = abs(coeff)
-    return f"{c}*{label}"
+def _render(f: FormalSum, term) -> str:
+    """The terms joined as "a + b - c", the first sign bare, each
+    ``term(parts, c)`` of its index's comma-joined parts and its absolute
+    coefficient c; the zero sum renders as "0"."""
+    pieces = []
+    for alpha, coeff in f.sorted_terms():
+        sign = ("+ " if coeff > 0 else "- ") if pieces else ("" if coeff > 0 else "-")
+        pieces.append(sign + term(",".join(map(str, alpha)), abs(coeff)))
+    return " ".join(pieces) or "0"
 
 
 def render_text(f: FormalSum) -> str:
     """Render as e.g. "K[3,3,1] + 2*K[2,2,2,1]"; the zero sum renders as "0"."""
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for alpha, coeff in f.sorted_terms():
-        label = f"{f.basis}[{','.join(map(str, alpha))}]"
-        body = _coeff_str(coeff, label)
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(pieces)
+    return _render(f, lambda parts, c: f"{f.basis}[{parts}]" if c == 1 else f"{c}*{f.basis}[{parts}]")
 
 
 def render_latex(f: FormalSum) -> str:
     """Render as e.g. "K_{(3,3,1)} + 2K_{(2,2,2,1)}"."""
-    if f.is_zero():
-        return "0"
-    pieces = []
-    for alpha, coeff in f.sorted_terms():
-        label = f"{f.basis}_{{({','.join(map(str, alpha))})}}"
-        c = abs(coeff)
+
+    def term(parts: str, c: Fraction) -> str:
+        label = f"{f.basis}_{{({parts})}}"
         if c == 1:
-            body = label
-        elif c.denominator == 1:
-            body = f"{c.numerator}{label}"
-        else:
-            body = f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{label}"
-        if not pieces:
-            pieces.append(body if coeff > 0 else f"-{body}")
-        else:
-            pieces.append(("+ " if coeff > 0 else "- ") + body)
-    return " ".join(pieces)
+            return label
+        if c.denominator == 1:
+            return f"{c.numerator}{label}"
+        return f"\\tfrac{{{c.numerator}}}{{{c.denominator}}}{label}"
+
+    return _render(f, term)
 
 
 def to_term_records(f: FormalSum) -> list[dict]:

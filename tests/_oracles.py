@@ -39,10 +39,11 @@ counted inversions one reading position at a time, the relation check
 that composed the words of each relation kind as a separate batch, the
 supermodule's 0-Hecke relation check that expanded both sides of each
 relation over its paths in the word graph at every basis tableau, the
-formal-sum check that re-checked every index of every sum, and the
-characteristic steps that read every composition through ``comp_n`` and
-every peak index through the set statistics, with theta summing every
-like term as a Fraction.
+supermodule table that kept per block case where each pi-c relation fails
+and was read at the cases each word set uses, the formal-sum check that
+re-checked every index of every sum, and the characteristic steps that
+read every composition through ``comp_n`` and every peak index through the
+set statistics, with theta summing every like term as a Fraction.
 """
 
 import functools
@@ -870,12 +871,58 @@ def _relation_holds(n, cases, swaps, lhs, rhs, sign):
     return True
 
 
+@functools.lru_cache(maxsize=None)
+def _per_case_suite(n):
+    """The supermodule relation suite after the 0-Hecke relations, in report
+    order, as (message, check) pairs: for a pi-c relation or pi parity, the
+    frozenset of (i, case) pairs, a block case of pi_i, under which it
+    fails, and for a relation among the c_j, its verdict; the library's
+    former table, memoised on the unfaulted blocks."""
+    identity = clifford._identity(n)
+    cs = [clifford._mark_blocks(n, j) for j in range(1, n + 1)]
+    pis = [clifford._hecke_mask_blocks(n, i) for i in range(1, n)]
+    suite = [
+        (f"c[{j}]^2 != -1", clifford._equal(compose_maps(c, c), identity, -1)) for j, c in enumerate(cs, 1)
+    ]
+    suite += [
+        (f"c[{a}] and c[{b}] do not anticommute", clifford._equal(compose_maps(c, d), compose_maps(d, c), -1))
+        for a, c in enumerate(cs, 1)
+        for b, d in enumerate(cs[a:], a + 1)
+    ]
+    for i, blocks in enumerate(pis, 1):
+        for j, c in enumerate(cs, 1):
+            if j == i:
+                message, other = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]", cs[i]
+            elif j == i + 1:
+                message, other = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)", cs[i - 1]
+            else:
+                message, other = f"pi[{i}] and c[{j}] do not commute", c
+            fails = set()
+            for case, p in blocks.items():
+                if j == i + 1 and case != clifford.SWAP:
+                    p = clifford._stack(p, identity)
+                if not clifford._equal(compose_maps(p, c), compose_maps(other, p)):
+                    fails.add((i, case))
+            suite.append((message, frozenset(fails)))
+    for i, blocks in enumerate(pis, 1):
+        fails = frozenset(
+            (i, case) for case, p in blocks.items() if not clifford._keeps_parity(p, n, flips=False)
+        )
+        suite.append((f"pi[{i}] does not preserve parity", fails))
+    suite += [
+        (f"c[{j}] does not flip parity", clifford._keeps_parity(c, n, flips=True))
+        for j, c in enumerate(cs, 1)
+    ]
+    return tuple(suite)
+
+
 def path_expanded_clifford_relations(rep):
     """The supermodule relation report: every 0-Hecke relation of
     ``relation_table(n - 1)`` decided by expanding both sides over their
     paths in the word graph at each basis tableau, the library's former
-    check, then the entries of the library's table of size n.  The path
-    verdicts are memoised on the unfaulted blocks."""
+    check, then each entry of the former per-case suite read at the (i,
+    case) pairs the word graph uses.  The verdicts are memoised on the
+    unfaulted blocks."""
     words = rep.family.word_set
     n = words.n
     edges = (
@@ -886,7 +933,7 @@ def path_expanded_clifford_relations(rep):
     present |= {(i, clifford.SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
 
     relations = relation_table(n - 1).relations
-    suite = clifford._supermodule_table(n).suite
+    suite = _per_case_suite(n)
     fails = [message for message, *words in relations if not _relation_holds(n, *edges, *words)]
     fails += [
         message

@@ -177,31 +177,51 @@ def test_harness_with_nothing_to_check_exits_two(argv, capsys):
     assert "max_n must be at least 1" in capsys.readouterr().err
 
 
+CERTIFICATES = ("reach", "local", "expansion", "suite", "quotients")
+
+
 def test_certify_passes_to_n_12():
     code, out = run_cli("certify", "--max-n", "12")
     assert code == 0
-    assert out.splitlines() == [f"n={n} reach pass local pass expansion pass" for n in range(1, 13)]
+    row = " ".join(f"{name} pass" for name in CERTIFICATES)
+    assert out.splitlines() == [f"n={n} {row}" for n in range(1, 13)]
 
 
-def test_certify_fails_under_a_swap_fault(monkeypatch, fresh_block_caches):
-    """One SWAP entry of pi_2 at n = 5 with its sign flipped breaks the
-    local and expansion certificates of n = 5 only."""
+def _flip_swap_sign(monkeypatch, n, i):
+    """Flip the sign of the first SWAP entry of pi_i of size n."""
     original = clifford._hecke_mask_blocks
 
     def patched(m, g):
         blocks = original(m, g)
-        if (m, g) != (5, 2):
+        if (m, g) != (n, i):
             return blocks
         targets, signs = (a.copy() for a in blocks[clifford.SWAP])
         signs[0, 0] = -signs[0, 0]
         return {**blocks, clifford.SWAP: (targets, signs)}
 
     monkeypatch.setattr(clifford, "_hecke_mask_blocks", patched)
+
+
+def test_certify_fails_under_a_swap_fault(monkeypatch, fresh_block_caches):
+    """One SWAP entry of pi_2 at n = 5 with its sign flipped breaks the
+    local, expansion and suite certificates of n = 5 only."""
+    _flip_swap_sign(monkeypatch, 5, 2)
     code, out = run_cli("certify", "--max-n", "6")
     assert code == 1
     assert [line for line in out.splitlines() if "FAIL" in line] == [
-        "n=5 reach pass local FAIL expansion FAIL"
+        "n=5 reach pass local FAIL expansion FAIL suite FAIL quotients pass"
     ]
+
+
+def test_verify_reports_a_failing_certificate(monkeypatch, capsys, fresh_block_caches):
+    """A certificate that fails under a SWAP fault is a verification
+    failure: one error line on stderr and exit code 1, no traceback."""
+    _flip_swap_sign(monkeypatch, 3, 1)
+    code, out = run_cli("verify", "--family", "syt", "--shape", "2,1", "--clifford")
+    assert code == 1 and out == ""
+    assert capsys.readouterr().err == (
+        "error: the blocks of size 3 do not certify the 0-Hecke relations\n"
+    )
 
 
 def test_certify_needs_a_positive_bound(capsys):

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from diagmod.hecke import (
     relation_table,
     verify_hecke_relations,
 )
-from diagmod.tableaux import TableauFamily, descent_set_tab
+from diagmod.tableaux import TableauFamily
 
 
 def image(rep, label, index, elt):
@@ -446,28 +447,29 @@ FAULTS = {
 }
 
 
-def assert_reports_fault(rep, gens):
-    """Under a fault in the mark blocks, the report and quotient verdicts
-    equal the materialised ones.  Under a fault in a pi block, DESCENT is no
-    longer ATTACK - SWAP, so the expansion certificate fails and the report
-    raises, while the quotient verdicts still equal the materialised ones.
-    Returns the library's report, or the materialised one where it raises."""
-    if gens == "c":
-        return assert_matches_materialised(rep)
-    with pytest.raises(TheoremMismatch, match="do not certify the 0-Hecke relations"):
+def assert_reports_fault(rep):
+    """Under every fault some certificate of the table fails, so the report
+    raises.  The quotient checks raise where the table's quotient
+    certificate fails, and otherwise equal the materialised ones.  Returns
+    the materialised report."""
+    with pytest.raises(TheoremMismatch, match=f"the blocks of size {rep.n} "):
         verify_clifford_relations(rep)
-    quotients = tuple(
-        filtration_quotient_check(rep, k) for k in range(1, len(rep.basis_tableaux) + 1)
-    )
-    assert quotients == oracle.materialised_quotient_checks(rep)
+    every = range(1, len(rep.basis_tableaux) + 1)
+    if clifford._supermodule_table(rep.n).quotients:
+        quotients = tuple(filtration_quotient_check(rep, k) for k in every)
+        assert quotients == oracle.materialised_quotient_checks(rep)
+    else:
+        for check in (failing_quotients, lambda rep: filtration_quotient_check(rep, len(every))):
+            with pytest.raises(TheoremMismatch, match="do not certify the filtration quotients"):
+                check(rep)
     return oracle.materialised_clifford_relations(rep)
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_caches):
-    gens, key, col, row, expected, quotient_holds = FAULTS[fault]
-    # a fault corrupts the first entry of its column, which in a two-entry
-    # attack column is the diagonal one
+def _inject(fault, monkeypatch):
+    """Patch the block of ``FAULTS[fault]``; a fault corrupts the first
+    entry of its column, which in a two-entry attack column is the diagonal
+    one."""
+    gens, key, col, row, _, _ = FAULTS[fault]
     if gens == "pi":
         original = clifford._hecke_mask_blocks
         n, i, case = key
@@ -488,51 +490,77 @@ def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_
 
         monkeypatch.setattr(clifford, "_mark_blocks", patched)
 
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_factored_checks_report_injected_faults(fault, monkeypatch, fresh_block_caches):
+    gens, _, _, _, expected, quotient_holds = FAULTS[fault]
+    _inject(fault, monkeypatch)
     for inst in family_instances(3, sigmas=True):
         fam = build_family(*inst)
         if fam.n == 3 and fam.members:
-            assert_reports_fault(build_clifford_module(fam), gens)
+            assert_reports_fault(build_clifford_module(fam))
     # The demo family uses every block: 123 swaps to 213 at 1, and 213 has a
     # descent at 1 and an ascent at 2, so its quotient reads both corrupted
     # diagonal blocks.  Every quotient reads the mark blocks, none the swap
     # blocks.
     rep = build_clifford_module(demo_compatible_family())
-    report = assert_reports_fault(rep, gens)
+    report = assert_reports_fault(rep)
     assert expected in report.violations, report.violations
+    if gens == "c":  # the expansion holds, and the suite names the violation
+        with pytest.raises(TheoremMismatch, match=re.escape(expected)):
+            verify_clifford_relations(rep)
     k = [t.reading_word for t in rep.basis_tableaux].index((2, 1, 3)) + 1
-    assert filtration_quotient_check(rep, k) is quotient_holds
+    assert oracle.materialised_quotient_checks(rep)[k - 1] is quotient_holds
+    assert clifford._supermodule_table(3).quotients is quotient_holds
 
 
-def test_failing_quotients_read_the_table_at_each_descent(monkeypatch, fresh_block_caches):
-    """The quotient verdicts of a word set are read once from the table of
-    its size: with the verdict of pi_1's descent block turned false, exactly
-    the basis tableaux with a descent at 1 fail, per index, as one tuple and
-    in ``check_family``; with the mark blocks' verdict false, all fail."""
+# the certificates of size 3 that each fault of FAULTS breaks
+FAILING_CERTIFICATES = {
+    "descent sign": {"local", "expansion", "suite", "quotients"},
+    "swap sign": {"local", "expansion", "suite"},
+    "mark sign": {"reach", "suite", "quotients"},
+    "attack parity": {"local", "expansion", "suite", "quotients"},
+    "mark parity": {"reach", "suite", "quotients"},
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_each_fault_breaks_its_certificates(fault, monkeypatch, fresh_block_caches):
+    """Each fault breaks exactly its certificates of size 3 and none of
+    size 2 or 4, and every certificate is broken by some fault."""
+    _inject(fault, monkeypatch)
+    verdicts = clifford.certificates(3)
+    assert set().union(*FAILING_CERTIFICATES.values()) == set(verdicts)
+    assert {name for name, holds in verdicts.items() if not holds} == FAILING_CERTIFICATES[fault]
+    assert all(clifford.certificates(2).values()) and all(clifford.certificates(4).values())
+
+
+def test_a_failing_quotient_certificate_raises(monkeypatch, fresh_block_caches):
+    """With the table's quotient certificate false, every quotient reader
+    raises: per index, as one tuple and in ``check_family``."""
     fam = build_family("syt", (3, 2))
     rep = build_clifford_module(fam)
     assert failing_quotients(rep) == check_family(fam).failing_quotients == ()
-    table = clifford._supermodule_table(fam.n)
-    with_descent_at_1 = tuple(
-        k for k, tab in enumerate(rep.basis_tableaux, start=1) if 1 in descent_set_tab(tab)
-    )
-    assert 0 < len(with_descent_at_1) < len(fam)
-    every = tuple(range(1, len(fam) + 1))
-    for broken, expected in [
-        (table._replace(quotients=((True, False),) + table.quotients[1:]), with_descent_at_1),
-        (table._replace(marks=False), every),
-    ]:
-        monkeypatch.setattr(clifford, "_supermodule_table", lambda n: broken)
-        clifford._word_set_quotients.cache_clear()
-        assert failing_quotients(rep) == expected
-        assert tuple(k for k in every if not filtration_quotient_check(rep, k)) == expected
-        assert check_family(fam).failing_quotients == expected
+    assert all(filtration_quotient_check(rep, k) for k in range(1, len(fam) + 1))
+    broken = clifford._supermodule_table(fam.n)._replace(quotients=False)
+    monkeypatch.setattr(clifford, "_supermodule_table", lambda n: broken)
+    message = "the blocks of size 5 do not certify the filtration quotients"
+    for read in (
+        lambda: failing_quotients(rep),
+        lambda: filtration_quotient_check(rep, 1),
+        lambda: check_family(fam),
+    ):
+        with pytest.raises(TheoremMismatch, match=message):
+            read()
+    with pytest.raises(DomainError, match="is not an integer in 1..5"):
+        filtration_quotient_check(rep, 0)
 
 
 def test_cached_report_sees_a_fault_once_the_caches_are_cleared(monkeypatch, fresh_block_caches):
-    """The supermodule report is memoised per word set in the clifford
-    module: a report cached before a block fault is injected is served until
-    the fixture's clearing step empties the clifford caches, and then the
-    fault shows: the expansion certificate fails, so the report raises."""
+    """The supermodule table is memoised per n in the clifford module: a
+    table built before a block fault is injected is served until the
+    fixture's clearing step empties the clifford caches, and then the fault
+    shows: the expansion certificate fails, so the report raises."""
     rep = build_clifford_module(demo_compatible_family())
     assert verify_clifford_relations(rep).ok
     _, (n, i, case), col, row, _, _ = FAULTS["attack parity"]
@@ -585,7 +613,7 @@ def test_reachability_raises_without_its_certificate(fault, monkeypatch, fresh_b
         monkeypatch.setattr(clifford, "_mark_blocks", patched)
     clear_clifford_caches()
     assert not clifford._reach_certificate(3)
-    assert clifford._supermodule_table(3).marks is (fault == "swap column")
+    assert clifford._supermodule_table(3).quotients is (fault == "swap column")
     for tab in rep.basis_tableaux:
         with pytest.raises(TheoremMismatch, match="do not certify reachability"):
             clifford_reachability(rep, tab)

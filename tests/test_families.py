@@ -501,3 +501,19 @@ def test_sigma_identity_matches_base():
             base = build_family(kind, alpha)
             ident = build_family(kind, alpha, sigma=tuple(range(1, len(alpha) + 1)))
             assert set(base.members) == set(ident.members)
+
+
+def test_families_on_one_diagram_share_it():
+    """A diagram is built once per (boxes, reading order): every family with
+    n <= 5 (sigmas included) that reads the same boxes in the same order, sit
+    and set of one shape among them, and the words families of one size
+    share one Diagram object."""
+    shared = {}
+    for fam in (build_family(*inst) for inst in family_instances(5, sigmas=True)):
+        key = fam.diagram.boxes, fam.diagram.reading_order
+        assert shared.setdefault(key, fam.diagram) is fam.diagram, fam.family_tag
+    assert len(shared) == 573
+    for n in range(1, 6):
+        for shape in enumerate_compositions(n):
+            assert build_family("sit", shape).diagram is build_family("set", shape).diagram
+    assert words_family([(2, 1, 3)]).diagram is words_family([(1, 2, 3), (3, 2, 1)]).diagram

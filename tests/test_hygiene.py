@@ -12,8 +12,9 @@ library, hand-kept relation counts out of the library's reports, and
 state that could disagree with a rep's family and convention out of its
 fields, the peak characteristic's bit rule out of ``diagmod.series``,
 whose theta finds peaks by its own rule, reads of ``generator_triples``
-out of every library file but the CLI's, and private names of
-``diagmod.clifford`` out of the CLI's imports.
+out of every library file but the CLI's, private names of
+``diagmod.clifford`` out of the CLI's imports, and per-word-set memos out
+of ``diagmod.clifford``, whose checks read per-n block certificates.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -330,3 +331,13 @@ def test_the_cli_reads_the_certificates_through_the_public_api():
     assert not found, "private clifford names imported by the CLI:\n" + "\n".join(found)
     probe = "from .clifford import _reach_certificate, certificates"
     assert private_clifford_imports(probe) == ["1: _reach_certificate"], "the scan no longer finds them"
+
+
+def test_the_supermodule_keeps_nothing_per_word_set():
+    """Every supermodule check reads per-n block certificates and the pi
+    module's reports, so ``diagmod.clifford`` neither imports nor applies
+    ``word_set_memo``."""
+    names, attributes = referenced_names([ROOT / "src" / "diagmod" / "clifford.py"])
+    assert "word_set_memo" not in names | attributes
+    names, _ = referenced_names([ROOT / "src" / "diagmod" / "hecke.py"])
+    assert "word_set_memo" in names, "the scan no longer finds the memo where it is applied"
