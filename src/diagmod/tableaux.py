@@ -388,25 +388,15 @@ _SEARCH_CELLS = 1 << 15
 
 
 @lru_cache(maxsize=None)
-def _position_pairs(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The reading positions p < q of every pair, as two read-only index
-    arrays."""
-    pairs = np.triu_indices(n, 1)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
-
-
-@lru_cache(maxsize=None)
-def _key_radix(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The base-n key digits ``radix[j] = n^j`` and the swap key deltas
-    ``n^(i-1) - n^i`` as an (n - 1, 1) column, read-only; int64 while n^n
-    fits, Python integers above."""
+def _reading_constants(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reading positions p < q of every pair, as two index arrays, and
+    the place value n^(n-1-p) of each position p, in the key dtype; all
+    read-only."""
     dtype = np.int64 if n**n < 2**63 else object
-    radix = np.array([n**j for j in range(n)], dtype=dtype)
-    deltas = (radix[:-1] - radix[1:])[:, None]
-    radix.flags.writeable = deltas.flags.writeable = False
-    return radix, deltas
+    constants = (*np.triu_indices(n, 1), np.array([n**p for p in range(n - 1, -1, -1)], dtype=dtype))
+    for array in constants:
+        array.flags.writeable = False
+    return constants
 
 
 def _word_set(words: np.ndarray) -> WordSet:
@@ -416,15 +406,15 @@ def _word_set(words: np.ndarray) -> WordSet:
 
     The basis order sorts by inversion count, descending, and the counts
     come from one comparison of the transposed words at the position pairs
-    p < q of :func:`_position_pairs`, reduced in int32, a block of pairs at
-    a time.  The words are permutations of one length n, so their entry
-    positions name them, and exchanging the entries i and i+1 exchanges two
-    columns of positions.  Row t of positions is keyed by the integer whose
-    base-n digit j is ``positions[t, j]``, so the swap at i adds the key
-    delta ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is looked
-    up among the sorted keys.  A key is below n^n, so it is an int64 when
-    that fits and a Python integer otherwise: never rounded or hashed.  The
-    pairs, digits and deltas are kept per n.  The positions are kept in the
+    p < q, reduced in int32, a block of pairs at a time.  Each row is keyed
+    by its reading word read in base n, first position most significant,
+    digit ``w[p] - 1``: the rows come in reading-word order, so the keys are
+    already increasing, which is checked once.  Exchanging the values i and
+    i+1, at positions a and b, adds ``n^(n-1-a) - n^(n-1-b)``.  Each block
+    of generators searches its probes in row order, nearly sorted, so each
+    search starts near the last, and is written into basis order, a miss as
+    -1.  A key is below n^n: an int64 when that fits and a Python integer
+    otherwise, never rounded or hashed.  The positions are kept in the
     words' dtype, which holds 0..n-1: the word set's key already costs a
     copy of the words.
     """
@@ -432,33 +422,35 @@ def _word_set(words: np.ndarray) -> WordSet:
     # Module-basis order: inversion count of the reading word descending,
     # ties by the word itself, which is the order of the rows.
     columns = np.ascontiguousarray(words.T)
-    earlier, later = _position_pairs(n)
+    earlier, later, radix = _reading_constants(n)
     inversion_counts = np.zeros(m, dtype=np.int32)
     block = max(1, _SEARCH_CELLS // max(m, 1))
     for first in range(0, len(earlier), block):
         pairs = slice(first, first + block)
-        inversion_counts += (columns[earlier[pairs]] > columns[later[pairs]]).sum(axis=0, dtype=np.int32)
+        higher = columns.take(earlier[pairs], axis=0) > columns.take(later[pairs], axis=0)
+        inversion_counts += higher.sum(axis=0, dtype=np.int32)
     order = np.argsort(-inversion_counts, kind="stable")
-    positions = _positions(words[order])
-    radix, deltas = _key_radix(n)
-    dtype = radix.dtype
-    keys = positions.astype(dtype) @ radix
-    key_order = keys.argsort()
-    sorted_keys = keys[key_order]
-    rank = key_order.astype(np.int32)
-    steps = np.ascontiguousarray(positions.T)
-    steps = steps[1:] - steps[:-1]  # (n - 1, m): p[i] - p[i-1]
+    keys = (words - 1).astype(radix.dtype) @ radix
+    if not (keys[1:] > keys[:-1]).all():
+        raise DomainError("word set rows must be distinct and in reading-word order")
+    # spots[v - 1, r]: the reading position of v in row r
+    spots = np.empty((n, m), dtype=np.int16)
+    spots[columns - 1, np.arange(m)] = np.arange(n, dtype=np.int16)[:, None]
+    # rank[r]: the basis index of row r; rank[m] = -1 is a miss
+    rank = np.empty(m + 1, dtype=np.int32)
+    rank[order] = np.arange(m, dtype=np.int32)
+    rank[m] = -1
     target = np.empty((n - 1, m), dtype=np.int32)
     for first in range(0, n - 1, block):
-        rows = slice(first, first + block)
-        probes = steps[rows].astype(dtype)
-        probes *= deltas[rows]
+        weights = radix[spots[first : first + block + 1]]
+        probes = weights[:-1] - weights[1:]
         probes += keys
-        at = np.searchsorted(sorted_keys, probes)
+        at = np.searchsorted(keys, probes)
         np.minimum(at, m - 1, out=at)
-        found = sorted_keys[at] == probes
-        target[rows] = np.where(found, rank[at], -1)
-    return WordSet(order, positions.astype(words.dtype), steps < 0, target)
+        at[keys.take(at) != probes] = m
+        target[first : first + block] = rank.take(at.take(order, axis=1))
+    spots = spots.take(order, axis=1)
+    return WordSet(order, spots.T.astype(words.dtype, order="C"), spots[1:] < spots[:-1], target)
 
 
 def classify_ascent(tab: StandardTableau, i: int, family: TableauFamily) -> AscentClass:

@@ -43,7 +43,11 @@ supermodule table that kept per block case where each pi-c relation fails
 and was read at the cases each word set uses, the formal-sum check that
 re-checked every index of every sum, and the characteristic steps that
 read every composition through ``comp_n`` and every peak index through the
-set statistics, with theta summing every like term as a Fraction.
+set statistics, with theta summing every like term as a Fraction.  The
+word set that keyed each member by its entry positions, sorted the keys
+and searched the swapped keys in basis order is kept as
+``position_key_word_set``, the oracle for the reading-word keys that
+replaced it.
 """
 
 import functools
@@ -61,7 +65,6 @@ from diagmod.errors import DomainError
 from diagmod.hecke import RelationReport, compose_maps, relation_table, zero_hecke_relations
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
 from diagmod.tableaux import (
-    _SEARCH_CELLS,
     Diagram,
     StandardTableau,
     TableauFamily,
@@ -732,6 +735,12 @@ def byte_row_word_graph(family):
     return order, positions, descent, target
 
 
+# The oracles' own block bounds: probes searched, and position pairs
+# compared, at once.  They are not the library's, so a seam in its blocks
+# is not shared by the paths that check it.
+PROBE_CELLS = 1 << 15
+
+
 def per_position_word_set(words):
     """Read a set of words, one per row in increasing order, once: the basis
     order, the descents, and every swap target, found by a sorted search
@@ -755,7 +764,7 @@ def per_position_word_set(words):
     deltas = (radix[:-1] - radix[1:])[:, None]
     steps = np.ascontiguousarray(np.diff(positions, axis=1).T)  # (n - 1, m): p[i] - p[i-1]
     target = np.empty((n - 1, m), dtype=np.int32)
-    block = max(1, _SEARCH_CELLS // max(m, 1))
+    block = max(1, PROBE_CELLS // max(m, 1))
     for first in range(0, n - 1, block):
         rows = slice(first, first + block)
         probes = steps[rows].astype(dtype)
@@ -766,6 +775,60 @@ def per_position_word_set(words):
         found = sorted_keys[at] == probes
         target[rows] = np.where(found, rank[at], -1)
     return WordSet(order, positions.astype(kept), steps < 0, target)
+
+
+@functools.lru_cache(maxsize=None)
+def _key_radix(n):
+    """The base-n key digits ``radix[j] = n^j`` and the swap key deltas
+    ``n^(i-1) - n^i`` as an (n - 1, 1) column; int64 while n^n fits,
+    Python integers above."""
+    dtype = np.int64 if n**n < 2**63 else object
+    radix = np.array([n**j for j in range(n)], dtype=dtype)
+    deltas = (radix[:-1] - radix[1:])[:, None]
+    radix.flags.writeable = deltas.flags.writeable = False
+    return radix, deltas
+
+
+def position_key_word_set(words):
+    """Read a set of words, one per row in increasing order, once: the basis
+    order, the descents, and every swap target; the library's former word
+    set, which keyed each member by its entry positions, sorted the keys,
+    and searched every swapped key in basis order.
+
+    The inversion counts come from one comparison of the transposed words
+    at the position pairs p < q.  Row t of positions is keyed by the integer
+    whose base-n digit j is ``positions[t, j]``, so the swap at i adds the
+    key delta ``(p[i] - p[i-1]) * (n^(i-1) - n^i)``; each swapped key is
+    looked up among the sorted keys, a block of generators at a time."""
+    m, n = words.shape
+    columns = np.ascontiguousarray(words.T)
+    earlier, later = np.triu_indices(n, 1)
+    inversion_counts = np.zeros(m, dtype=np.int32)
+    block = max(1, PROBE_CELLS // max(m, 1))
+    for first in range(0, len(earlier), block):
+        pairs = slice(first, first + block)
+        inversion_counts += (columns[earlier[pairs]] > columns[later[pairs]]).sum(axis=0, dtype=np.int32)
+    order = np.argsort(-inversion_counts, kind="stable")
+    positions = _positions(words[order])
+    radix, deltas = _key_radix(n)
+    dtype = radix.dtype
+    keys = positions.astype(dtype) @ radix
+    key_order = keys.argsort()
+    sorted_keys = keys[key_order]
+    rank = key_order.astype(np.int32)
+    steps = np.ascontiguousarray(positions.T)
+    steps = steps[1:] - steps[:-1]  # (n - 1, m): p[i] - p[i-1]
+    target = np.empty((n - 1, m), dtype=np.int32)
+    for first in range(0, n - 1, block):
+        rows = slice(first, first + block)
+        probes = steps[rows].astype(dtype)
+        probes *= deltas[rows]
+        probes += keys
+        at = np.searchsorted(sorted_keys, probes)
+        np.minimum(at, m - 1, out=at)
+        found = sorted_keys[at] == probes
+        target[rows] = np.where(found, rank[at], -1)
+    return WordSet(order, positions.astype(words.dtype), steps < 0, target)
 
 
 def rechecked_terms(basis, n, terms):

@@ -13,8 +13,9 @@ state that could disagree with a rep's family and convention out of its
 fields, the peak characteristic's bit rule out of ``diagmod.series``,
 whose theta finds peaks by its own rule, reads of ``generator_triples``
 out of every library file but the CLI's, private names of
-``diagmod.clifford`` out of the CLI's imports, and per-word-set memos out
-of ``diagmod.clifford``, whose checks read per-n block certificates.
+``diagmod.clifford`` out of the CLI's imports, per-word-set memos out
+of ``diagmod.clifford``, whose checks read per-n block certificates, and
+the library's private tuning constants out of ``tests/_oracles.py``.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -341,3 +342,27 @@ def test_the_supermodule_keeps_nothing_per_word_set():
     assert "word_set_memo" not in names | attributes
     names, _ = referenced_names([ROOT / "src" / "diagmod" / "hecke.py"])
     assert "word_set_memo" in names, "the scan no longer finds the memo where it is applied"
+
+
+def private_constant_reads(source: str) -> list[str]:
+    """``line: name`` for every private ALL-CAPS name imported from
+    ``diagmod`` or read as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "diagmod":
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name.startswith("_") and name.isupper()]
+    return found
+
+
+def test_the_oracles_share_no_tuning_constant_with_the_library():
+    """An oracle keeps its own block bounds: one shared with the path it
+    checks would hide a seam in both at once."""
+    found = private_constant_reads((ROOT / "tests" / "_oracles.py").read_text())
+    assert not found, "private diagmod constants read by the oracles:\n" + "\n".join(found)
+    probe = "from diagmod.tableaux import _SEARCH_CELLS, _positions\nblock = tableaux._SEARCH_CELLS"
+    assert private_constant_reads(probe) == ["1: _SEARCH_CELLS", "2: _SEARCH_CELLS"], "the scan no longer finds them"

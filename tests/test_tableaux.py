@@ -188,12 +188,16 @@ def test_a_word_set_holds_only_its_four_arrays():
 
 
 def assert_word_set_matches_per_position(words):
-    """The word set read with one comparison for all inversion counts has
-    the four arrays, values and dtypes, of the per-position oracle."""
-    fast, slow = tableaux._word_set(words), oracle.per_position_word_set(words)
-    for name in ("order", "positions", "descent", "target"):
-        a, b = getattr(fast, name), getattr(slow, name)
-        assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+    """The word set read with reading-word keys has the four arrays, values,
+    dtypes and layout, of the position-key oracle it replaced and of the
+    per-position oracle; returns it."""
+    fast = tableaux._word_set(words)
+    for slow in (oracle.position_key_word_set(words), oracle.per_position_word_set(words)):
+        for name in ("order", "positions", "descent", "target"):
+            a, b = getattr(fast, name), getattr(slow, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and np.array_equal(a, b), name
+            assert a.flags.c_contiguous, name
+    return fast
 
 
 def test_word_sets_match_per_position_oracle_on_built_in_families():
@@ -229,6 +233,64 @@ def test_word_sets_match_per_position_oracle_on_intervals_and_forced_sets():
 )
 def test_word_sets_match_per_position_oracle_on_random_word_sets(words):
     assert_word_set_matches_per_position(words_family(sorted(words)).words)
+
+
+@pytest.mark.parametrize("kind, shape", [
+    ("syt", (14, 1)),  # n = 15, the last n with n^n < 2^63: int64 keys
+    ("syt", (15, 1)),  # n = 16 and above: Python integer keys
+    ("syt", (14, 2)),
+    ("syt", (13, 3)),
+    ("rib", (1,) * 40),
+    ("syt", (300,)),
+])
+def test_word_sets_match_oracles_on_either_side_of_the_int64_keys(kind, shape):
+    fam = build_family(kind, shape)
+    assert fam.members
+    assert_word_set_matches_per_position(fam.words)
+
+
+@pytest.mark.parametrize("cells", [1, 100])
+def test_word_sets_match_oracles_across_block_seams(monkeypatch, cells):
+    """With one cell a block, every generator and position pair is a block
+    of its own; with 100, blocks end inside a family's generators."""
+    monkeypatch.setattr(tableaux, "_SEARCH_CELLS", cells)
+    built = 0
+    for inst in family_instances(5, sigmas=True):
+        fam = build_family(*inst)
+        if fam.members:
+            assert_word_set_matches_per_position(fam.words)
+            built += 1
+    assert built == 968
+
+
+def test_an_empty_family_has_an_empty_word_set():
+    fam = build_family("syct", (2, 1), (2, 1))
+    assert len(fam) == 0
+    words = assert_word_set_matches_per_position(fam.words)
+    assert words.order.shape == (0,) and words.positions.shape == (0, 3)
+    assert words.descent.shape == words.target.shape == (2, 0)
+    assert is_ascent_compatible(fam).ok and is_descent_compatible(fam).ok
+
+
+def test_word_set_rows_out_of_reading_word_order_raise():
+    words = build_family("syt", (2, 1)).words
+    for rows in (words[::-1], words[[0, 0, 1]]):
+        with pytest.raises(DomainError, match="reading-word order"):
+            tableaux._word_set(rows)
+
+
+def test_swap_targets_are_involutions_that_flip_the_descent():
+    """Where the word with i and i+1 exchanged is in the set, exchanging
+    them again comes back, and exactly one of the two has a descent at i."""
+    for inst in family_instances(6, sigmas=True):
+        fam = build_family(*inst)
+        if not fam.members:
+            continue
+        words = fam.word_set
+        generator, basis = np.nonzero(words.target >= 0)
+        there = words.target[generator, basis]
+        assert np.array_equal(words.target[generator, there], basis)
+        assert np.all(words.descent[generator, there] != words.descent[generator, basis])
 
 
 def test_descent_compatibility_independent_of_ascent(compatible_family):
