@@ -1,15 +1,18 @@
 """Constructors for the built-in tableau families.
 
-Each family kind but srct bundles a diagram builder, a reading order, and
-a membership rule: a box precedence order plus, for some kinds, the triple
-or prefix-peak rules, compiled once per (kind, shape, sigma) to bit masks
-over the boxes.  Enumeration places the entries 1..n one level at a time
-over the mask of filled boxes, so only legal fillings are ever generated.
-The partial fillings that reach the same search state are merged and
-extended together, as integers that carry each member's reading word and
-descent mask.  A family comes out as an entry array sorted by reading word
-with its descent masks; tableau objects are built only when a member is
-read.
+Each family kind but the views bundles a diagram builder, a reading order,
+and a membership rule: a box precedence order plus, for some kinds, the
+triple or prefix-peak rules, compiled once per (kind, shape, sigma) to bit
+masks over the boxes.  Enumeration places the entries 1..n one level at a
+time over the mask of filled boxes, so only legal fillings are ever
+generated.  The partial fillings that reach the same search state are
+merged and extended together, as integers that carry each member's reading
+word and descent mask.  A family comes out as an entry array sorted by
+reading word with its descent masks; tableau objects are built only when a
+member is read.  Reversing the reading order keeps the fillings, and i is
+a descent of a word exactly when it is an ascent of the word reversed: so
+the views srit, sret and syrt are their twins' rows re-sorted by the
+reversed words, with the descent masks complemented.
 
 Row 1 is the bottom row throughout.  Kinds:
 
@@ -27,14 +30,14 @@ Row 1 is the bottom row throughout.  Kinds:
            top row first.
     sit    composition rows; rows increase, first column increases; read rows
            left-right, top row first.
-    srit   same fillings as sit; read rows right-left, bottom row first.
+    srit   view: sit read backwards, rows right-left, bottom row first.
     set    composition rows; rows and all columns increase; read as sit.
-    sret   same fillings as set; read as srit.
-    syrt   same fillings as syct; read columns top-down from the rightmost
+    sret   view: set read backwards, as srit.
+    syrt   view: syct read backwards, columns top-down from the rightmost
            column leftwards, first column last and bottom-up.
-    srct   the syrt fillings of the reversed shape, entry e made n+1-e and
-           row r made row l+1-r for l rows; read columns bottom-up from the
-           rightmost column leftwards, first column last and top-down.
+    srct   view: the syrt fillings of the reversed shape, entry e made n+1-e
+           and row r made row l+1-r for l rows; read columns bottom-up from
+           the rightmost column leftwards, first column last and top-down.
     rib    ribbon rows (each row starts above the end of the one below);
            rows increase left-right, columns increase downward; read rows
            left-right, bottom row first.
@@ -166,29 +169,16 @@ def _read_rows_top_down(boxes: Iterable[Box], sigma=None) -> tuple[Box, ...]:
     return tuple(sorted(boxes, key=lambda b: (-b[1], b[0])))
 
 
-def _read_rows_bottom_up_rl(boxes: Iterable[Box], sigma=None) -> tuple[Box, ...]:
-    return tuple(sorted(boxes, key=lambda b: (b[1], -b[0])))
-
-
 def _read_rows_bottom_up_lr(boxes: Iterable[Box], sigma=None) -> tuple[Box, ...]:
     return tuple(sorted(boxes, key=lambda b: (b[1], b[0])))
 
 
-def _first_column(boxes: Iterable[Box], sigma: tuple[int, ...]) -> list[Box]:
-    """The first-column boxes in increasing sigma rank, as the objects of
-    ``boxes``, which the families of one shape share."""
-    first = {b[1]: b for b in boxes if b[0] == 1}
-    return [first[r] for r in _sigma_inverse(sigma)]
-
-
 def _read_syct(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
+    """The first column in decreasing sigma rank, then the later columns
+    bottom-up, left to right, as the objects of ``boxes``."""
+    first = {b[1]: b for b in boxes if b[0] == 1}
     rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (b[0], b[1]))
-    return tuple(_first_column(boxes, sigma)[::-1] + rest)
-
-
-def _read_syrt(boxes: Iterable[Box], sigma: tuple[int, ...]) -> tuple[Box, ...]:
-    rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (-b[0], -b[1]))
-    return tuple(rest + _first_column(boxes, sigma))
+    return tuple([first[r] for r in reversed(_sigma_inverse(sigma))] + rest)
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +386,7 @@ def _validate_shape(kind: FamilyKind, shape: Composition) -> Composition:
 # kind -> (diagram, column order, reading order, further rules); rows
 # increase left-right, and the column order is "first" (the first column in
 # sigma order), "up" or "down" (every column, entries increasing that way).
-# srct has no recipe: it is the complement of syrt (:func:`_srct_from_syrt`).
+# The views have no recipe (:func:`_reversal`, :func:`_srct_from_syrt`).
 _RECIPES = {
     FamilyKind.SPCT: (composition_diagram, "first", _read_columns_lr_bottom_up, (PREFIX_PEAK,)),
     FamilyKind.SYCT: (composition_diagram, "first", _read_syct, (TRIPLE,)),
@@ -404,12 +394,12 @@ _RECIPES = {
     FamilyKind.SSHT: (shifted_diagram, "up", _read_rows_top_down, ()),
     FamilyKind.SYT: (composition_diagram, "up", _read_rows_top_down, ()),
     FamilyKind.SIT: (composition_diagram, "first", _read_rows_top_down, ()),
-    FamilyKind.SRIT: (composition_diagram, "first", _read_rows_bottom_up_rl, ()),
     FamilyKind.SET: (composition_diagram, "up", _read_rows_top_down, ()),
-    FamilyKind.SRET: (composition_diagram, "up", _read_rows_bottom_up_rl, ()),
-    FamilyKind.SYRT: (composition_diagram, "first", _read_syrt, (TRIPLE,)),
     FamilyKind.RIB: (ribbon_diagram, "down", _read_rows_bottom_up_lr, ()),
 }
+
+# kind -> the kind whose family, read backwards, is this kind's family
+_REVERSED = {FamilyKind.SRIT: FamilyKind.SIT, FamilyKind.SRET: FamilyKind.SET, FamilyKind.SYRT: FamilyKind.SYCT}
 
 
 @lru_cache(maxsize=None)
@@ -439,6 +429,17 @@ def _family_tag(kind: FamilyKind, shape: Composition, sigma) -> str:
     if sigma is not None:
         tag += f" sigma={format_composition(sigma)}"
     return tag
+
+
+def _reversal(twin: TableauFamily):
+    """The diagram, entry array and descent masks of a twin family read
+    backwards: its rows re-sorted by the reversed words, and each descent
+    mask complemented over n-1 bits."""
+    order = np.lexsort(twin.words.T)  # the last position is the primary key
+    full = (1 << (twin.n - 1)) - 1
+    masks = twin.descent_masks
+    diagram = _diagram(twin.diagram.boxes, twin.diagram.reading_order[::-1])
+    return diagram, twin.members.entries[order], tuple(full ^ masks[k] for k in order.tolist())
 
 
 @lru_cache(maxsize=None)
@@ -476,6 +477,8 @@ def _build_family_cached(
 ) -> TableauFamily:
     if kind is FamilyKind.SRCT:
         diagram, entries, masks = _srct_from_syrt(shape, sigma)
+    elif kind in _REVERSED:
+        diagram, entries, masks = _reversal(_build_family_cached(_REVERSED[kind], shape, sigma))
     else:
         effective_sigma = sigma or tuple(range(1, len(shape) + 1))
         boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)

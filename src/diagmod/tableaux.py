@@ -213,9 +213,10 @@ class TableauFamily:
     raise :class:`DomainError`.  ``descent_masks[k]``, recorded by the
     enumerator, has bit i-1 set when i is a descent of member k, and comes
     only with rows, one mask per row; rows with masks are trusted to be
-    distinct and sorted, as ``build_family`` makes them, by enumeration or,
-    for srct, by complementing a syrt family.  A family without
-    masks reads its descent histogram from the entries.
+    distinct and sorted, as ``build_family`` makes them: by enumeration,
+    by reading a sit, set or syct family backwards for srit, sret and syrt,
+    or by complementing a syrt family for srct.  A family without masks
+    reads its descent histogram from the entries.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.
     """
@@ -496,20 +497,21 @@ def _compatibility(family: TableauFamily, mode: str) -> CompatibilityResult:
     """Shared scan for ascent- and descent-compatibility.
 
     The scan reads only the word set and runs once per word set and mode
-    (see :func:`_kept_gate_scan`); the witness tableaux come from this
-    family's basis.
+    (see :func:`_gate_scan`); the witness tableaux come from this family's
+    basis.
     """
-    ok, earlier, later, r, s = _kept_gate_scan(family.word_set, mode)
+    ok, earlier, later, r, s = _gate_scan(family.word_set, mode)
     if ok:
         return _COMPATIBLE
     basis = family.basis
     return CompatibilityResult(False, (basis[earlier], basis[later], r, s))
 
 
+@word_set_memo
 def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
-    """``(ok, earlier, later, r, s)``: whether the word set passes the gate
-    in the mode, and if not, the basis indices and 1-based reading positions
-    of the witness.
+    """``(ok, earlier, later, r, s)``, once per word set and mode: whether
+    the word set passes the gate in the mode, and if not, the basis indices
+    and 1-based reading positions of the witness.
 
     Members are visited in basis order, generators in increasing order
     within each; the witness reports the member that first recorded the
@@ -535,12 +537,6 @@ def _gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
     k = conflicts[0]
     r, s = divmod(int(keys[k]), n)
     return False, int(cells[first[keys[k]]] // (n - 1)), int(cells[k] // (n - 1)), r + 1, s + 1
-
-
-@word_set_memo
-def _kept_gate_scan(words: WordSet, mode: str) -> tuple[bool, int, int, int, int]:
-    """:func:`_gate_scan`, once per word set and mode."""
-    return _gate_scan(words, mode)
 
 
 def is_ascent_compatible(family: TableauFamily) -> CompatibilityResult:

@@ -12,6 +12,9 @@ map, is kept here as a second oracle for the bitmask search that replaced
 it, together with the former per-tableau characteristics.  It keeps srct's
 own recipe (``srct_recipe``): the reversed triple rule, which the library
 replaced by complementing syrt families, now lives only in these oracles.
+It keeps the recipes of srit, sret and syrt too (``OWN_RECIPES``), whose
+reading orders the library no longer states: it reads those kinds off
+sit, set and syct backwards.
 That bitmask search, a recursive depth-first search over the compiled
 rules, is kept as ``depth_first_enumerate``, the oracle for the
 level-by-level enumerator that replaced it.  The former recursive
@@ -346,16 +349,53 @@ def srct_recipe(shape, sigma):
     return boxes, reading, edges, [_srct_triple_check(boxset)]
 
 
+def _read_rows_bottom_up_rl(boxes, sigma):
+    """Rows right to left, bottom row first."""
+    return tuple(sorted(boxes, key=lambda b: (b[1], -b[0])))
+
+
+def _read_syrt(boxes, sigma):
+    """Columns top-down from the rightmost leftwards, then the first column
+    bottom-up in increasing sigma rank."""
+    rest = sorted((b for b in boxes if b[0] > 1), key=lambda b: (-b[0], -b[1]))
+    return tuple(rest + sorted((b for b in boxes if b[0] == 1), key=lambda b: sigma[b[1] - 1]))
+
+
+# The recipes of srit, sret and syrt, which the library replaced by reading
+# sit, set and syct backwards: kind -> (column order, reading order, rules),
+# on the composition diagram with rows increasing left-right.
+OWN_RECIPES = {
+    "srit": ("first", _read_rows_bottom_up_rl, ()),
+    "sret": ("up", _read_rows_bottom_up_rl, ()),
+    "syrt": ("first", _read_syrt, (families.TRIPLE,)),
+}
+
+
+def own_recipe(kind, shape, sigma):
+    """(boxes, reading order, precedence edges, rule names) of a kind of
+    ``OWN_RECIPES``."""
+    columns, read, rules = OWN_RECIPES[str(kind)]
+    boxes = families.composition_diagram(shape)
+    edges = families._row_edges(boxes)
+    if columns == "up":
+        edges += families._column_edges_up(boxes)
+    else:
+        edges += families._first_column_edges(len(shape), sigma)
+    return boxes, read(boxes, sigma), edges, rules
+
+
 def backtracking_family(kind, shape, sigma=None):
     """The family as the former backtracking enumerator built it: every
     filling as a tableau, on the library's kind recipe (diagram, reading
-    order, precedence edges and rule names), or for srct on its own."""
+    order, precedence edges and rule names), or for srct, srit, sret and
+    syrt on their own."""
     kind, shape = families.FamilyKind(kind), tuple(shape)
     effective = sigma if sigma is not None else tuple(range(1, len(shape) + 1))
     if kind is families.FamilyKind.SRCT:
         boxes, reading, edges, checks = srct_recipe(shape, effective)
     else:
-        boxes, reading, edges, rules = families._kind_recipe(kind, shape, effective)
+        recipe = own_recipe if str(kind) in OWN_RECIPES else families._kind_recipe
+        boxes, reading, edges, rules = recipe(kind, shape, effective)
         factories = {
             families.TRIPLE: lambda: _syct_triple_check(frozenset(boxes)),
             families.PREFIX_PEAK: lambda: _prefix_peak_check(len(shape)),

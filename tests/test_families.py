@@ -179,10 +179,11 @@ def assert_same_search(diagram, rules):
     assert masks == old_masks
 
 
-@pytest.mark.parametrize("kind", [k for k in ALL_KINDS if k != "srct"])
+@pytest.mark.parametrize("kind", [k.value for k in families._RECIPES])
 def test_level_enumerator_matches_depth_first_search(kind):
     """Every (kind, shape, sigma) with n <= 6, and every shape with n = 7, 8.
-    srct has no search: it is the complement of syrt."""
+    srct, srit, sret and syrt have no search: they are read off syrt, sit,
+    set and syct."""
     instances = [
         (k, shape, sigma) for k, shape, sigma in family_instances(6, sigmas=True) if k.value == kind
     ] + [(kind, shape, None) for n in (7, 8) for shape in shapes_for(kind, n)]
@@ -205,6 +206,32 @@ def test_srct_masks_and_reading_order_follow_from_the_words():
         words = [tuple(word) for word in fam.words.tolist()]
         assert words == sorted(set(words))
         assert fam.descent_masks == tuple(sum(1 << (i - 1) for i in word_descents(w)) for w in words)
+
+
+def test_reversed_kinds_read_their_twins_backwards():
+    """srit, sret and syrt are read off sit, set and syct.  For every
+    (shape, sigma) with n <= 6, each one's reading order is its twin's
+    reversed and the one of its own former recipe, its rows are distinct
+    and in reading-word order, each descent mask is the one recomputed from
+    the member's reading word, and it is the complement of the mask of the
+    twin member with the same entries."""
+    for kind, shape, sigma in family_instances(6, sigmas=True):
+        if kind not in families._REVERSED:
+            continue
+        fam = build_family(kind, shape, sigma)
+        twin = build_family(families._REVERSED[kind], shape, sigma)
+        effective = sigma or tuple(range(1, len(shape) + 1))
+        assert fam.diagram.boxes == twin.diagram.boxes
+        assert fam.diagram.reading_order == twin.diagram.reading_order[::-1]
+        assert fam.diagram.reading_order == oracle.own_recipe(kind, shape, effective)[1]
+        words = [tuple(word) for word in fam.words.tolist()]
+        assert words == sorted(set(words))
+        assert fam.descent_masks == tuple(sum(1 << (i - 1) for i in word_descents(w)) for w in words)
+        twin_masks = dict(zip(map(tuple, twin.members.entries.tolist()), twin.descent_masks))
+        rows = map(tuple, fam.members.entries.tolist())
+        full = (1 << (fam.n - 1)) - 1
+        assert len(twin_masks) == len(fam.members)
+        assert fam.descent_masks == tuple(full ^ twin_masks[row] for row in rows)
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles as oracle
 from conftest import apply_word, forced_word_set_families, member_by_word, square_families
@@ -29,12 +30,16 @@ from diagmod.families import (
 )
 from diagmod.harness import check_family, words_family
 from diagmod.hecke import (
+    HAT,
+    PI,
     HeckeModuleRep,
     build_hecke_module,
     generating_words,
+    hecke_maps,
     qsym_characteristic,
     reachability_closure,
     verify_hecke_relations,
+    zero_hecke_relations,
 )
 from diagmod.series import FormalSum
 from diagmod.tableaux import (
@@ -421,8 +426,8 @@ def assert_interning_matches_uncached(families):
         assert fam.basis.order is words.order
         for mode, gate in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
             verdict = gate(fam)
-            scan = tableaux._gate_scan(fresh, mode)
-            assert tableaux._kept_gate_scan(words, mode) == scan
+            scan = tableaux._gate_scan.__wrapped__(fresh, mode)
+            assert tableaux._gate_scan(words, mode) == scan
             ok, earlier, later, r, s = scan
             basis = fam.members.reordered(fresh.order)
             assert (verdict.ok, verdict.witness) == (ok, None if ok else (basis[earlier], basis[later], r, s))
@@ -527,6 +532,47 @@ def test_commutation_square_forced_builds():
     }
 
 
+def assert_reversal_duality(fam):
+    """Reversing every reading word turns hat into pi: the hat report of the
+    word set is the pi report of the reversed word set with each message
+    relabelled, and the pi-table check of the negated hat maps; the word set
+    is descent-compatible exactly when the reversed one is ascent-compatible.
+    Only verdicts are compared, not witnesses."""
+    reversed_fam = words_family(sorted(tuple(w[::-1]) for w in fam.words.tolist()))
+    hat = verify_hecke_relations(HeckeModuleRep(fam, HAT))
+    pi = verify_hecke_relations(HeckeModuleRep(reversed_fam, PI))
+    k = fam.n - 1
+    labels = {p[0]: h[0] for p, h in zip(zero_hecke_relations(k, PI), zero_hecke_relations(k, HAT))}
+    assert hat.checked == pi.checked
+    assert hat.violations == tuple(labels[message] for message in pi.violations)
+    targets, signs = hecke_maps(fam.word_set, HAT)
+    assert hecke._relation_report(targets, -signs, PI) == pi
+    assert is_descent_compatible(fam).ok == is_ascent_compatible(reversed_fam).ok
+    return hat.ok
+
+
+def test_reversal_duality_on_forced_and_square_word_sets():
+    verdicts = Counter(assert_reversal_duality(fam) for fam in forced_word_set_families() + square_families())
+    assert verdicts == {True: 70, False: 8}
+
+
+def test_reversal_duality_on_built_in_families():
+    for inst in family_instances(5, sigmas=True):
+        fam = build_family(*inst)
+        if fam.members:
+            assert_reversal_duality(fam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.sets(st.permutations(range(1, n + 1)).map(tuple), min_size=1, max_size=40)
+    )
+)
+def test_reversal_duality_on_word_sets(words):
+    assert_reversal_duality(words_family(sorted(words)))
+
+
 def test_module_relations_are_checked_once_per_word_set_and_convention(monkeypatch):
     """Modules of two families with the same words share one report per
     convention."""
@@ -567,10 +613,11 @@ def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
     builders, the direct gate calls and a second family with the same words
     share one scan per word set and mode."""
     calls = []
-    scan = tableaux._gate_scan
-    monkeypatch.setattr(tableaux, "_gate_scan", lambda words, mode: calls.append(mode) or scan(words, mode))
-    # a fresh interning table, so the words are scanned here however many
-    # tests read them before
+    scan = tableaux._gate_scan.__wrapped__
+    # the scan behind a fresh memo, and a fresh interning table, so the
+    # words are scanned here however many tests read them before
+    counted = tableaux.word_set_memo(lambda words, mode: calls.append(mode) or scan(words, mode))
+    monkeypatch.setattr(tableaux, "_gate_scan", counted)
     monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
     built = build_family(kind, (3, 2))
     fam = tableaux.TableauFamily(built.diagram, built.members, "fresh", kind, built.shape)

@@ -14,8 +14,9 @@ fields, the peak characteristic's bit rule out of ``diagmod.series``,
 whose theta finds peaks by its own rule, reads of ``generator_triples``
 out of every library file but the CLI's, private names of
 ``diagmod.clifford`` out of the CLI's imports, per-word-set memos out
-of ``diagmod.clifford``, whose checks read per-n block certificates, and
-the library's private tuning constants out of ``tests/_oracles.py``.
+of ``diagmod.clifford``, whose checks read per-n block certificates, the
+library's private tuning constants out of ``tests/_oracles.py``, and a
+family kind with no route, or two, out of ``diagmod.families``.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -366,3 +367,36 @@ def test_the_oracles_share_no_tuning_constant_with_the_library():
     assert not found, "private diagmod constants read by the oracles:\n" + "\n".join(found)
     probe = "from diagmod.tableaux import _SEARCH_CELLS, _positions\nblock = tableaux._SEARCH_CELLS"
     assert private_constant_reads(probe) == ["1: _SEARCH_CELLS", "2: _SEARCH_CELLS"], "the scan no longer finds them"
+
+
+def family_routes(path: Path) -> dict[str, list[str]]:
+    """For each member of ``FamilyKind`` the routes that build it: a row of
+    ``_RECIPES``, an entry of ``_REVERSED``, or a ``kind is FamilyKind.X``
+    branch of ``_build_family_cached``, such as srct's mirror."""
+    routes: dict[str, list[str]] = {}
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and node.name == "FamilyKind":
+            for item in node.body:
+                if isinstance(item, ast.Assign):
+                    routes.update((target.id, []) for target in item.targets)
+        elif isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+            for target in node.targets:
+                if getattr(target, "id", None) in ("_RECIPES", "_REVERSED"):
+                    for key in node.value.keys:
+                        routes.setdefault(key.attr, []).append(target.id)
+        elif isinstance(node, ast.FunctionDef) and node.name == "_build_family_cached":
+            for test in ast.walk(node):
+                if isinstance(test, ast.Compare) and isinstance(test.ops[0], ast.Is):
+                    for kind in test.comparators:
+                        if getattr(getattr(kind, "value", None), "id", None) == "FamilyKind":
+                            routes.setdefault(kind.attr, []).append(node.name)
+    return routes
+
+
+def test_every_family_kind_is_built_by_one_route():
+    """A kind is enumerated from its recipe, read backwards off a twin, or
+    built by its own branch (srct, off its syrt mirror), and by one route
+    only: a kind added later then cannot go missing or be built twice."""
+    routes = family_routes(ROOT / "src" / "diagmod" / "families.py")
+    assert {kind: found for kind, found in routes.items() if len(found) != 1} == {}
+    assert len(routes) == 12 and routes["SRCT"] == ["_build_family_cached"], "the scan no longer finds the routes"
