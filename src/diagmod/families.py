@@ -61,9 +61,6 @@ from .compositions import (
     Composition,
     check_composition,
     enumerate_compositions,
-    enumerate_partitions,
-    enumerate_peak_compositions,
-    enumerate_strict_partitions,
     format_composition,
     is_partition,
     is_peak_composition,
@@ -370,16 +367,24 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
 # kind table
 
 
+# kind -> (the shapes it takes, their name); every other kind takes every
+# composition
+_SHAPES = {
+    FamilyKind.SPCT: (is_peak_composition, "peak composition"),
+    FamilyKind.SPYCT: (is_peak_composition, "peak composition"),
+    FamilyKind.SSHT: (is_strict_partition, "strict partition"),
+    FamilyKind.SYT: (is_partition, "partition"),
+}
+_EVERY_COMPOSITION = (lambda shape: True, "composition")
+
+
 def _validate_shape(kind: FamilyKind, shape: Composition) -> Composition:
     shape = check_composition(shape)
     if not shape:
         raise DomainError("shape must be nonempty")
-    if kind in (FamilyKind.SPCT, FamilyKind.SPYCT) and not is_peak_composition(shape):
-        raise DomainError(f"{kind} requires a peak composition, got {shape}")
-    if kind is FamilyKind.SSHT and not is_strict_partition(shape):
-        raise DomainError(f"ssht requires a strict partition, got {shape}")
-    if kind is FamilyKind.SYT and not is_partition(shape):
-        raise DomainError(f"syt requires a partition, got {shape}")
+    takes, name = _SHAPES.get(kind, _EVERY_COMPOSITION)
+    if not takes(shape):
+        raise DomainError(f"{kind} requires a {name}, got {shape}")
     return shape
 
 
@@ -521,14 +526,8 @@ def build_family(
 
 def shapes_for(kind: FamilyKind | str, n: int) -> list[Composition]:
     """All valid shapes of size n for the kind."""
-    kind = FamilyKind(kind)
-    if kind in (FamilyKind.SPCT, FamilyKind.SPYCT):
-        return list(enumerate_peak_compositions(n))
-    if kind is FamilyKind.SSHT:
-        return list(enumerate_strict_partitions(n))
-    if kind is FamilyKind.SYT:
-        return list(enumerate_partitions(n))
-    return list(enumerate_compositions(n))
+    takes, _ = _SHAPES.get(FamilyKind(kind), _EVERY_COMPOSITION)
+    return list(filter(takes, enumerate_compositions(n)))
 
 
 def family_instances(

@@ -238,7 +238,11 @@ class TruncatedPolynomial:
         object.__setattr__(self, "terms", clean)
 
     def permute_variables(self, perm: tuple[int, ...]) -> "TruncatedPolynomial":
-        """Apply x_i -> x_perm(i); ``perm`` is 1-based of length k."""
+        """Apply x_i -> x_perm(i); ``perm`` is a permutation of 1..k."""
+        message = f"{perm!r} is not a permutation of 1..{self.k}"
+        perm = [integer(letter, message) for letter in perm]
+        if sorted(perm) != list(range(1, self.k + 1)):
+            raise DomainError(message)
         out: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in self.terms.items():
             new = [0] * self.k
@@ -353,6 +357,8 @@ def from_term_records(records: Iterable[dict]) -> FormalSum:
     for rec in records:
         if rec["basis"] != basis:
             raise DomainError("mixed bases in term records")
+        if rec.get("parts") is None:
+            raise DomainError("a zero-sum record, with null parts, must be the only record")
         numerator, denominator = rec["numerator"], rec["denominator"]
         message = f"coefficient {numerator!r}/{denominator!r} is not an integer over a nonzero integer"
         numerator = integer(numerator, message, low=-math.inf)

@@ -7,15 +7,16 @@ ascents, and attacking status are all computed from the reading word, with
 family membership deciding whether a swap of consecutive entries stays legal.
 
 A family is stored as an integer array, one row of entries per member in
-reading-word order, with one descent mask per member; its tableaux are built
-only when read (for display, ``rect`` and witnesses).  The family's word set
-records the basis order and, for every member and generator, the descent
-and the swap, in four read-only arrays.  It depends only on the set of
-reading words, so it is built once per word set and shared by every family
-with those words; the module builders and the gate read it, and the
-characteristics read the histogram of descent masks.  Everything else that
-the word set determines, both gate scans included, is memoised on it
-weakly (:func:`word_set_memo`).
+reading-word order, with one descent mask per member, recorded by the
+enumerator or read off the reading words of a caller's tableaux; its
+tableaux are built only when read (for display, ``rect`` and witnesses).
+The family's word set records the basis order and, for every member and
+generator, the descent and the swap, in four read-only arrays.  It depends
+only on the set of reading words, so it is built once per word set and
+shared by every family with those words; the module builders and the gate
+read it, and the characteristics read the histogram of descent masks.
+Everything else that the word set determines, both gate scans included,
+is memoised on it weakly (:func:`word_set_memo`).
 """
 
 from __future__ import annotations
@@ -208,15 +209,16 @@ class TableauFamily:
 
     Members are kept sorted by reading word, as the rows of the entry array
     ``members.entries``; a member's tableau is built only when it is read.
-    ``members`` may be given as tableaux or as :class:`Tableaux` rows
-    already in that order; a member listed twice, or rows out of order,
-    raise :class:`DomainError`.  ``descent_masks[k]``, recorded by the
-    enumerator, has bit i-1 set when i is a descent of member k, and comes
-    only with rows, one mask per row; rows with masks are trusted to be
-    distinct and sorted, as ``build_family`` makes them: by enumeration,
-    by reading a sit, set or syct family backwards for srit, sret and syrt,
-    or by complementing a syrt family for srct.  A family without masks
-    reads its descent histogram from the entries.
+    ``descent_masks[k]`` has bit i-1 set when i is a descent of member k.
+    A family comes by one of two routes.  Rows: a plain :class:`Tableaux`
+    array on the family's diagram with one descent mask per row, trusted to
+    be distinct and in reading-word order, as ``build_family`` makes them:
+    by enumeration, by reading a sit, set or syct family backwards for
+    srit, sret and syrt, or by complementing a syrt family for srct; rows
+    out of order raise when the word set is first read.  Tableaux: any
+    fillings, sorted here, with each mask read off its reading word; a
+    member listed twice raises.  Rows without masks, or masks with
+    tableaux, raise :class:`DomainError`.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.
     """
@@ -227,14 +229,16 @@ class TableauFamily:
     kind: Optional[str] = None
     shape: Optional[tuple[int, ...]] = None
     sigma: Optional[tuple[int, ...]] = None
-    descent_masks: Optional[tuple[int, ...]] = field(default=None, repr=False)
+    descent_masks: tuple[int, ...] = field(default=None, repr=False)
 
     def __post_init__(self):
         masks = self.descent_masks
         if isinstance(self.members, Tableaux):
+            if self.members.order is not None or self.members.diagram != self.diagram:
+                raise DomainError("family rows must be a Tableaux array on the family's diagram")
             if masks is None:
-                self._check_rows()
-            elif len(masks) != len(self.members):
+                raise DomainError("family rows come with one descent mask per row")
+            if len(masks) != len(self.members):
                 raise DomainError(f"{len(masks)} descent masks for {len(self.members)} members")
         elif masks is not None:
             raise DomainError("descent masks come only with Tableaux rows")
@@ -250,19 +254,8 @@ class TableauFamily:
             entries = np.array([t.entries for t in members], dtype=np.min_scalar_type(n))
             rows = Tableaux(self.diagram, entries.reshape(len(members), n), built=dict(enumerate(members)))
             object.__setattr__(self, "members", rows)
-
-    def _check_rows(self) -> None:
-        """Raise :class:`DomainError` unless the caller's rows are a plain
-        array of this diagram's fillings, distinct and in reading-word
-        order."""
-        rows = self.members
-        if rows.order is not None or rows.diagram != self.diagram:
-            raise DomainError("family rows must be a Tableaux array on the family's diagram")
-        # consecutive rows compared at their first difference; a zero column
-        # closes each row, so equal rows, even empty ones, compare as 0
-        step = np.diff(np.pad(self.words.astype(np.int16), ((0, 0), (0, 1))), axis=0)
-        if np.any(step[np.arange(len(step)), (step != 0).argmax(axis=1)] <= 0):
-            raise DomainError("family rows must be distinct and in reading-word order")
+            masks = tuple(sum(1 << (i - 1) for i in word_descents(t.reading_word)) for t in members)
+            object.__setattr__(self, "descent_masks", masks)
 
     @property
     def words(self) -> np.ndarray:
@@ -273,12 +266,7 @@ class TableauFamily:
     def descent_histogram(self) -> Counter:
         """How many members have each descent mask.  Not cached: a Counter
         per cached family costs more memory than counting again."""
-        masks = self.descent_masks
-        if masks is None:
-            positions = _positions(self.words)
-            bits = np.packbits(positions[:, :-1] > positions[:, 1:], axis=1, bitorder="little")
-            masks = (int.from_bytes(row.tobytes(), "little") for row in bits)
-        return Counter(masks)
+        return Counter(self.descent_masks)
 
     @cached_property
     def word_set(self) -> "WordSet":
@@ -312,14 +300,6 @@ class TableauFamily:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def _positions(words: np.ndarray) -> np.ndarray:
-    """``positions[t, v - 1]`` is the reading position of the entry v in row t."""
-    m, n = words.shape
-    positions = np.empty((m, n), dtype=np.int16)
-    positions[np.arange(m)[:, None], words - 1] = np.arange(n, dtype=np.int16)
-    return positions
 
 
 class WordSet:

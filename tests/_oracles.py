@@ -72,11 +72,18 @@ from diagmod.tableaux import (
     StandardTableau,
     TableauFamily,
     WordSet,
-    _positions,
     descent_set_tab,
     inversions,
     swap_entries,
 )
+
+
+def _positions(words: np.ndarray) -> np.ndarray:
+    """``positions[t, v - 1]`` is the reading position of the entry v in row t."""
+    m, n = words.shape
+    positions = np.empty((m, n), dtype=np.int16)
+    positions[np.arange(m)[:, None], words - 1] = np.arange(n, dtype=np.int16)
+    return positions
 
 
 def matrix(dim, rows, cols, values):

@@ -24,7 +24,7 @@ from diagmod.families import (
     shapes_for,
     source_tableau,
 )
-from diagmod.harness import words_family
+from diagmod.harness import all_intervals, words_family
 from diagmod.hecke import (
     build_hecke_module,
     generating_words,
@@ -262,6 +262,7 @@ def test_long_one_row_shapes_enumerate():
 
 
 def assert_histogram_matches_tableaux(fam):
+    assert fam.descent_masks == tuple(map(descent_mask, fam))
     assert fam.descent_histogram == Counter(map(descent_mask, fam))
     assert (qsym_characteristic(fam), peak_characteristic(fam)) == oracle.tableau_characteristics(fam)
 
@@ -281,6 +282,15 @@ def test_descent_histogram_matches_tableaux_on_forced_word_sets():
     assert len(families_) == 63
     for fam in families_:
         assert_histogram_matches_tableaux(fam)
+
+
+def test_descent_masks_match_tableaux_on_demo_and_interval_families():
+    for fam in (families.demo_incompatible_family(), families.demo_compatible_family()):
+        assert_histogram_matches_tableaux(fam)
+    intervals = [interval for n in range(1, 5) for interval in all_intervals(n)]
+    assert len(intervals) == 1 + 3 + 17 + 151
+    for interval in intervals:
+        assert_histogram_matches_tableaux(words_family(interval.members))
 
 
 def test_module_pipeline_builds_no_tableaux(monkeypatch):

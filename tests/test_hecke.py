@@ -470,7 +470,10 @@ def test_word_sets_of_wider_entry_arrays(kind, shape):
     keep that dtype, with the same arrays, gate verdicts and reports."""
     fam = build_family(kind, shape)
     wide = tableaux.TableauFamily(
-        fam.diagram, tableaux.Tableaux(fam.diagram, fam.members.entries.astype(np.int64)), "wide"
+        fam.diagram,
+        tableaux.Tableaux(fam.diagram, fam.members.entries.astype(np.int64)),
+        "wide",
+        descent_masks=fam.descent_masks,
     )
     assert wide.word_set is not fam.word_set and wide.word_set.positions.dtype == np.int64
     for name in ("order", "positions", "descent", "target"):
@@ -581,7 +584,10 @@ def test_module_relations_are_checked_once_per_word_set_and_convention(monkeypat
     monkeypatch.setattr(hecke, "_relation_report", lambda *args: calls.append(args[-1]) or check(*args))
     monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
     built = build_family("syt", (3, 2))
-    twins = [tableaux.TableauFamily(built.diagram, built.members, tag, "syt", (3, 2)) for tag in "ab"]
+    twins = [
+        tableaux.TableauFamily(built.diagram, built.members, tag, "syt", (3, 2), descent_masks=built.descent_masks)
+        for tag in "ab"
+    ]
     assert twins[0].word_set is twins[1].word_set
     reports = {}
     for fam in twins * 2:
@@ -620,13 +626,17 @@ def test_check_family_computes_each_gate_once(kind, modes, monkeypatch):
     monkeypatch.setattr(tableaux, "_gate_scan", counted)
     monkeypatch.setattr(tableaux, "_word_sets", weakref.WeakValueDictionary())
     built = build_family(kind, (3, 2))
-    fam = tableaux.TableauFamily(built.diagram, built.members, "fresh", kind, built.shape)
+    fam = tableaux.TableauFamily(
+        built.diagram, built.members, "fresh", kind, built.shape, descent_masks=built.descent_masks
+    )
     assert check_family(fam).ok
     assert Counter(calls) == modes
     check_family(fam)
     assert is_ascent_compatible(fam) is is_ascent_compatible(fam)
     assert Counter(calls) == modes
-    twin = tableaux.TableauFamily(built.diagram, built.members, "twin", kind, built.shape)
+    twin = tableaux.TableauFamily(
+        built.diagram, built.members, "twin", kind, built.shape, descent_masks=built.descent_masks
+    )
     assert twin.word_set is fam.word_set
     assert check_family(twin).ok
     assert is_descent_compatible(twin) == is_descent_compatible(fam)

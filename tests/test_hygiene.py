@@ -365,7 +365,7 @@ def test_the_oracles_share_no_tuning_constant_with_the_library():
     checks would hide a seam in both at once."""
     found = private_constant_reads((ROOT / "tests" / "_oracles.py").read_text())
     assert not found, "private diagmod constants read by the oracles:\n" + "\n".join(found)
-    probe = "from diagmod.tableaux import _SEARCH_CELLS, _positions\nblock = tableaux._SEARCH_CELLS"
+    probe = "from diagmod.tableaux import _SEARCH_CELLS, _word_set\nblock = tableaux._SEARCH_CELLS"
     assert private_constant_reads(probe) == ["1: _SEARCH_CELLS", "2: _SEARCH_CELLS"], "the scan no longer finds them"
 
 

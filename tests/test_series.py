@@ -296,6 +296,14 @@ def test_symmetric_sums_are_symmetric_in_four_variables(n):
                 assert poly.permute_variables(perm) == poly
 
 
+@pytest.mark.parametrize("perm", [(1, 1), (0, 1), (1,), (2, 3), (1, 2, 3), (1.0, 2), (True, 2), ("1", 2)])
+def test_permute_variables_takes_only_permutations_of_the_variables(perm):
+    poly = TruncatedPolynomial(2, {(1, 2): 1})
+    assert poly.permute_variables((np.int64(2), 1)) == TruncatedPolynomial(2, {(2, 1): 1})
+    with pytest.raises(DomainError, match=r"is not a permutation of 1\.\.2"):
+        poly.permute_variables(perm)
+
+
 def test_render_text():
     f = FormalSum("K", 7, {(3, 3, 1): 1, (2, 2, 2, 1): 2})
     assert render_text(f) == "K[3,3,1] + 2*K[2,2,2,1]"
@@ -310,6 +318,10 @@ def test_term_records_round_trip():
     assert from_term_records(to_term_records(f)) == f
     z = FormalSum.zero("F", 5)
     assert from_term_records(to_term_records(z)) == z
+    zero = to_term_records(FormalSum.zero("K", 7))
+    for records in (zero + to_term_records(f), to_term_records(f) + zero):
+        with pytest.raises(DomainError, match="zero-sum record, with null parts, must be the only record"):
+            from_term_records(records)
 
 
 @pytest.mark.parametrize("numerator, denominator", [

@@ -157,17 +157,21 @@ def test_a_repeated_member_is_rejected():
 
 
 def test_caller_rows_must_be_distinct_and_in_reading_word_order():
+    """Rows out of order raise on the first read of the word set; a view or
+    rows on another diagram raise at construction."""
     fam = build_family("syt", (2, 1))
-    d, entries = fam.diagram, fam.members.entries
-    with pytest.raises(DomainError, match="distinct and in reading-word order"):
-        TableauFamily(d, Tableaux(d, np.concatenate([entries[:1], entries])), "twice")
-    with pytest.raises(DomainError, match="distinct and in reading-word order"):
-        TableauFamily(d, Tableaux(d, entries[::-1]), "reversed")
+    d, entries, masks = fam.diagram, fam.members.entries, fam.descent_masks
+    twice = Tableaux(d, np.concatenate([entries[:1], entries]))
+    twice = TableauFamily(d, twice, "twice", descent_masks=masks[:1] + masks)
+    backwards = TableauFamily(d, Tableaux(d, entries[::-1]), "reversed", descent_masks=masks[::-1])
+    for rows in (twice, backwards):
+        with pytest.raises(DomainError, match="distinct and in reading-word order"):
+            rows.word_set
     with pytest.raises(DomainError, match="Tableaux array on the family's diagram"):
-        TableauFamily(d, fam.basis, "view")
+        TableauFamily(d, fam.basis, "view", descent_masks=masks)
     with pytest.raises(DomainError, match="Tableaux array on the family's diagram"):
-        TableauFamily(single_row_diagram(3), fam.members, "moved")
-    rows = TableauFamily(d, Tableaux(d, entries.copy()), "rows")
+        TableauFamily(single_row_diagram(3), fam.members, "moved", descent_masks=masks)
+    rows = TableauFamily(d, Tableaux(d, entries.copy()), "rows", descent_masks=masks)
     assert rows.word_set is fam.word_set
     assert list(rows) == list(fam)
 
@@ -178,8 +182,12 @@ def test_descent_masks_come_only_with_rows_one_per_member():
         TableauFamily(fam.diagram, tuple(fam), "hand", descent_masks=(0, 0))
     with pytest.raises(DomainError, match="1 descent masks for 2 members"):
         TableauFamily(fam.diagram, fam.members, "rows", descent_masks=(3,))
+    with pytest.raises(DomainError, match="family rows come with one descent mask per row"):
+        TableauFamily(fam.diagram, fam.members, "rows")
     rows = TableauFamily(fam.diagram, fam.members, "rows", descent_masks=fam.descent_masks)
     assert rows.descent_histogram == fam.descent_histogram
+    hand = TableauFamily(fam.diagram, tuple(fam)[::-1], "hand")
+    assert hand.descent_masks == fam.descent_masks and hand.descent_histogram == fam.descent_histogram
 
 
 def test_a_word_set_holds_only_its_four_arrays():
