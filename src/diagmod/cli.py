@@ -15,12 +15,7 @@ from typing import Optional, Sequence
 from .clifford import build_clifford_module, certificates, peak_characteristic
 from .compositions import format_subset, parse_composition
 from .errors import DomainError, TheoremMismatch
-from .families import (
-    NATIVE_CONVENTION,
-    SIGMA_KINDS,
-    FamilyKind,
-    build_family,
-)
+from .families import NATIVE_CONVENTION, FamilyKind, build_family
 from .harness import CHECKS, check_family, run_harness
 from .hecke import build_hecke_module, qsym_characteristic
 from .series import (
@@ -56,12 +51,9 @@ def _add_format_arg(parser: argparse.ArgumentParser) -> None:
 
 
 def _family_from_args(args) -> "TableauFamily":
-    kind = FamilyKind(args.family)
     shape = parse_composition(args.shape)
     sigma = parse_composition(args.sigma) if getattr(args, "sigma", None) else None
-    if sigma is not None and kind not in SIGMA_KINDS:
-        raise DomainError(f"--sigma is not valid for family {kind.value}")
-    return build_family(kind, shape, sigma)
+    return build_family(args.family, shape, sigma)
 
 
 def _emit_sum(f: FormalSum, fmt: str, out) -> None:
@@ -136,8 +128,10 @@ def _cmd_truncate(args, out) -> int:
 
 
 def _cmd_verify(args, out) -> int:
-    family = _family_from_args(args)
     every = not (args.compatibility or args.relations or args.clifford)
+    if args.convention and not (every or args.relations):
+        raise DomainError("--convention applies only to the module relations")
+    family = _family_from_args(args)
     failures = 0
     if every or args.compatibility:
         for mode, check in (("ascent", is_ascent_compatible), ("descent", is_descent_compatible)):
@@ -194,6 +188,8 @@ def _cmd_certify(args, out) -> int:
 
 
 def _cmd_dump_matrices(args, out) -> int:
+    if args.clifford and args.convention:
+        raise DomainError("--convention applies only to the module, not to --clifford")
     family = _family_from_args(args)
     kind = FamilyKind(args.family)
     if args.clifford:

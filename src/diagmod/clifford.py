@@ -246,7 +246,7 @@ class CliffordModuleRep:
         return out
 
     def index_of(self, element: MarkedTableau) -> int:
-        t = self.family.basis_index(element.tableau)
+        t = self.family.basis_index(element.tableau) if isinstance(element, MarkedTableau) else None
         if t is None:
             raise DomainError("tableau is not a basis tableau")
         return (t << self.n) + _mask_of(element.marks)

@@ -7,7 +7,7 @@ masks over the boxes.  Enumeration places the entries 1..n one level at a
 time over the mask of filled boxes, so only legal fillings are ever
 generated.  The partial fillings that reach the same search state are
 merged and extended together, as integers that carry each member's reading
-word and descent mask.  A family comes out as an entry array sorted by
+word and descent mask.  A family comes out as a word array sorted by
 reading word with its descent masks; tableau objects are built only when a
 member is read.  Reversing the reading order keeps the fillings, and i is
 a descent of a word exactly when it is an ascent of the word reversed: so
@@ -298,9 +298,9 @@ def _row_layout(n: int) -> tuple[np.dtype, np.dtype, int, tuple[int, ...], int]:
 
 
 def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Every legal filling as a row of an (m, n) entry array, indexed like
-    ``diagram.boxes`` and sorted by reading word, with each member's descent
-    mask (bit i-1 set when i is a descent).
+    """Every legal filling as its reading word, one row of a sorted (m, n)
+    word array in the entry dtype, with each member's descent mask (bit i-1
+    set when i is a descent).
 
     The entries 1..n are placed one level at a time, each in a box whose
     predecessors are all filled.  What a partial filling of 1..k may become
@@ -312,7 +312,7 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
     before the position of k-1: one constant per (state, box), or-ed into
     every row of the state.  The last level keys every state by the full
     mask alone, so all rows end in one list, whose sorted order is
-    reading-word order.
+    reading-word order, and whose first n fields are the words.
     """
     n = diagram.n
     dtype, big_endian, fields, shifts, descents = _row_layout(n)
@@ -359,8 +359,8 @@ def _enumerate(diagram: Diagram, rules: _Rules) -> tuple[np.ndarray, tuple[int, 
         rows = sorted(map(add.__or__, kept))
     size = fields * dtype.itemsize
     buffer = b"".join([row.to_bytes(size, "big") for row in rows])
-    entries = np.ndarray((len(rows), fields), big_endian, buffer).take(rules.reading_pos, axis=1)
-    return entries.astype(dtype, copy=False), tuple(map(descents.__and__, rows))
+    words = np.ndarray((len(rows), fields), big_endian, buffer)[:, :n].astype(dtype)
+    return words, tuple(map(descents.__and__, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -437,43 +437,34 @@ def _family_tag(kind: FamilyKind, shape: Composition, sigma) -> str:
 
 
 def _reversal(twin: TableauFamily):
-    """The diagram, entry array and descent masks of a twin family read
-    backwards: its rows re-sorted by the reversed words, and each descent
-    mask complemented over n-1 bits."""
+    """The diagram, word array and descent masks of a twin family read
+    backwards: its reversed words, sorted, and each descent mask
+    complemented over n-1 bits."""
     order = np.lexsort(twin.words.T)  # the last position is the primary key
     full = (1 << (twin.n - 1)) - 1
     masks = twin.descent_masks
     diagram = _diagram(twin.diagram.boxes, twin.diagram.reading_order[::-1])
-    return diagram, twin.members.entries[order], tuple(full ^ masks[k] for k in order.tolist())
-
-
-@lru_cache(maxsize=None)
-def _complement_layout(shape: Composition) -> tuple[tuple[Box, ...], list[int], tuple[Box, ...]]:
-    """The srct boxes of the shape; for each, the index of its syrt mirror
-    box, row r made row l+1-r; and the srct box of each mirror box."""
-    boxes = composition_diagram(shape)
-    mirror = {b: k for k, b in enumerate(composition_diagram(shape[::-1]))}
-    columns = [mirror[c, len(shape) + 1 - r] for c, r in boxes]
-    return boxes, columns, tuple(boxes[k] for k in np.argsort(columns))
+    return diagram, twin.words[:, ::-1][order], tuple(full ^ masks[k] for k in order.tolist())
 
 
 def _srct_from_syrt(shape: Composition, sigma: Optional[tuple[int, ...]]):
-    """The diagram, entry array and descent masks of an srct family, read
+    """The diagram, word array and descent masks of an srct family, read
     off its syrt mirror, the syrt family of the reversed shape with
     sigma'(r) = l+1-sigma(l+1-r): entry e becomes n+1-e and row r row
-    l+1-r.  Reading positions correspond, so the words are complemented and
+    l+1-r.  Reading positions correspond: the reading order is the mirror's,
+    each box (c, r) made (c, l+1-r), and the words are complemented and
     come in reverse order.  i is a descent exactly when n-i is not a descent
     of the mirror word, so a descent mask becomes the bit-reversal, over n-1
     bits, of its complement."""
     n = sum(shape)
     mirror_sigma = sigma and tuple(len(shape) + 1 - rank for rank in reversed(sigma))
     mirror = _build_family_cached(FamilyKind.SYRT, shape[::-1], mirror_sigma)
-    boxes, columns, images = _complement_layout(shape)
-    diagram = _diagram(boxes, tuple(images[b] for b in mirror.diagram.reading_positions))
-    entries = n - mirror.members.entries[::-1, columns] + 1  # n + 1 may not fit the dtype
+    reading = tuple((c, len(shape) + 1 - r) for c, r in mirror.diagram.reading_order)
+    diagram = _diagram(composition_diagram(shape), reading)
+    words = n - mirror.words[::-1] + 1  # n + 1 may not fit the dtype
     full = (1 << (n - 1)) - 1
     masks = tuple(int(f"{full & ~mask:0{n - 1}b}"[::-1], 2) for mask in reversed(mirror.descent_masks))
-    return diagram, entries, masks
+    return diagram, words, masks
 
 
 @lru_cache(maxsize=None)
@@ -481,17 +472,17 @@ def _build_family_cached(
     kind: FamilyKind, shape: Composition, sigma: Optional[tuple[int, ...]]
 ) -> TableauFamily:
     if kind is FamilyKind.SRCT:
-        diagram, entries, masks = _srct_from_syrt(shape, sigma)
+        diagram, words, masks = _srct_from_syrt(shape, sigma)
     elif kind in _REVERSED:
-        diagram, entries, masks = _reversal(_build_family_cached(_REVERSED[kind], shape, sigma))
+        diagram, words, masks = _reversal(_build_family_cached(_REVERSED[kind], shape, sigma))
     else:
         effective_sigma = sigma or tuple(range(1, len(shape) + 1))
         boxes, reading, edges, rules = _kind_recipe(kind, shape, effective_sigma)
         diagram = _diagram(boxes, reading)
-        entries, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
+        words, masks = _enumerate(diagram, _compile_rules(diagram, edges, rules))
     return TableauFamily(
         diagram=diagram,
-        members=Tableaux(diagram, entries),
+        members=Tableaux(diagram, words),
         family_tag=_family_tag(kind, shape, sigma),
         kind=kind.value,
         shape=shape,

@@ -6,10 +6,11 @@ and a standard tableau fills the boxes bijectively with 1..n.  Descents,
 ascents, and attacking status are all computed from the reading word, with
 family membership deciding whether a swap of consecutive entries stays legal.
 
-A family is stored as an integer array, one row of entries per member in
+A family is stored as its word array, one reading word per member in
 reading-word order, with one descent mask per member, recorded by the
 enumerator or read off the reading words of a caller's tableaux; its
-tableaux are built only when read (for display, ``rect`` and witnesses).
+tableaux are built off their words only when read (for display, ``rect``
+and witnesses).
 The family's word set records the basis order and, for every member and
 generator, the descent and the swap, in four read-only arrays.  It depends
 only on the set of reading words, so it is built once per word set and
@@ -153,31 +154,31 @@ class AscentClass(enum.Enum):
 
 
 class Tableaux(Sequence):
-    """Tableaux of one diagram whose entries are the rows of an int array.
+    """Tableaux of one diagram whose reading words are the rows of an int array.
 
-    ``entries[k, i]`` is the entry of ``diagram.boxes[i]`` in row k, and
-    element k is the tableau of row k, built when it is first read and kept
-    (``built`` may supply some).  A view made by :meth:`reordered` lists the
-    same tableaux in another order, reading them from its source.
+    ``words[k]`` is the reading word of element k, the tableau built from it
+    when it is first read and kept (``built`` may supply some).  A view made
+    by :meth:`reordered` lists the same tableaux in another order, reading
+    them from its source.
     """
 
-    __slots__ = ("diagram", "entries", "order", "_source", "_built")
+    __slots__ = ("diagram", "words", "order", "_source", "_built")
 
-    def __init__(self, diagram: Diagram, entries: np.ndarray, built=None):
+    def __init__(self, diagram: Diagram, words: np.ndarray, built=None):
         self.diagram = diagram
-        self.entries = entries
+        self.words = words
         self.order = None
         self._source: Optional[Tableaux] = None
         self._built: Optional[dict[int, StandardTableau]] = built
 
     def reordered(self, order: np.ndarray) -> "Tableaux":
         """The view whose element j is element ``order[j]`` of this one."""
-        view = Tableaux(self.diagram, self.entries)
+        view = Tableaux(self.diagram, self.words)
         view.order, view._source = order, self
         return view
 
     def __len__(self) -> int:
-        return len(self.entries if self.order is None else self.order)
+        return len(self.words if self.order is None else self.order)
 
     def __getitem__(self, j):
         if isinstance(j, slice):
@@ -189,7 +190,9 @@ class Tableaux(Sequence):
             self._built = {}
         tab = self._built.get(row)
         if tab is None:
-            tab = self._built[row] = StandardTableau(self.diagram, tuple(self.entries[row].tolist()))
+            word = self.words[row].tolist()
+            tab = StandardTableau.from_box_map(self.diagram, dict(zip(self.diagram.reading_order, word)))
+            self._built[row] = tab
         return tab
 
     def __iter__(self) -> Iterator[StandardTableau]:
@@ -207,18 +210,18 @@ class Tableaux(Sequence):
 class TableauFamily:
     """A set of standard fillings of one diagram, with a descriptive tag.
 
-    Members are kept sorted by reading word, as the rows of the entry array
-    ``members.entries``; a member's tableau is built only when it is read.
+    Members are kept sorted by reading word, as the rows of the word array
+    ``words``; a member's tableau is built only when it is read.
     ``descent_masks[k]`` has bit i-1 set when i is a descent of member k.
     A family comes by one of two routes.  Rows: a plain :class:`Tableaux`
-    array on the family's diagram with one descent mask per row, trusted to
-    be distinct and in reading-word order, as ``build_family`` makes them:
-    by enumeration, by reading a sit, set or syct family backwards for
-    srit, sret and syrt, or by complementing a syrt family for srct; rows
-    out of order raise when the word set is first read.  Tableaux: any
-    fillings, sorted here, with each mask read off its reading word; a
-    member listed twice raises.  Rows without masks, or masks with
-    tableaux, raise :class:`DomainError`.
+    word array on the family's diagram with one descent mask per row,
+    trusted to be distinct and in reading-word order, as ``build_family``
+    makes them: by enumeration, by reading a sit, set or syct family
+    backwards for srit, sret and syrt, or by complementing a syrt family
+    for srct; rows out of order raise when the word set is first read.
+    Tableaux: any fillings, sorted here, with each mask read off its
+    reading word; a member listed twice raises.  Rows without masks, or
+    masks with tableaux, raise :class:`DomainError`.
     Some permuted-variant constructions admit no fillings at all; the empty
     family is representable but rejected by the module builders.
     """
@@ -251,8 +254,8 @@ class TableauFamily:
             for t, u in zip(members, members[1:]):
                 if t.reading_word == u.reading_word:
                     raise DomainError(f"repeated family member with reading word {t.reading_word}")
-            entries = np.array([t.entries for t in members], dtype=np.min_scalar_type(n))
-            rows = Tableaux(self.diagram, entries.reshape(len(members), n), built=dict(enumerate(members)))
+            words = np.array([t.reading_word for t in members], dtype=np.min_scalar_type(n))
+            rows = Tableaux(self.diagram, words.reshape(len(members), n), built=dict(enumerate(members)))
             object.__setattr__(self, "members", rows)
             masks = tuple(sum(1 << (i - 1) for i in word_descents(t.reading_word)) for t in members)
             object.__setattr__(self, "descent_masks", masks)
@@ -260,7 +263,7 @@ class TableauFamily:
     @property
     def words(self) -> np.ndarray:
         """The members' reading words, one per row."""
-        return self.members.entries[:, self.diagram.reading_positions]
+        return self.members.words
 
     @property
     def descent_histogram(self) -> Counter:
@@ -279,14 +282,14 @@ class TableauFamily:
 
     @cached_property
     def _basis_indices(self) -> dict[tuple[int, ...], int]:
-        rows = self.members.entries[self.word_set.order].tolist()
+        rows = self.words[self.word_set.order].tolist()
         return {tuple(row): t for t, row in enumerate(rows)}
 
     def basis_index(self, tab: StandardTableau) -> Optional[int]:
-        """The basis index of a member, or None for any other tableau."""
-        if tab.diagram != self.diagram:
+        """The basis index of a member, or None for anything else."""
+        if not isinstance(tab, StandardTableau) or tab.diagram != self.diagram:
             return None
-        return self._basis_indices.get(tab.entries)
+        return self._basis_indices.get(tab.reading_word)
 
     @property
     def n(self) -> int:

@@ -416,15 +416,16 @@ def backtracking_family(kind, shape, sigma=None):
 
 
 def depth_first_enumerate(diagram, rules):
-    """The library's former enumerator: every legal filling as a row of an
-    (m, n) entry array, indexed like ``diagram.boxes`` and sorted by reading
-    word, with each member's descent mask (bit i-1 set when i is a descent).
+    """The library's former enumerator: every legal filling as its reading
+    word, one row of an (m, n) word array sorted by reading word, with each
+    member's descent mask (bit i-1 set when i is a descent).
     It reads the fields of ``families._Rules`` by name.
 
     A depth-first search places the entries 1..n one at a time over the mask
     of filled boxes, trying the boxes whose predecessors are all filled.
     Placing k at reading position p makes k-1 a descent when p comes before
-    the position of k-1.
+    the position of k-1.  The entries, indexed like ``diagram.boxes``, are
+    read along ``diagram.reading_positions`` into words.
     """
     n = diagram.n
     full = (1 << n) - 1
@@ -460,10 +461,11 @@ def depth_first_enumerate(diagram, rules):
 
     place(1, 0, rules.start, -1, 0)
     entries = np.array(found, dtype=np.min_scalar_type(n)).reshape(len(found), n)
+    words = entries[:, diagram.reading_positions]
     if len(found) < 2:
-        return entries, tuple(masks)
-    order = np.lexsort(entries[:, diagram.reading_positions].T[::-1])
-    return entries[order], tuple(masks[k] for k in order.tolist())
+        return words, tuple(masks)
+    order = np.lexsort(words.T[::-1])
+    return words[order], tuple(masks[k] for k in order.tolist())
 
 
 def tableau_characteristics(family):

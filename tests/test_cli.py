@@ -98,6 +98,25 @@ def test_verify_sigma():
     assert code == 0
 
 
+def test_sigma_on_a_kind_without_one_exits_two(capsys):
+    code, out = run_cli("verify", "--family", "syt", "--shape", "2,1", "--sigma", "2,1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err == "error: syt does not take a sigma permutation\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ("dump-matrices", "--clifford", "--convention", "hat"),
+    ("verify", "--clifford", "--convention", "hat"),
+    ("verify", "--compatibility", "--convention", "pi"),
+])
+def test_convention_without_a_module_exits_two(argv, capsys):
+    """--convention chooses the module's generators: with no module built it
+    is an error, not ignored."""
+    code, out = run_cli(*argv, "--family", "syt", "--shape", "2,1")
+    assert code == 2 and out == ""
+    assert capsys.readouterr().err.startswith("error: --convention applies only to the module")
+
+
 def test_dump_matrices_structured():
     code, out = run_cli(
         "dump-matrices", "--family", "syct", "--shape", "2,2", "--format", "structured"

@@ -8,7 +8,13 @@ from hypothesis import given, settings, strategies as st
 import _oracles as oracle
 from conftest import forced_word_set_families
 from diagmod import families
-from diagmod.clifford import MarkedTableau, build_clifford_module, peak_characteristic
+from diagmod.clifford import (
+    MarkedTableau,
+    build_clifford_module,
+    clifford_reachability,
+    is_tableau_cyclic,
+    peak_characteristic,
+)
 from diagmod.compositions import (
     enumerate_compositions,
     enumerate_peak_compositions,
@@ -130,13 +136,14 @@ def descent_mask(tab):
 
 
 def assert_same_family(fam, old):
-    """The same entry rows in the same reading-word order, descent masks
+    """The same diagram and reading words in the same order, descent masks
     equal to those of the old tableaux, characteristics equal to the
     per-tableau sums over the old family, the word set's basis order and
     arrays equal to the byte-row word graph of the old family, and each
     basis element's descent column equal to the descents of its old
     tableau."""
-    assert np.array_equal(fam.members.entries, old.members.entries)
+    assert fam.diagram == old.diagram
+    assert np.array_equal(fam.words, old.words)
     assert fam.descent_masks == tuple(descent_mask(t) for t in old)
     fundamental, peak = oracle.tableau_characteristics(old)
     assert qsym_characteristic(fam) == fundamental
@@ -170,12 +177,12 @@ def compiled_rules(kind, shape, sigma=None):
 
 
 def assert_same_search(diagram, rules):
-    """The level enumerator's entries, dtype and descent masks equal those
-    of the former depth-first search."""
-    entries, masks = families._enumerate(diagram, rules)
-    old_entries, old_masks = oracle.depth_first_enumerate(diagram, rules)
-    assert entries.dtype == old_entries.dtype
-    assert entries.shape == old_entries.shape and np.array_equal(entries, old_entries)
+    """The level enumerator's words, dtype and descent masks equal those of
+    the former depth-first search."""
+    words, masks = families._enumerate(diagram, rules)
+    old_words, old_masks = oracle.depth_first_enumerate(diagram, rules)
+    assert words.dtype == old_words.dtype
+    assert words.shape == old_words.shape and np.array_equal(words, old_words)
     assert masks == old_masks
 
 
@@ -227,11 +234,10 @@ def test_reversed_kinds_read_their_twins_backwards():
         words = [tuple(word) for word in fam.words.tolist()]
         assert words == sorted(set(words))
         assert fam.descent_masks == tuple(sum(1 << (i - 1) for i in word_descents(w)) for w in words)
-        twin_masks = dict(zip(map(tuple, twin.members.entries.tolist()), twin.descent_masks))
-        rows = map(tuple, fam.members.entries.tolist())
+        twin_masks = dict(zip((t.entries for t in twin), twin.descent_masks))
         full = (1 << (fam.n - 1)) - 1
         assert len(twin_masks) == len(fam.members)
-        assert fam.descent_masks == tuple(full ^ twin_masks[row] for row in rows)
+        assert fam.descent_masks == tuple(full ^ twin_masks[t.entries] for t in fam)
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,11 +258,12 @@ def test_long_one_row_shapes_enumerate():
     """One box per level, so no recursion depth limit applies; entries past
     255 take uint16 fields."""
     row = build_family("syt", (1000,))
-    assert row.members.entries.dtype == np.uint16
-    assert row.members.entries.tolist() == [list(range(1, 1001))]
+    assert row.words.dtype == np.uint16
+    assert row.words.tolist() == [list(range(1, 1001))]
+    assert row.members[0].entries == tuple(range(1, 1001))
     assert row.descent_masks == (0,)
     column = build_family("rib", (1,) * 300)
-    assert column.members.entries.dtype == np.uint16
+    assert column.words.dtype == np.uint16
     assert column.words.tolist() == [list(range(300, 0, -1))]
     assert column.descent_masks == (2 ** 299 - 1,)
 
@@ -291,6 +298,32 @@ def test_descent_masks_match_tableaux_on_demo_and_interval_families():
     assert len(intervals) == 1 + 3 + 17 + 151
     for interval in intervals:
         assert_histogram_matches_tableaux(words_family(interval.members))
+
+
+def assert_words_match_tableaux(fam):
+    """Each member's reading word is its row of the word array, scattering
+    that row along the reading positions gives the member's entries, and
+    the t-th basis tableau has basis index t."""
+    positions = fam.diagram.reading_positions
+    for tab, row in zip(fam, fam.words.tolist()):
+        assert tab.reading_word == tuple(row)
+        entries = [0] * fam.n
+        for p, b in enumerate(positions):
+            entries[b] = row[p]
+        assert tab.entries == tuple(entries)
+    assert [fam.basis_index(tab) for tab in fam.basis] == list(range(len(fam)))
+
+
+def test_words_match_tableaux():
+    """Every family with n <= 6, sigmas and the reversal views included, the
+    demo families, and the words family of every interval in S_1..S_4."""
+    built = [build_family(*instance) for instance in family_instances(6, sigmas=True)]
+    demos = [families.demo_incompatible_family(), families.demo_compatible_family()]
+    intervals = [words_family(iv.members) for n in range(1, 5) for iv in all_intervals(n)]
+    assert len(intervals) == 172
+    assert {fam.kind for fam in built} == set(ALL_KINDS)
+    for fam in built + demos + intervals:
+        assert_words_match_tableaux(fam)
 
 
 def test_module_pipeline_builds_no_tableaux(monkeypatch):
@@ -350,6 +383,27 @@ def test_basis_lookup_matches_basis_dict():
     assert len(forced) == 63
     swapped_out = sum(assert_lookup_matches_basis_dict(fam) - len(fam) for fam in built + forced)
     assert swapped_out > 0
+
+
+@pytest.mark.parametrize("foreign", ["x", None, 3, (1, 2, 3)])
+def test_lookups_reject_what_is_not_a_tableau(foreign):
+    """Anything but a tableau is not in the family, and every lookup of a
+    seed or marked tableau raises DomainError for it; the supermodule's
+    lookup takes only marked tableaux."""
+    fam = build_family("syt", (2, 1))
+    rep, crep = build_hecke_module(fam, "pi"), build_clifford_module(fam)
+    assert fam.basis_index(foreign) is None and foreign not in fam
+    lookups = [
+        crep.index_of,
+        lambda seed: generating_words(rep, seed),
+        lambda seed: is_tableau_cyclic(crep, seed),
+        lambda seed: clifford_reachability(crep, seed),
+    ]
+    for lookup in lookups:
+        with pytest.raises(DomainError):
+            lookup(foreign)
+    with pytest.raises(DomainError):
+        crep.index_of(fam.basis[0])
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)

@@ -150,7 +150,7 @@ def test_rect_isomorphism(n):
 
 
 def test_rect_isomorphism_builds_no_columnar_member(monkeypatch):
-    """The rect pairing reads the columnar basis indices off entry rows: the
+    """The rect pairing reads the columnar basis indices off reading words: the
     only tableaux built on the columnar diagram are the rect images, one per
     shifted member, so no member of the columnar family is built."""
     fresh = {}

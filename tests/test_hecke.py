@@ -466,12 +466,12 @@ def test_verified_word_sets_are_freed_with_their_families(monkeypatch):
 
 @pytest.mark.parametrize("kind, shape", [("syt", (3, 2)), ("sit", (2, 2, 1)), ("rib", (2, 1, 2))])
 def test_word_sets_of_wider_entry_arrays(kind, shape):
-    """Entries given as int64 rows key a separate word set, whose positions
+    """Words given as int64 rows key a separate word set, whose positions
     keep that dtype, with the same arrays, gate verdicts and reports."""
     fam = build_family(kind, shape)
     wide = tableaux.TableauFamily(
         fam.diagram,
-        tableaux.Tableaux(fam.diagram, fam.members.entries.astype(np.int64)),
+        tableaux.Tableaux(fam.diagram, fam.words.astype(np.int64)),
         "wide",
         descent_masks=fam.descent_masks,
     )

@@ -160,10 +160,10 @@ def test_caller_rows_must_be_distinct_and_in_reading_word_order():
     """Rows out of order raise on the first read of the word set; a view or
     rows on another diagram raise at construction."""
     fam = build_family("syt", (2, 1))
-    d, entries, masks = fam.diagram, fam.members.entries, fam.descent_masks
-    twice = Tableaux(d, np.concatenate([entries[:1], entries]))
+    d, words, masks = fam.diagram, fam.words, fam.descent_masks
+    twice = Tableaux(d, np.concatenate([words[:1], words]))
     twice = TableauFamily(d, twice, "twice", descent_masks=masks[:1] + masks)
-    backwards = TableauFamily(d, Tableaux(d, entries[::-1]), "reversed", descent_masks=masks[::-1])
+    backwards = TableauFamily(d, Tableaux(d, words[::-1]), "reversed", descent_masks=masks[::-1])
     for rows in (twice, backwards):
         with pytest.raises(DomainError, match="distinct and in reading-word order"):
             rows.word_set
@@ -171,7 +171,7 @@ def test_caller_rows_must_be_distinct_and_in_reading_word_order():
         TableauFamily(d, fam.basis, "view", descent_masks=masks)
     with pytest.raises(DomainError, match="Tableaux array on the family's diagram"):
         TableauFamily(single_row_diagram(3), fam.members, "moved", descent_masks=masks)
-    rows = TableauFamily(d, Tableaux(d, entries.copy()), "rows", descent_masks=masks)
+    rows = TableauFamily(d, Tableaux(d, words.copy()), "rows", descent_masks=masks)
     assert rows.word_set is fam.word_set
     assert list(rows) == list(fam)
 
