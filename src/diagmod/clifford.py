@@ -27,7 +27,8 @@ reachability is the module's walk with every mark
 (:func:`_reach_certificate`).  A failing certificate raises
 TheoremMismatch.  Every block is a stack of signed partial maps in the
 modules' sink-column encoding (:mod:`diagmod.hecke`): a product is a
-gather, a sum is a stack, and equality is decided on canonical entries.
+gather, a sum is a stack, and two stacks are equal at once where they are
+identical layer for layer, else where their canonical entries say so.
 
 The reference 2^n-dimensional supermodule attached to a single composition
 (the action the filtration quotients must reproduce) is built by an
@@ -70,6 +71,7 @@ from .tableaux import (
     TableauFamily,
     Tableaux,
     WordSet,
+    family_of,
     render_tableau,
 )
 
@@ -104,7 +106,7 @@ def _marks_of(mask: int) -> frozenset[int]:
 
 @lru_cache(maxsize=None)
 def _popcounts(n: int) -> np.ndarray:
-    return np.array([bin(m).count("1") for m in range(1 << n)], dtype=np.int64)
+    return np.array([m.bit_count() for m in range(1 << n)], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -125,9 +127,36 @@ def _is_zero(op) -> bool:
     return canonical_entries(op)[2].size == 0
 
 
+def _identical(a, b, sign: int = 1):
+    """Whether stacks a and sign * b of one shape are the same layer for
+    layer: equal targets, and signs sign times b's; for two arrays of
+    stacks of one shape, that at every index."""
+    (a_targets, a_signs), (b_targets, b_signs) = a, b
+    return ((a_targets == b_targets) & (a_signs == sign * b_signs)).all(axis=(-2, -1))
+
+
 def _equal(a, b, sign: int = 1) -> bool:
-    """Whether a = sign * b as operators."""
+    """Whether a = sign * b as operators: at once where the stacks are
+    identical layer for layer, else on the canonical entries of a - sign *
+    b."""
+    if a[0].shape == b[0].shape and _identical(a, b, sign):
+        return True
     return _is_zero(_stack(a, _scaled(b, -sign)))
+
+
+def _products(outer, inner):
+    """Every product outer_a * inner_b of a layer of each stack, as arrays
+    of shape (outer's layers, inner's layers, d + 1)."""
+    targets, signs = compose_maps(outer, inner)
+    shape = (len(outer[0]), len(inner[0]), -1)
+    return targets.reshape(shape), signs.reshape(shape)
+
+
+def _at(stacks, *index: int):
+    """The stack at a 1-based index of an array of stacks."""
+    targets, signs = stacks
+    at = tuple(x - 1 for x in index)
+    return targets[at], signs[at]
 
 
 def _map(targets, signs):
@@ -304,50 +333,50 @@ def build_M_alpha(alpha: Composition) -> MAlphaRep:
     if n < 1:
         raise DomainError("the composition must have size at least 1")
     des = descent_set(alpha)
-    pis = tuple(_reference_pi(n, i, i in des) for i in range(1, n))
+    pis = tuple(_reference_pi(n, i)[i in des] for i in range(1, n))
     return MAlphaRep(alpha, pis, *_reference_marks(n))
 
 
 @lru_cache(maxsize=None)
-def _reference_pi(n: int, i: int, descent: bool):
-    """pi_i of the reference modules of size n in which i is, or is not, a
-    descent, as a two-layer stack."""
+def _reference_pi(n: int, i: int) -> tuple[tuple, tuple]:
+    """pi_i of the reference modules of size n in which i is not, and is, a
+    descent: a two-layer stack, then a one-layer one, so that indexing by
+    whether i is a descent picks the module's."""
     dim = 1 << n
     bit_i, bit_j = 1 << (i - 1), 1 << i
-    rows = [[dim] * (dim + 1) for _ in range(2)]
-    signs = [[0] * (dim + 1) for _ in range(2)]
+    # rows and signs of the descent layer, then of the two ascent layers
+    rows = [[dim] * (dim + 1) for _ in range(3)]
+    signs = [[0] * (dim + 1) for _ in range(3)]
     for mask in range(dim):
-        has_i, has_j = bool(mask & bit_i), bool(mask & bit_j)
-        if descent:
-            if has_i and not has_j:
-                rows[0][mask], signs[0][mask] = mask - bit_i + bit_j, -1
-            elif has_i and has_j:
-                rows[0][mask], signs[0][mask] = mask - bit_i - bit_j, 1
-            else:
-                rows[0][mask], signs[0][mask] = mask, -1
-        elif has_j:
+        has_i, has_j = mask & bit_i, mask & bit_j
+        if has_i and has_j:
+            rows[0][mask], signs[0][mask] = mask - bit_i - bit_j, 1
+        elif has_i:
+            rows[0][mask], signs[0][mask] = mask - bit_i + bit_j, -1
+        else:
             rows[0][mask], signs[0][mask] = mask, -1
-            rows[1][mask] = mask - bit_i - bit_j if has_i else mask - bit_j + bit_i
-            signs[1][mask] = 1
-    return np.array(rows), np.array(signs)
+        if has_j:
+            rows[1][mask], signs[1][mask] = mask, -1
+            rows[2][mask] = mask - bit_i - bit_j if has_i else mask - bit_j + bit_i
+            signs[2][mask] = 1
+    rows, signs = np.array(rows, dtype=np.int64), np.array(signs, dtype=np.int64)
+    return (rows[1:], signs[1:]), (rows[:1], signs[:1])
 
 
 @lru_cache(maxsize=None)
 def _reference_marks(n: int) -> tuple[tuple, np.ndarray]:
     """The mark generators and the parity vector of every reference module
     of size n, which do not depend on the composition; the parity vector is
-    read-only because it is shared."""
+    read-only because it is shared.  c_j toggles mark j with the sign -1 to
+    the number of marks at most j."""
     dim = 1 << n
     c_ops = []
     for j in range(1, n + 1):
-        bit = 1 << (j - 1)
-        rows, signs = [], []
-        for mask in range(dim):
-            below = bin(mask & (bit - 1)).count("1")
-            rows.append(mask ^ bit)
-            signs.append(-1 if (below + (1 if mask & bit else 0)) % 2 else 1)
+        bit, upto = 1 << (j - 1), (1 << j) - 1
+        rows = [mask ^ bit for mask in range(dim)]
+        signs = [1 - 2 * ((mask & upto).bit_count() & 1) for mask in range(dim)]
         c_ops.append((np.array([rows + [dim]]), np.array([signs + [0]])))
-    parity = np.array([bin(m).count("1") & 1 for m in range(dim)], dtype=np.int64)
+    parity = np.array([mask.bit_count() & 1 for mask in range(dim)], dtype=np.int64)
     parity.flags.writeable = False
     return tuple(c_ops), parity
 
@@ -356,6 +385,11 @@ def _keeps_parity(block, n: int, flips: bool) -> bool:
     """Whether every nonzero entry of a 2^n block maps masks of one parity
     to the same parity (``flips`` False) or to the other (``flips`` True)."""
     par = _popcounts(n) & 1
+    targets, signs = block
+    live = signs[:, :-1] != 0
+    # where every nonzero layer entry does, so does every entry of their sum
+    if np.all(((par[targets[:, :-1] * live] != par) == flips) | ~live):
+        return True
     rows, cols, _ = canonical_entries(block)
     return bool(np.all((par[rows] != par[cols]) == flips))
 
@@ -453,34 +487,56 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     every family; the identity added in the (pi_i + 1) relation lands on
     the diagonal blocks only.  A filtration quotient is its tableau's
     diagonal blocks, so every quotient of size n is the reference module
-    where these blocks are.
+    where these blocks are.  The products of the mark blocks with each other
+    and with each case block are gathered at once (:func:`_products`), and
+    a relation whose sides come out identical layer for layer holds without
+    sorting entries.
     """
     cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
-    suite = [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
+    marks = _stack(*cs)
+    cc = tuple(x[:, :, None] for x in _products(marks, marks))  # c[a] c[b], one layer each
+    anticommute = _identical(cc, tuple(x.swapaxes(0, 1) for x in cc), -1)
+    suite = [(f"c[{j}]^2 != -1", _equal(_at(cc, j, j), _identity(n), -1)) for j in range(1, n + 1)]
     suite += [
-        (f"c[{a}] and c[{b}] do not anticommute", _equal(compose_maps(c, d), compose_maps(d, c), -1))
-        for a, c in enumerate(cs, 1)
-        for b, d in enumerate(cs[a:], a + 1)
+        (
+            f"c[{a}] and c[{b}] do not anticommute",
+            anticommute[a - 1, b - 1] or _equal(_at(cc, a, b), _at(cc, b, a), -1),
+        )
+        for a in range(1, n + 1)
+        for b in range(a + 1, n + 1)
     ]
     for i, blocks in enumerate(pis, 1):
-        for j, c in enumerate(cs, 1):
+        order = np.arange(n)
+        order[[i - 1, i]] = i, i - 1
+        others = marks[0][order], marks[1][order]  # c[i + 1] at j = i, c[i] at j = i + 1
+        sides = {}  # per case block p, p c[j] and others[j] p, indexed by j
+        for case, p in blocks.items():
+            targets, signs = _products(p, marks)
+            left, right = (targets.swapaxes(0, 1), signs.swapaxes(0, 1)), _products(others, p)
+            sides[case] = left, right, _identical(left, right)
+        for j in range(1, n + 1):
             if j == i:
-                message, other = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]", cs[i]
+                message = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]"
             elif j == i + 1:
-                message, other = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)", cs[i - 1]
+                message = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)"
             else:
-                message, other = f"pi[{i}] and c[{j}] do not commute", c
-            plus = j == i + 1
-            ops = [_stack(p, _identity(n)) if plus and case != SWAP else p for case, p in blocks.items()]
-            suite.append((message, all(_equal(compose_maps(p, c), compose_maps(other, p)) for p in ops)))
+                message = f"pi[{i}] and c[{j}] do not commute"
+            holds = all(
+                # the identity added at j = i + 1 gives c[i + 1] and c[i] a layer each
+                _equal(_stack(_at(left, j), cs[i]), _stack(_at(right, j), cs[i - 1]))
+                if j == i + 1 and case != SWAP
+                else same[j - 1] or _equal(_at(left, j), _at(right, j))
+                for case, (left, right, same) in sides.items()
+            )
+            suite.append((message, holds))
     suite += [
         (f"pi[{i}] does not preserve parity", all(_keeps_parity(p, n, flips=False) for p in blocks.values()))
         for i, blocks in enumerate(pis, 1)
     ]
     suite += [(f"c[{j}] does not flip parity", _keeps_parity(c, n, flips=True)) for j, c in enumerate(cs, 1)]
     quotients = _marks_are_reference(n) and all(
-        _equal(blocks[case], _reference_pi(n, i, case == DESCENT))
+        _equal(blocks[case], _reference_pi(n, i)[case == DESCENT])
         for i, blocks in enumerate(pis, 1)
         for case in (ATTACK, DESCENT)
     )
@@ -526,7 +582,7 @@ def verify_clifford_relations(rep: CliffordModuleRep) -> RelationReport:
 def peak_characteristic(obj) -> FormalSum:
     """Sum of peak basis elements indexed by member peak sets, summed over
     the family's distinct descent masks."""
-    family = obj if isinstance(obj, TableauFamily) else obj.family
+    family = family_of(obj)
     n = family.n
     peaks: dict[int, int] = {}
     for mask, count in family.descent_histogram.items():
@@ -573,6 +629,7 @@ def _reach_certificate(n: int) -> bool:
 
 def certificates(n: int) -> dict[str, bool]:
     """The per-n block certificates the supermodule checks answer under."""
+    n = integer(n, f"size {n!r} is not an integer at least 1", 1)
     table = _supermodule_table(n)
     return {
         "reach": _reach_certificate(n),

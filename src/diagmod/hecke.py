@@ -36,6 +36,7 @@ from .tableaux import (
     TableauFamily,
     Tableaux,
     WordSet,
+    family_of,
     is_ascent_compatible,
     is_descent_compatible,
     word_set_memo,
@@ -312,7 +313,7 @@ def _relation_report(targets: np.ndarray, signs: np.ndarray, convention: str) ->
 def qsym_characteristic(obj) -> FormalSum:
     """Sum of fundamental basis elements indexed by member descent sets, one
     term per distinct descent mask of the family."""
-    family = obj if isinstance(obj, TableauFamily) else obj.family
+    family = family_of(obj)
     n = family.n
     terms = {mask_composition(mask, n): count for mask, count in family.descent_histogram.items()}
     return FormalSum(FUNDAMENTAL, n, terms)

@@ -182,7 +182,7 @@ def theta(f: FormalSum) -> FormalSum:
     >>> render_text(theta(FormalSum.fundamental((1, 2, 2, 1, 3))))
     'K[3,2,4]'
     """
-    if f.basis != FUNDAMENTAL:
+    if not isinstance(f, FormalSum) or f.basis != FUNDAMENTAL:
         raise DomainError("theta expects a fundamental-basis sum")
     if f.n == 0:
         return FormalSum(PEAK, 0, dict(f.terms))

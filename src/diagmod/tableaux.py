@@ -305,6 +305,15 @@ class TableauFamily:
         return len(self.members)
 
 
+def family_of(obj) -> TableauFamily:
+    """A family, or the family of a module rep; DomainError for anything
+    else."""
+    family = obj if isinstance(obj, TableauFamily) else getattr(obj, "family", None)
+    if not isinstance(family, TableauFamily):
+        raise DomainError(f"{obj!r} is neither a tableau family nor a module of one")
+    return family
+
+
 class WordSet:
     """The word graph of a set of reading words, all arrays read-only.
 

@@ -62,10 +62,16 @@ import numpy as np
 from scipy import sparse
 
 from diagmod import clifford, families
-from diagmod.clifford import build_M_alpha
+from diagmod.clifford import ATTACK, DESCENT, SWAP, build_M_alpha
 from diagmod.compositions import check_composition, comp_n, composition_size, descent_set, peak_set
 from diagmod.errors import DomainError
-from diagmod.hecke import RelationReport, compose_maps, relation_table, zero_hecke_relations
+from diagmod.hecke import (
+    RelationReport,
+    canonical_entries,
+    compose_maps,
+    relation_table,
+    zero_hecke_relations,
+)
 from diagmod.series import FUNDAMENTAL, PEAK, FormalSum
 from diagmod.tableaux import (
     Diagram,
@@ -930,6 +936,78 @@ def grouped_hecke_relations(rep):
     return RelationReport(len(relations), tuple(violations))
 
 
+def _canonical_is_zero(op):
+    """Whether a stack is the zero operator, read off its sorted canonical
+    entries; the library's former ``_is_zero``, kept apart from its layer
+    comparisons."""
+    return canonical_entries(op)[2].size == 0
+
+
+def canonical_equal(a, b, sign=1):
+    """Whether a = sign * b as operators, always on the canonical entries of
+    a - sign * b; the library's former ``_equal``, which never compared the
+    stacks layer by layer."""
+    return _canonical_is_zero(clifford._stack(a, clifford._scaled(b, -sign)))
+
+
+def _canonical_keeps_parity(block, n, flips):
+    """The library's former ``_keeps_parity``, on canonical entries only."""
+    par = np.array([bin(m).count("1") & 1 for m in range(1 << n)])
+    rows, cols, _ = canonical_entries(block)
+    return bool(np.all((par[rows] != par[cols]) == flips))
+
+
+def _canonical_expansion_holds(n, lhs, rhs, sign):
+    """The library's ``_expansion_holds``, deciding each coefficient with
+    ``canonical_equal``."""
+    left, right = clifford._expansion(n, lhs), clifford._expansion(n, rhs)
+    if lhs in left and rhs in right:
+        full = left.pop(lhs)
+        if _canonical_is_zero(full) or not canonical_equal(full, right.pop(rhs)):
+            return False
+    zero = clifford._scaled(clifford._identity(n), 0)
+    words = left.keys() | right.keys()
+    return all(canonical_equal(left.get(w, zero), right.get(w, zero), sign) for w in words)
+
+
+def _canonical_local(n):
+    base = clifford._hecke_mask_blocks(2, 1)
+    return all(
+        canonical_equal(clifford._lifted(base[case], n, i), clifford._hecke_mask_blocks(n, i)[case])
+        for i in range(1, n)
+        for case in base
+    )
+
+
+def canonical_certificates(n):
+    """``(suite, expansion, quotients, reach)`` of size n, each relation of
+    the library's table decided one pair of stacks at a time with
+    ``canonical_equal``, as the library did before it compared layers:
+    the suite from the former per-case table, read uncached so that it sees
+    injected faults."""
+    pis = [clifford._hecke_mask_blocks(n, i) for i in range(1, n)]
+    suite = tuple(
+        (message, check if isinstance(check, bool) else not check)
+        for message, check in _per_case_suite.__wrapped__(n)
+    )
+    references = clifford._reference_marks(n)[0]
+    marks = all(canonical_equal(clifford._mark_blocks(n, j), c) for j, c in enumerate(references, 1))
+    quotients = marks and all(
+        canonical_equal(blocks[case], clifford._reference_pi(n, i)[case == DESCENT])
+        for i, blocks in enumerate(pis, 1)
+        for case in (ATTACK, DESCENT)
+    )
+    descents = all(
+        canonical_equal(b[DESCENT], clifford._stack(b[ATTACK], clifford._scaled(b[SWAP], -1))) for b in pis
+    )
+    m = min(n, 4)
+    expands = all(_canonical_expansion_holds(m, *r[1:]) for r in relation_table(m - 1).relations)
+    expansion = _canonical_local(n) and _canonical_local(m) and descents and expands
+    swaps = (canonical_entries(blocks[SWAP])[1] for blocks in pis)
+    reach = marks and all(np.isin(np.arange(1 << n), cols).all() for cols in swaps)
+    return suite, expansion, quotients, reach
+
+
 def _path_product(n, steps):
     """The block product of one path, leftmost factor first."""
     return functools.reduce(
@@ -943,7 +1021,7 @@ def _paths_agree(n, signature, sign):
     """Whether, at every end tableau of the signature, the left paths' block
     products sum to ``sign`` times the right paths' ones."""
     return all(
-        clifford._is_zero(
+        _canonical_is_zero(
             clifford._stack(
                 *(_path_product(n, steps) for steps in lhs),
                 *(clifford._scaled(_path_product(n, steps), -sign) for steps in rhs),
@@ -962,7 +1040,7 @@ def _paths(cases, swaps, word, t):
         for u, steps in paths:
             grown.append((u, (3 * g + cases[g][u],) + steps))
             if swaps[g][u] >= 0:
-                grown.append((swaps[g][u], (3 * g + clifford.SWAP,) + steps))
+                grown.append((swaps[g][u], (3 * g + SWAP,) + steps))
         paths = grown
     return paths
 
@@ -994,10 +1072,10 @@ def _per_case_suite(n):
     cs = [clifford._mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [clifford._hecke_mask_blocks(n, i) for i in range(1, n)]
     suite = [
-        (f"c[{j}]^2 != -1", clifford._equal(compose_maps(c, c), identity, -1)) for j, c in enumerate(cs, 1)
+        (f"c[{j}]^2 != -1", canonical_equal(compose_maps(c, c), identity, -1)) for j, c in enumerate(cs, 1)
     ]
     suite += [
-        (f"c[{a}] and c[{b}] do not anticommute", clifford._equal(compose_maps(c, d), compose_maps(d, c), -1))
+        (f"c[{a}] and c[{b}] do not anticommute", canonical_equal(compose_maps(c, d), compose_maps(d, c), -1))
         for a, c in enumerate(cs, 1)
         for b, d in enumerate(cs[a:], a + 1)
     ]
@@ -1011,18 +1089,18 @@ def _per_case_suite(n):
                 message, other = f"pi[{i}] and c[{j}] do not commute", c
             fails = set()
             for case, p in blocks.items():
-                if j == i + 1 and case != clifford.SWAP:
+                if j == i + 1 and case != SWAP:
                     p = clifford._stack(p, identity)
-                if not clifford._equal(compose_maps(p, c), compose_maps(other, p)):
+                if not canonical_equal(compose_maps(p, c), compose_maps(other, p)):
                     fails.add((i, case))
             suite.append((message, frozenset(fails)))
     for i, blocks in enumerate(pis, 1):
         fails = frozenset(
-            (i, case) for case, p in blocks.items() if not clifford._keeps_parity(p, n, flips=False)
+            (i, case) for case, p in blocks.items() if not _canonical_keeps_parity(p, n, flips=False)
         )
         suite.append((f"pi[{i}] does not preserve parity", fails))
     suite += [
-        (f"c[{j}] does not flip parity", clifford._keeps_parity(c, n, flips=True))
+        (f"c[{j}] does not flip parity", _canonical_keeps_parity(c, n, flips=True))
         for j, c in enumerate(cs, 1)
     ]
     return tuple(suite)
@@ -1038,11 +1116,11 @@ def path_expanded_clifford_relations(rep):
     words = rep.family.word_set
     n = words.n
     edges = (
-        np.where(words.descent, clifford.DESCENT, clifford.ATTACK).tolist(),
+        np.where(words.descent, DESCENT, ATTACK).tolist(),
         clifford.swap_targets(words).tolist(),
     )
     present = {(i, case) for i, row in enumerate(edges[0], 1) for case in set(row)}
-    present |= {(i, clifford.SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
+    present |= {(i, SWAP) for i, row in enumerate(edges[1], 1) if max(row) >= 0}
 
     relations = relation_table(n - 1).relations
     suite = _per_case_suite(n)

@@ -323,9 +323,33 @@ def _is_int(op):
     return all(a.dtype.kind == "i" for a in op)
 
 
+@st.composite
+def _equal_block_pairs(draw):
+    """Two blocks that differ layer for layer: a random block and the same
+    operator with its layers in another order or with added entries that
+    cancel, or two zero stacks whose targets are not all the sink, or one
+    of those and a random block."""
+    n = draw(st.integers(1, 5))
+    a, c = draw(_blocks(n)), draw(_blocks(n))
+    targets, signs = a
+    zero = clifford._scaled(c, 0)
+    pairs = [
+        (a, clifford._stack(a, c, clifford._scaled(c, -1))),
+        (a, clifford._stack(clifford._scaled(c, -1), a, c)),
+        (zero, clifford._scaled(a, 0)),
+        (a, zero),
+    ]
+    if len(targets) > 1:
+        pairs.append((a, (targets[::-1], signs[::-1])))
+    return draw(st.sampled_from(pairs))
+
+
 @settings(max_examples=300, deadline=None)
-@given(_block_pairs(), st.sampled_from((-1, 1)))
+@given(st.one_of(_block_pairs(), _equal_block_pairs()), st.sampled_from((-1, 1)))
 def test_block_algebra_matches_scipy(pair, sign):
+    """Both routes of ``_equal`` run: identical stacks, and stacks that
+    differ layer for layer, equal or not, decided on canonical entries; its
+    verdict is scipy's and the former sort-only one's."""
     a, b = pair
     A, B = _scipy_block(a), _scipy_block(b)
     product, total = compose_maps(a, b), clifford._stack(a, b)
@@ -334,7 +358,7 @@ def test_block_algebra_matches_scipy(pair, sign):
     assert _canonical_triples(total) == oracle.triples(A + B)
     assert _canonical_triples(clifford._stack(a, clifford._scaled(a, -1))) == []
     assert clifford._equal(a, clifford._scaled(a, sign), sign)
-    assert clifford._equal(a, b, sign) == oracle.same(A, sign * B)
+    assert clifford._equal(a, b, sign) == oracle.same(A, sign * B) == oracle.canonical_equal(a, b, sign)
     assert clifford._equal(product, compose_maps(b, a), sign) == oracle.same(A @ B, sign * (B @ A))
 
 
@@ -533,6 +557,54 @@ def test_each_fault_breaks_its_certificates(fault, monkeypatch, fresh_block_cach
     assert set().union(*FAILING_CERTIFICATES.values()) == set(verdicts)
     assert {name for name, holds in verdicts.items() if not holds} == FAILING_CERTIFICATES[fault]
     assert all(clifford.certificates(2).values()) and all(clifford.certificates(4).values())
+
+
+def assert_table_matches_canonical_oracle(n):
+    table = clifford._supermodule_table(n)
+    expected = oracle.canonical_certificates(n)
+    assert (table.suite, table.expansion, table.quotients, clifford._reach_certificate(n)) == expected, n
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_table_matches_the_sort_only_oracle(n):
+    """Every verdict of the table of size n and its reach certificate equal
+    those decided with the former sort-only equality, relation by
+    relation."""
+    assert_table_matches_canonical_oracle(n)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_faulted_table_matches_the_sort_only_oracle(fault, monkeypatch, fresh_block_caches):
+    """Under each fault, at its size, the table still gives the sort-only
+    verdicts, and some of them fail."""
+    _inject(fault, monkeypatch)
+    n = FAULTS[fault][1][0]
+    assert_table_matches_canonical_oracle(n)
+    assert not all(clifford.certificates(n).values())
+
+
+@pytest.mark.parametrize("n", [0, -3, "3", 2.0, True, None])
+def test_certificates_need_a_positive_integer_size(n):
+    with pytest.raises(DomainError, match="is not an integer at least 1"):
+        clifford.certificates(n)
+
+
+@pytest.mark.parametrize("characteristic", [qsym_characteristic, peak_characteristic])
+@pytest.mark.parametrize("foreign", ["x", None, 3, build_M_alpha((2, 1))])
+def test_characteristics_read_only_families_and_their_modules(characteristic, foreign):
+    """A family, its module or its supermodule gives one characteristic;
+    anything else raises DomainError."""
+    fam = build_family("syt", (2, 1))
+    reps = [build_hecke_module(fam, "pi"), build_clifford_module(fam)]
+    assert all(characteristic(rep) == characteristic(fam) for rep in reps)
+    with pytest.raises(DomainError, match="is neither a tableau family nor a module of one"):
+        characteristic(foreign)
+
+
+@pytest.mark.parametrize("foreign", ["x", None, FormalSum.peak((2, 1)).terms])
+def test_theta_reads_only_fundamental_sums(foreign):
+    with pytest.raises(DomainError, match="theta expects a fundamental-basis sum"):
+        theta(foreign)
 
 
 def test_a_failing_quotient_certificate_raises(monkeypatch, fresh_block_caches):

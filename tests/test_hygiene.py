@@ -15,8 +15,9 @@ whose theta finds peaks by its own rule, reads of ``generator_triples``
 out of every library file but the CLI's, private names of
 ``diagmod.clifford`` out of the CLI's imports, per-word-set memos out
 of ``diagmod.clifford``, whose checks read per-n block certificates, the
-library's private tuning constants out of ``tests/_oracles.py``, and a
-family kind with no route, or two, out of ``diagmod.families``.
+library's private tuning constants and its layer-comparing equality out
+of ``tests/_oracles.py``, and a family kind with no route, or two, out of
+``diagmod.families``.
 ``src/diagmod/__init__.py`` is skipped by the unused-import scan: its imports
 are the package's public re-exports.
 """
@@ -367,6 +368,35 @@ def test_the_oracles_share_no_tuning_constant_with_the_library():
     assert not found, "private diagmod constants read by the oracles:\n" + "\n".join(found)
     probe = "from diagmod.tableaux import _SEARCH_CELLS, _word_set\nblock = tableaux._SEARCH_CELLS"
     assert private_constant_reads(probe) == ["1: _SEARCH_CELLS", "2: _SEARCH_CELLS"], "the scan no longer finds them"
+
+
+# the library's equality tests that compare stacks layer for layer first
+LAYER_COMPARING = {"_equal", "_is_zero", "_identical", "_keeps_parity"}
+
+
+def layer_comparing_reads(source: str) -> list[str]:
+    """``line: name`` for every import or attribute read of a name in
+    ``LAYER_COMPARING``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        found += [f"{node.lineno}: {name}" for name in names if name in LAYER_COMPARING]
+    return found
+
+
+def test_the_oracles_decide_equality_on_canonical_entries_only():
+    """The oracles check the library's table with their own sort-only
+    equality: one that read the library's layer comparison would share the
+    path it checks."""
+    found = layer_comparing_reads((ROOT / "tests" / "_oracles.py").read_text())
+    assert not found, "layer-comparing equality read by the oracles:\n" + "\n".join(found)
+    probe = "from diagmod.clifford import _equal\nzero = clifford._is_zero(op)"
+    assert layer_comparing_reads(probe) == ["1: _equal", "2: _is_zero"], "the scan no longer finds them"
 
 
 def family_routes(path: Path) -> dict[str, list[str]]:
