@@ -127,36 +127,23 @@ def _is_zero(op) -> bool:
     return canonical_entries(op)[2].size == 0
 
 
-def _identical(a, b, sign: int = 1):
-    """Whether stacks a and sign * b of one shape are the same layer for
-    layer: equal targets, and signs sign times b's; for two arrays of
-    stacks of one shape, that at every index."""
+def _identical(a, b, sign: int = 1) -> bool:
+    """Whether a and sign * b are the same stack layer for layer: the same
+    shape, equal targets, and signs sign times b's.  Arrays are compared
+    by their bytes, so arrays of two dtypes never match."""
     (a_targets, a_signs), (b_targets, b_signs) = a, b
-    return ((a_targets == b_targets) & (a_signs == sign * b_signs)).all(axis=(-2, -1))
+    return (
+        a_targets.shape == b_targets.shape
+        and a_targets.tobytes() == b_targets.tobytes()
+        and a_signs.tobytes() == (b_signs if sign == 1 else sign * b_signs).tobytes()
+    )
 
 
 def _equal(a, b, sign: int = 1) -> bool:
     """Whether a = sign * b as operators: at once where the stacks are
     identical layer for layer, else on the canonical entries of a - sign *
     b."""
-    if a[0].shape == b[0].shape and _identical(a, b, sign):
-        return True
-    return _is_zero(_stack(a, _scaled(b, -sign)))
-
-
-def _products(outer, inner):
-    """Every product outer_a * inner_b of a layer of each stack, as arrays
-    of shape (outer's layers, inner's layers, d + 1)."""
-    targets, signs = compose_maps(outer, inner)
-    shape = (len(outer[0]), len(inner[0]), -1)
-    return targets.reshape(shape), signs.reshape(shape)
-
-
-def _at(stacks, *index: int):
-    """The stack at a 1-based index of an array of stacks."""
-    targets, signs = stacks
-    at = tuple(x - 1 for x in index)
-    return targets[at], signs[at]
+    return _identical(a, b, sign) or _is_zero(_stack(a, _scaled(b, -sign)))
 
 
 def _map(targets, signs):
@@ -487,49 +474,27 @@ def _supermodule_table(n: int) -> SupermoduleTable:
     every family; the identity added in the (pi_i + 1) relation lands on
     the diagonal blocks only.  A filtration quotient is its tableau's
     diagonal blocks, so every quotient of size n is the reference module
-    where these blocks are.  The products of the mark blocks with each other
-    and with each case block are gathered at once (:func:`_products`), and
-    a relation whose sides come out identical layer for layer holds without
-    sorting entries.
+    where these blocks are.
     """
     cs = [_mark_blocks(n, j) for j in range(1, n + 1)]
     pis = [_hecke_mask_blocks(n, i) for i in range(1, n)]
-    marks = _stack(*cs)
-    cc = tuple(x[:, :, None] for x in _products(marks, marks))  # c[a] c[b], one layer each
-    anticommute = _identical(cc, tuple(x.swapaxes(0, 1) for x in cc), -1)
-    suite = [(f"c[{j}]^2 != -1", _equal(_at(cc, j, j), _identity(n), -1)) for j in range(1, n + 1)]
+    suite = [(f"c[{j}]^2 != -1", _equal(compose_maps(c, c), _identity(n), -1)) for j, c in enumerate(cs, 1)]
     suite += [
-        (
-            f"c[{a}] and c[{b}] do not anticommute",
-            anticommute[a - 1, b - 1] or _equal(_at(cc, a, b), _at(cc, b, a), -1),
-        )
-        for a in range(1, n + 1)
-        for b in range(a + 1, n + 1)
+        (f"c[{a}] and c[{b}] do not anticommute", _equal(compose_maps(c, d), compose_maps(d, c), -1))
+        for a, c in enumerate(cs, 1)
+        for b, d in enumerate(cs[a:], a + 1)
     ]
     for i, blocks in enumerate(pis, 1):
-        order = np.arange(n)
-        order[[i - 1, i]] = i, i - 1
-        others = marks[0][order], marks[1][order]  # c[i + 1] at j = i, c[i] at j = i + 1
-        sides = {}  # per case block p, p c[j] and others[j] p, indexed by j
-        for case, p in blocks.items():
-            targets, signs = _products(p, marks)
-            left, right = (targets.swapaxes(0, 1), signs.swapaxes(0, 1)), _products(others, p)
-            sides[case] = left, right, _identical(left, right)
-        for j in range(1, n + 1):
+        for j, c in enumerate(cs, 1):
             if j == i:
-                message = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]"
+                message, other = f"pi[{i}]c[{i}] != c[{i + 1}]pi[{i}]", cs[i]
             elif j == i + 1:
-                message = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)"
+                message, other = f"(pi[{i}]+1)c[{i + 1}] != c[{i}](pi[{i}]+1)", cs[i - 1]
             else:
-                message = f"pi[{i}] and c[{j}] do not commute"
-            holds = all(
-                # the identity added at j = i + 1 gives c[i + 1] and c[i] a layer each
-                _equal(_stack(_at(left, j), cs[i]), _stack(_at(right, j), cs[i - 1]))
-                if j == i + 1 and case != SWAP
-                else same[j - 1] or _equal(_at(left, j), _at(right, j))
-                for case, (left, right, same) in sides.items()
-            )
-            suite.append((message, holds))
+                message, other = f"pi[{i}] and c[{j}] do not commute", c
+            plus = j == i + 1
+            ops = [_stack(p, _identity(n)) if plus and case != SWAP else p for case, p in blocks.items()]
+            suite.append((message, all(_equal(compose_maps(p, c), compose_maps(other, p)) for p in ops)))
     suite += [
         (f"pi[{i}] does not preserve parity", all(_keeps_parity(p, n, flips=False) for p in blocks.values()))
         for i, blocks in enumerate(pis, 1)

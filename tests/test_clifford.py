@@ -360,6 +360,12 @@ def test_block_algebra_matches_scipy(pair, sign):
     assert clifford._equal(a, clifford._scaled(a, sign), sign)
     assert clifford._equal(a, b, sign) == oracle.same(A, sign * B) == oracle.canonical_equal(a, b, sign)
     assert clifford._equal(product, compose_maps(b, a), sign) == oracle.same(A @ B, sign * (B @ A))
+    # parity, read off the layers where no entry breaks it, else off the sum
+    n = A.shape[0].bit_length() - 1
+    parity = [bin(m).count("1") % 2 for m in range(1 << n)]
+    flipped = {parity[r] != parity[c] for r, c, _ in oracle.triples(A + B)}
+    for flips in (False, True):
+        assert clifford._keeps_parity(total, n, flips) == flipped.issubset({flips})
 
 
 def test_marked_rendering(compatible_family):
