@@ -50,7 +50,10 @@ set statistics, with theta summing every like term as a Fraction.  The
 word set that keyed each member by its entry positions, sorted the keys
 and searched the swapped keys in basis order is kept as
 ``position_key_word_set``, the oracle for the reading-word keys that
-replaced it.
+replaced it.  The block equality that always sorted canonical entries,
+which the library now tries only where two stacks differ layer for layer,
+is kept as ``canonical_equal``: every block comparison here uses it, and
+``canonical_certificates`` decides the library's per-n table with it.
 """
 
 import functools
@@ -971,6 +974,8 @@ def _canonical_expansion_holds(n, lhs, rhs, sign):
 
 
 def _canonical_local(n):
+    """The library's ``_local_certificate``, deciding each block with
+    ``canonical_equal``."""
     base = clifford._hecke_mask_blocks(2, 1)
     return all(
         canonical_equal(clifford._lifted(base[case], n, i), clifford._hecke_mask_blocks(n, i)[case])

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -596,7 +597,7 @@ def test_certificates_need_a_positive_integer_size(n):
 
 
 @pytest.mark.parametrize("characteristic", [qsym_characteristic, peak_characteristic])
-@pytest.mark.parametrize("foreign", ["x", None, 3, build_M_alpha((2, 1))])
+@pytest.mark.parametrize("foreign", ["x", None, 3, build_M_alpha((2, 1)), SimpleNamespace(family="x")])
 def test_characteristics_read_only_families_and_their_modules(characteristic, foreign):
     """A family, its module or its supermodule gives one characteristic;
     anything else raises DomainError."""
